@@ -4,8 +4,8 @@ The package is organized bottom-up:
 
   mixture     exact risks, rules and bounds for atomic mixing distributions
   kde         sinc-kernel density estimation (direct and spectral forms)
-  thresholds  threshold maps and the exact soft-threshold risk
-  blocks      tuning schedules and the per-block hybrid fit
+  thresholds  threshold maps and the closed-form soft-threshold risk
+  blocks      tuning schedules and the one per-block policy, fit_block
   sequence    the blocked sequence model and its ideal benchmark
   wavelets    periodic orthonormal transforms, equispaced and random-design
               regression pipelines
@@ -19,6 +19,7 @@ from .blocks import (
     FittedBlockRule,
     TuningConfig,
     TuningValues,
+    fit_block,
     geb_rule,
     hybrid_fit,
     james_stein,
@@ -59,8 +60,10 @@ from .mixture import (
 )
 from .risklab import (
     ESTIMATORS,
+    BlockReport,
     ExperimentSpec,
     RateFit,
+    RiskReport,
     TruthSource,
     besov_norm,
     monte_carlo_risk,
@@ -72,9 +75,7 @@ from .risklab import (
 )
 from .sequence import (
     BlockedSequence,
-    BlockReport,
     BlockScheduleReport,
-    RiskReport,
     check_blocks,
     dyadic_sequence,
     estimate_sequence,

@@ -25,13 +25,18 @@ from .kde import kde_fit
 from .mixture import (
     DENSITY_FLOOR_LIMIT,
     GebRule,
+    HardThresholdRule,
+    IdentityRule,
+    LinearShrinkRule,
     ScalarRule,
     SoftThresholdRule,
 )
-from .thresholds import soft_threshold_risk, threshold  # noqa: F401  (re-export)
 
 #: density-floor coefficient matching the balanced-rate schedule
 RHO0_BALANCED = 0.6094
+
+#: estimators that fit each block on its own; see :func:`fit_block`
+BLOCK_ESTIMATORS = ("geb-hybrid", "soft-universal", "hard-universal", "james-stein", "mle")
 
 _POLICIES = ("mle", "james_stein")
 
@@ -137,10 +142,12 @@ def geb_rule(values, floor, *, kde_mode="direct") -> GebRule:
 class FittedBlockRule:
     """Outcome of fitting one block.
 
-    ``branch`` is "geb" or "threshold" for hybrid fits, "mle" or
-    "james_stein" for small-block fallbacks.  For hybrid fits the branch
-    is "geb" exactly when kappa_hat > b and n >= n_star.  Schedule fields
-    are NaN on fallback branches, where no schedule was evaluated.
+    ``branch`` is "geb" or "threshold" for hybrid and universal-threshold
+    fits, "mle" or "james_stein" for the identity and spherical shrinkage.
+    For hybrid fits the branch is "geb" exactly when kappa_hat > b and
+    n >= n_star.  Schedule fields are NaN where no schedule was evaluated:
+    all three on mle and james_stein branches, rho and b on
+    universal-threshold fits.
     """
 
     rule: ScalarRule
@@ -193,13 +200,45 @@ def hybrid_fit(values, cfg: TuningConfig = TuningConfig(), *, kde_mode="direct")
     )
 
 
-def james_stein(values, epsilon):
-    """Positive-part spherical shrinkage toward the origin.
+def fit_block(values, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid", *, kde_mode="direct") -> FittedBlockRule:
+    """Fit one of :data:`BLOCK_ESTIMATORS` to one standardized block.
 
-    For n >= 3 returns (1 - (n - 2) eps^2 / ||y||^2)_+ y; the identity for
-    n <= 2; exact zeros when ||y|| = 0.  The squared norm is accumulated
-    over sorted values so the output is permutation-equivariant bit for
-    bit.
+    geb-hybrid runs :func:`hybrid_fit`; soft-universal and hard-universal
+    threshold at the universal level.  All three apply
+    cfg.small_block_policy to blocks of fewer than cfg.n_star values.
+    james-stein (spherical shrinkage at unit noise) and mle (the
+    identity) apply to blocks of every size.
+    """
+    if estimator not in BLOCK_ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; choose from {BLOCK_ESTIMATORS}")
+    x = np.asarray(values, dtype=float).ravel()
+    if estimator in ("james-stein", "mle"):
+        branch = "mle" if estimator == "mle" else "james_stein"
+    elif x.size < cfg.n_star:
+        branch = cfg.small_block_policy
+    elif estimator == "geb-hybrid":
+        return hybrid_fit(x, cfg, kde_mode=kde_mode)
+    else:
+        branch = "threshold"
+    lam = math.nan
+    if branch == "threshold":
+        lam = tuning(x.size, cfg).lam
+        threshold_rule = SoftThresholdRule if estimator == "soft-universal" else HardThresholdRule
+        rule: ScalarRule = threshold_rule(lam)
+    elif branch == "james_stein":
+        rule = LinearShrinkRule(james_stein_factor(x, 1.0))
+    else:
+        rule = IdentityRule()
+    return FittedBlockRule(
+        rule=rule, branch=branch, kappa_hat=kappa_hat(x), rho=math.nan, b=math.nan, lam=lam, n=x.size
+    )
+
+
+def james_stein_factor(values, epsilon) -> float:
+    """Positive-part spherical shrinkage factor (1 - (n - 2) eps^2 / ||y||^2)_+.
+
+    1 for n <= 2 and 0 when ||y|| = 0.  The squared norm is accumulated
+    over sorted values so the factor is permutation-invariant bit for bit.
     """
     y = np.asarray(values, dtype=float).ravel()
     epsilon = float(epsilon)
@@ -209,21 +248,18 @@ def james_stein(values, epsilon):
         raise ValueError("values must be finite")
     n = y.size
     if n <= 2:
-        return y.copy()
-    norm_sq = float(np.sum(np.sort(y) ** 2))
-    if norm_sq == 0.0:
-        return np.zeros_like(y)
-    factor = max(1.0 - (n - 2) * epsilon * epsilon / norm_sq, 0.0)
-    return factor * y
-
-
-def james_stein_factor(values, epsilon) -> float:
-    """The scalar shrinkage factor applied by :func:`james_stein`."""
-    y = np.asarray(values, dtype=float).ravel()
-    n = y.size
-    if n <= 2:
         return 1.0
     norm_sq = float(np.sum(np.sort(y) ** 2))
     if norm_sq == 0.0:
         return 0.0
-    return max(1.0 - (n - 2) * float(epsilon) ** 2 / norm_sq, 0.0)
+    return max(1.0 - (n - 2) * epsilon * epsilon / norm_sq, 0.0)
+
+
+def james_stein(values, epsilon):
+    """Positive-part spherical shrinkage toward the origin.
+
+    Returns ``james_stein_factor(y, epsilon) * y``: the identity for
+    n <= 2 and zeros when ||y|| = 0.
+    """
+    y = np.asarray(values, dtype=float).ravel()
+    return james_stein_factor(y, epsilon) * y

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .blocks import TuningConfig, james_stein, threshold, tuning
+from .blocks import BLOCK_ESTIMATORS, TuningConfig
 from .errors import NumericFailure
 from .mixture import (
     MixingDistribution,
@@ -30,18 +30,11 @@ from .mixture import (
     signal_rate_bound,
     sparse_rate_bound,
 )
-from .sequence import BlockedSequence, BlockReport, RiskReport, estimate_sequence
+from .sequence import BlockedSequence, estimate_sequence
 from .signals import test_signal
 from .wavelets import dwt, wavelet_basis
 
-ESTIMATORS = (
-    "geb-hybrid",
-    "soft-universal",
-    "hard-universal",
-    "james-stein",
-    "mle",
-    "oracle-truth",
-)
+ESTIMATORS = (*BLOCK_ESTIMATORS, "oracle-truth")
 
 _TRUTH_KINDS = ("explicit", "zero", "besov", "signal", "gaussian-prior", "atom-prior")
 
@@ -256,8 +249,8 @@ class ExperimentSpec:
         else:
             if not eps:
                 raise ValueError("need at least one epsilon")
-            if any(e <= 0 for e in eps):
-                raise ValueError("epsilons must be positive")
+            if not all(0.0 < e < math.inf for e in eps):
+                raise ValueError(f"epsilons must be positive and finite, got {list(eps)}")
         object.__setattr__(self, "epsilons", eps)
         if not float(self.bound_p) > 0:
             raise ValueError("bound_p must be positive")
@@ -272,47 +265,61 @@ def replicate_rng(seed, r) -> Generator:
 
 
 # ---------------------------------------------------------------------------
+# risk reports
+
+
+@dataclass(frozen=True)
+class BlockReport:
+    """Per-block row of a risk report; None marks unavailable columns."""
+
+    block_id: int
+    size: int
+    branch: str
+    empirical_mse: float | None
+    ideal_risk: float | None
+    bound_r_p: float | None
+    bound_r0: float | None
+
+
+@dataclass(frozen=True)
+class RiskReport:
+    """Replicate-averaged risks, their decomposition, and metadata."""
+
+    per_block: tuple
+    total_mse: float
+    total_ideal: float | None
+    regret: float | None
+    total_se: float
+    replicates: int
+    epsilon: float
+    estimator: str
+    seed: int
+
+    def __post_init__(self):
+        totals = (self.total_mse, self.total_ideal, self.regret, self.total_se)
+        if not all(v is None or math.isfinite(v) for v in totals):
+            raise NumericFailure(f"risk overflowed at epsilon {self.epsilon:g}: totals {totals}")
+        blocks = tuple(self.per_block)
+        object.__setattr__(self, "per_block", blocks)
+        mse_sum = sum(row.empirical_mse for row in blocks if row.empirical_mse is not None)
+        if blocks and abs(mse_sum - self.total_mse) > 1e-9 * max(1.0, abs(self.total_mse)):
+            raise ValueError("total_mse must equal the sum of per-block entries")
+
+
+# ---------------------------------------------------------------------------
 # estimators
 
 
 def _apply_estimator(spec: ExperimentSpec, epsilon, y_blocks, beta_blocks):
     """Run the chosen estimator; returns (estimate arrays, branch labels)."""
-    cfg = spec.cfg
-    name = spec.estimator
-    if name == "geb-hybrid":
-        seq = BlockedSequence(
-            epsilon=epsilon,
-            blocks=tuple((j, y) for (j, _), y in zip(spec.truth.block_ids_and_sizes(), y_blocks)),
-        )
-        estimates, fits = estimate_sequence(seq, cfg, kde_mode=spec.kde_mode)
-        return estimates, [fit.branch for fit in fits]
-    estimates = []
-    branches = []
-    for y, beta in zip(y_blocks, beta_blocks):
-        if name == "oracle-truth":
-            estimates.append(beta.copy())
-            branches.append("oracle")
-        elif name == "mle":
-            estimates.append(y.copy())
-            branches.append("mle")
-        elif name == "james-stein":
-            estimates.append(james_stein(y, epsilon))
-            branches.append("james_stein")
-        elif name in ("soft-universal", "hard-universal"):
-            mode = "soft" if name == "soft-universal" else "hard"
-            if y.size >= cfg.n_star:
-                lam = tuning(y.size, cfg).lam
-                estimates.append(epsilon * threshold(y / epsilon, lam, mode))
-                branches.append("threshold")
-            elif cfg.small_block_policy == "james_stein":
-                estimates.append(james_stein(y, epsilon))
-                branches.append("james_stein")
-            else:
-                estimates.append(y.copy())
-                branches.append("mle")
-        else:  # pragma: no cover - guarded by ExperimentSpec
-            raise ValueError(name)
-    return estimates, branches
+    if spec.estimator == "oracle-truth":
+        return [beta.copy() for beta in beta_blocks], ["oracle"] * len(beta_blocks)
+    seq = BlockedSequence(
+        epsilon=epsilon,
+        blocks=tuple((j, y) for (j, _), y in zip(spec.truth.block_ids_and_sizes(), y_blocks)),
+    )
+    estimates, fits = estimate_sequence(seq, spec.cfg, spec.estimator, kde_mode=spec.kde_mode)
+    return estimates, [fit.branch for fit in fits]
 
 
 def _run_replicate(spec: ExperimentSpec, epsilon, r):
@@ -320,6 +327,8 @@ def _run_replicate(spec: ExperimentSpec, epsilon, r):
     rng = replicate_rng(spec.seed, r)
     beta_blocks = spec.truth.draw_blocks(epsilon, rng)
     y_blocks = [beta + epsilon * rng.standard_normal(beta.size) for beta in beta_blocks]
+    if not all(np.all(np.isfinite(y)) for y in y_blocks):
+        raise NumericFailure(f"observations overflow at epsilon {epsilon:g}")
     estimates, branches = _apply_estimator(spec, epsilon, y_blocks, beta_blocks)
     sq = np.array(
         [float(np.sum((est - beta) ** 2)) for est, beta in zip(estimates, beta_blocks)]
@@ -365,32 +374,22 @@ def _deterministic_ideal(spec, epsilon, ids_sizes):
 def _bounds_for_blocks(spec, ids_sizes):
     """Per-block (r_p, r0) for deterministic or atom-prior truths."""
     fixed = spec.truth.fixed_blocks()
-    out = []
-    p_eff = min(float(spec.bound_p), 2.0)
     if fixed is not None:
         eps = _resolve_epsilon(spec)
-        for beta, (_, size) in zip(fixed, ids_sizes):
-            if size < 3:
-                out.append((None, None))
-                continue
-            prior = empirical_mixing(beta, eps)
-            magnitude = mixture_summaries(prior, p_eff, 1.0).mu_p
-            out.append(
-                (sparse_rate_bound(size, magnitude, p_eff), signal_rate_bound(size, prior))
-            )
-        return out
-    if spec.truth.kind == "atom-prior":
-        prior = spec.truth.prior
-        for _, size in ids_sizes:
-            if size < 3:
-                out.append((None, None))
-                continue
-            magnitude = mixture_summaries(prior, p_eff, 1.0).mu_p
-            out.append(
-                (sparse_rate_bound(size, magnitude, p_eff), signal_rate_bound(size, prior))
-            )
-        return out
-    return [(None, None) for _ in ids_sizes]
+        priors = [empirical_mixing(beta, eps) for beta in fixed]
+    elif spec.truth.kind == "atom-prior":
+        priors = [spec.truth.prior] * len(ids_sizes)
+    else:
+        return [(None, None) for _ in ids_sizes]
+    p_eff = min(float(spec.bound_p), 2.0)
+    out = []
+    for prior, (_, size) in zip(priors, ids_sizes):
+        if size < 3:
+            out.append((None, None))
+            continue
+        magnitude = mixture_summaries(prior, p_eff, 1.0).mu_p
+        out.append((sparse_rate_bound(size, magnitude, p_eff), signal_rate_bound(size, prior)))
+    return out
 
 
 def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
@@ -503,10 +502,7 @@ def rate_fit(spec: ExperimentSpec, jobs=1) -> RateFit:
 
 
 def _clean(value):
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else None
+    return None if value is None else float(value)
 
 
 def report_to_dict(report: RiskReport) -> dict:

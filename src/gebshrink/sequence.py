@@ -2,9 +2,9 @@
 
 Observations y_jk = beta_jk + eps z_jk arrive in ordered blocks indexed by
 an integer level j.  Estimation standardizes each block by eps, fits the
-hybrid rule blockwise (small blocks fall back to the configured policy),
-and rescales.  The ideal benchmark charges each block the posterior-mean
-risk of its own empirical mixing distribution:
+chosen block estimator blockwise, and rescales.  The ideal benchmark
+charges each block the posterior-mean risk of its own empirical mixing
+distribution:
 
     R*(eps, beta) = eps^2 sum_j n_j bayes_risk(empirical_mixing(beta_j, eps)).
 
@@ -14,24 +14,12 @@ on any parallel execution of callers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    FittedBlockRule,
-    TuningConfig,
-    hybrid_fit,
-    james_stein_factor,
-    kappa_hat,
-)
-from .mixture import (
-    IdentityRule,
-    LinearShrinkRule,
-    bayes_risk,
-    empirical_mixing,
-)
+from .blocks import TuningConfig, fit_block
+from .mixture import IdentityRule, bayes_risk, empirical_mixing
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,49 +89,19 @@ def dyadic_sequence(epsilon, levels, truth=None) -> BlockedSequence:
     return BlockedSequence(epsilon=float(epsilon), blocks=tuple(items), truth=truth_tuple)
 
 
-def _fit_small_block(x, epsilon, cfg):
-    """Fallback fit for blocks below n_star; returns a FittedBlockRule.
-
-    Both policies reduce to a per-block scalar map on the standardized
-    values: the identity, or the fixed linear shrinkage that spherical
-    shrinkage applies once its factor is computed from this block.
-    """
-    mass = kappa_hat(x)
-    if cfg.small_block_policy == "james_stein":
-        factor = james_stein_factor(x, 1.0)
-        rule = LinearShrinkRule(factor)
-        branch = "james_stein"
-    else:
-        rule = IdentityRule()
-        branch = "mle"
-    return FittedBlockRule(
-        rule=rule,
-        branch=branch,
-        kappa_hat=mass,
-        rho=math.nan,
-        b=math.nan,
-        lam=math.nan,
-        n=x.size,
-    )
-
-
-def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), *, kde_mode="direct"):
-    """Estimate every block of ``seq``.
+def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid", *, kde_mode="direct"):
+    """Estimate every block of ``seq`` with one of the block estimators.
 
     Returns ``(estimates, fits)``: a list of arrays matching the block
-    shapes and the list of per-block FittedBlockRule diagnostics.  Blocks
-    of size >= cfg.n_star are standardized by eps and passed to the
-    hybrid fit; smaller blocks follow cfg.small_block_policy.
+    shapes and the list of per-block FittedBlockRule diagnostics.  Each
+    block is standardized by eps and fitted by :func:`blocks.fit_block`.
     """
     eps = float(seq.epsilon)
     estimates = []
     fits = []
     for _, values in seq.blocks:
         x = values / eps
-        if x.size >= cfg.n_star:
-            fit = hybrid_fit(x, cfg, kde_mode=kde_mode)
-        else:
-            fit = _fit_small_block(x, eps, cfg)
+        fit = fit_block(x, cfg, estimator, kde_mode=kde_mode)
         if isinstance(fit.rule, IdentityRule):
             # exact passthrough, not eps * (values / eps)
             estimates.append(values.copy())
@@ -218,42 +176,3 @@ def check_blocks(sizes) -> BlockScheduleReport:
         preset=preset,
         warnings=tuple(warnings),
     )
-
-
-# ---------------------------------------------------------------------------
-# risk reports
-
-
-@dataclass(frozen=True)
-class BlockReport:
-    """Per-block row of a risk report; None marks unavailable columns."""
-
-    block_id: int
-    size: int
-    branch: str
-    empirical_mse: float | None
-    ideal_risk: float | None
-    bound_r_p: float | None
-    bound_r0: float | None
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Replicate-averaged risks, their decomposition, and metadata."""
-
-    per_block: tuple
-    total_mse: float
-    total_ideal: float | None
-    regret: float | None
-    total_se: float
-    replicates: int
-    epsilon: float
-    estimator: str
-    seed: int
-
-    def __post_init__(self):
-        blocks = tuple(self.per_block)
-        object.__setattr__(self, "per_block", blocks)
-        mse_sum = sum(row.empirical_mse for row in blocks if row.empirical_mse is not None)
-        if blocks and abs(mse_sum - self.total_mse) > 1e-9 * max(1.0, abs(self.total_mse)):
-            raise ValueError("total_mse must equal the sum of per-block entries")

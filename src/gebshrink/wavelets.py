@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
-from .blocks import TuningConfig, hybrid_fit
-from .sequence import dyadic_sequence, estimate_sequence, _fit_small_block
+from .blocks import TuningConfig, fit_block
+from .sequence import dyadic_sequence, estimate_sequence
 
 #: upper quartile of the standard normal, for MAD noise calibration
-Z_THREE_QUARTERS = float(ndtri(0.75))
+Z_THREE_QUARTERS = NormalDist().inv_cdf(0.75)
 
 _SQRT_3 = math.sqrt(3.0)
 _SQRT_2 = math.sqrt(2.0)
@@ -369,10 +369,9 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
     """Estimate the regression function from standardized Haar contrasts.
 
     Where the usability indicator is zero the coefficient estimate is
-    zero.  Levels whose usable count reaches cfg.n_star run the hybrid
-    fit on the standardized values; smaller levels follow the small-block
-    policy.  ``sigma = 0`` short-circuits to the identity on the raw
-    contrasts.  Returns ``(cell_values, report)`` where ``cell_values``
+    zero.  Each level's usable coefficients, standardized, are fitted as
+    one block by :func:`blocks.fit_block` with the hybrid estimator.
+    ``sigma = 0`` short-circuits to the identity on the raw contrasts.  Returns ``(cell_values, report)`` where ``cell_values``
     is the estimated function on the 2^(J+1) finest dyadic cells.
     """
     sigma = float(sigma)
@@ -395,10 +394,7 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
         active = coef[mask]
         if active.size:
             x = active / epsilon
-            if active.size >= cfg.n_star:
-                fit = hybrid_fit(x, cfg, kde_mode=kde_mode)
-            else:
-                fit = _fit_small_block(x, epsilon, cfg)
+            fit = fit_block(x, cfg, kde_mode=kde_mode)
             beta_hat[mask] = epsilon * np.asarray(fit.rule(x), dtype=float)
             fits.append(fit)
         else:

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from gebshrink.blocks import TuningConfig, kappa_hat, threshold
+from gebshrink.blocks import TuningConfig, kappa_hat
 from gebshrink.io import read_signal_csv, write_signal_csv
 from gebshrink.kde import kde_eval, kde_fit
 from gebshrink.mixture import (
@@ -34,7 +34,7 @@ from gebshrink.risklab import (
 )
 from gebshrink.signals import SIGNAL_NAMES
 from gebshrink.signals import test_signal as make_signal
-from gebshrink.thresholds import soft_threshold_risk
+from gebshrink.thresholds import soft_threshold_risk, threshold
 from gebshrink.wavelets import (
     denoise_equispaced,
     dwt,

@@ -8,23 +8,33 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from gebshrink.blocks import (
+    BLOCK_ESTIMATORS,
     RHO0_BALANCED,
     TuningConfig,
+    fit_block,
     geb_rule,
     hybrid_fit,
     james_stein,
     james_stein_factor,
     kappa_hat,
-    soft_threshold_risk,
-    threshold,
     tuning,
 )
 from gebshrink.errors import InvalidConfigError
 from gebshrink.kde import kde_eval, kde_fit
-from gebshrink.mixture import gaussian_grid_prior, oracle_rule
+from gebshrink.mixture import (
+    HardThresholdRule,
+    SoftThresholdRule,
+    gaussian_grid_prior,
+    oracle_rule,
+)
+from gebshrink.quadrature import integrate
 from gebshrink.risklab import replicate_rng
+from gebshrink.sequence import BlockedSequence, estimate_sequence
+from gebshrink.thresholds import soft_threshold_risk, threshold
+from gebshrink.wavelets import RandomDesignData, random_design_estimate
 
 
 # ---------------------------------------------------------------- tuning
@@ -241,6 +251,77 @@ def test_fitted_rule_diagnostics_consistent():
     assert (fit.branch == "geb") == (fit.kappa_hat > fit.b)
 
 
+# ---------------------------------------------------------------- fit_block
+
+
+def _masked_design(x, size):
+    """Random-design data whose only usable contrasts are ``x`` at one level.
+
+    One design point and sigma = 1 give unit coefficient noise, so the
+    level's block reaches the fit unscaled.
+    """
+    level = int(math.log2(size))
+    coefficients = {j: np.zeros(2 ** max(j, 0)) for j in range(-1, level + 1)}
+    deltas = {j: np.zeros(2 ** max(j, 0), dtype=int) for j in range(-1, level + 1)}
+    deltas[-1][0] = 1
+    deltas[level][: x.size] = 1
+    coefficients[level][: x.size] = x
+    effective = {j: int(d.sum()) for j, d in deltas.items()}
+    return level, RandomDesignData(
+        t=np.ones(1), y=np.ones(1), j_max=level, counts={}, deltas=deltas,
+        coefficients=coefficients, effective=effective,
+    )
+
+
+@pytest.mark.parametrize("policy", ["mle", "james_stein"])
+@pytest.mark.parametrize("estimator", BLOCK_ESTIMATORS)
+@pytest.mark.parametrize("below", [True, False])
+def test_fit_block_policy_table(estimator, policy, below):
+    # b0 = 0.25 puts b(64) = 0.13 below the kappa_hat of a loud block
+    cfg = TuningConfig(b0=0.25, small_block_policy=policy)
+    n = cfg.n_star - 1 if below else cfg.n_star
+    x = np.random.default_rng(21).choice([-6.0, 6.0], size=n)
+    x = x + np.random.default_rng(22).standard_normal(n)
+    fit = fit_block(x, cfg, estimator)
+    assert fit.n == n and fit.kappa_hat == kappa_hat(x)
+    if estimator in ("james-stein", "mle"):
+        want = estimator.replace("-", "_")
+    elif below:
+        want = policy
+    elif estimator == "geb-hybrid":
+        want = "geb"
+    else:
+        want = "threshold"
+    assert fit.branch == want
+    if want == "threshold":
+        # a loud block is still thresholded: no branch schedule was evaluated
+        schedule = tuning(n, cfg)
+        assert fit.kappa_hat > schedule.b
+        assert math.isnan(fit.b) and math.isnan(fit.rho) and fit.lam == schedule.lam
+        rule_type = SoftThresholdRule if estimator == "soft-universal" else HardThresholdRule
+        assert fit.rule == rule_type(schedule.lam)
+    elif want in ("mle", "james_stein"):
+        assert math.isnan(fit.b) and math.isnan(fit.rho) and math.isnan(fit.lam)
+    if want == "james_stein":
+        assert np.allclose(fit.rule(x), james_stein(x, 1.0), rtol=1e-15, atol=0.0)
+
+    grid = np.linspace(-8.0, 8.0, 41)
+    _, (seq_fit,) = estimate_sequence(BlockedSequence(1.0, ((0, x),)), cfg, estimator)
+    assert seq_fit.branch == fit.branch and seq_fit.kappa_hat == fit.kappa_hat
+    assert np.array_equal(seq_fit.rule(grid), fit.rule(grid))
+    if estimator == "geb-hybrid":
+        level, data = _masked_design(x, 64)
+        _, report = random_design_estimate(data, cfg, sigma=1.0)
+        design_fit = report.fits[report.levels.index(level)]
+        assert design_fit.branch == fit.branch and design_fit.kappa_hat == fit.kappa_hat
+        assert np.array_equal(design_fit.rule(grid), fit.rule(grid))
+
+
+def test_fit_block_rejects_unknown_estimator():
+    with pytest.raises(ValueError, match="oracle-truth"):
+        fit_block(np.zeros(64), TuningConfig(), "oracle-truth")
+
+
 # ---------------------------------------------------------------- james-stein
 
 
@@ -323,8 +404,34 @@ def test_soft_threshold_risk_at_universal_level():
     assert got <= 4.0 * phi / lam**3
 
 
+def _quadrature_soft_threshold_risk(mu, lam):
+    """integral_0^lam P{|X| > u} d(u^2) + 2 P{|X| > lam} - 1, X ~ N(mu, 1)."""
+    def two_sided_tail(u):
+        return ndtr(mu - u) + ndtr(-u - mu)
+
+    if lam == 0.0:
+        return 1.0
+    body = integrate(lambda u: 2.0 * u * two_sided_tail(u), 0.0, lam, tol=1e-10)
+    return body + 2.0 * two_sided_tail(lam) - 1.0
+
+
+def test_soft_threshold_risk_closed_form_matches_quadrature():
+    worst = 0.0
+    for lam in np.linspace(0.0, 5.0, 21):
+        for mu in np.linspace(-12.0, 12.0, 49):
+            got = soft_threshold_risk(mu, lam)
+            worst = max(worst, abs(got - _quadrature_soft_threshold_risk(mu, lam)))
+    assert worst <= 1e-12
+
+
 def test_soft_threshold_risk_saturates_for_huge_means():
     lam = 1.5
     assert soft_threshold_risk(1e6, lam) == pytest.approx(
         lam * lam + 1.0, rel=1e-9
     )
+
+
+def test_soft_threshold_risk_is_exactly_saturated_past_overflow():
+    # mu^2 overflows here; the risk is 1 + lam^2, not nan
+    for mu in (1e200, -math.inf):
+        assert soft_threshold_risk(mu, 1.5) == 1.5 * 1.5 + 1.0

@@ -361,3 +361,43 @@ def test_risk_report_to_stdout():
     payload = json.loads(proc.stdout)
     assert payload["estimator"] == "james-stein"
     assert payload["total_mse"] > 0.0
+
+
+@pytest.mark.parametrize("epsilon", ["1e200", "1e308"])
+def test_risk_overflow_is_numeric_failure(epsilon):
+    # 1e200 overflows the squared errors, 1e308 the observations themselves
+    proc = run_cli(
+        "risk",
+        "--estimator", "mle",
+        "--truth", "zero:3",
+        "--epsilon", epsilon,
+        "--no-ideal",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("numeric failure:")
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_risk_rejects_non_finite_epsilon(epsilon):
+    proc = run_cli(
+        "risk", "--estimator", "mle", "--truth", "zero:3", "--epsilon", epsilon
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: epsilons must be positive and finite")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, gebshrink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
