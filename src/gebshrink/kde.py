@@ -7,10 +7,17 @@ indicator of [-1, 1].  With bandwidth a = sqrt(2 log n) the estimate
 
 equals the inverse Fourier transform of the empirical characteristic
 function truncated to frequencies |u| <= a.  Both forms are implemented:
-``direct`` sums the kernel (O(n) per evaluation point), ``fourier``
-quadratures the truncated inversion integral after precomputing the
-empirical characteristic function on the frequency grid, which makes
-whole-sample evaluation O(n * nodes) instead of O(n^2).  The two modes
+``direct`` sums the kernel (O(n) per evaluation point); ``fourier``
+applies a Gauss-Legendre rule (16 nodes on each of P uniform panels of
+half-width h = a / P) to the truncated inversion integral.  Node i of
+panel p sits at u = c_i + 2 p h with c_i = -a + h + h nu_i, so
+
+    exp(i u X) = exp(i c_i X) * z^p,    z = exp(2 i h X).
+
+The empirical spectrum is therefore a running product over the panels,
+and evaluation is a Horner recurrence in exp(-2 i h x) followed by the 16
+node phases: 17 exponentials per sample or point instead of one per node,
+and O(16 * chunk) working memory whatever the node count.  The two modes
 agree to 1e-8 and that agreement is part of the test contract.
 """
 
@@ -95,6 +102,8 @@ def _frequency_rule(kde, reach):
     ``reach`` bounds max |x - X_k| over the points to be evaluated; the
     node count scales with a * reach / pi (oscillations of the integrand)
     and stays above the 4*a*reach/pi + 64 floor of the accuracy contract.
+    Returns ``(u, w, psi)``, each of shape (panels, 16): nodes, weights
+    and (1/n) sum_k exp(i u X_k).
     """
     a = kde.bandwidth
     target = int(np.ceil(6.0 * a * max(reach, 1.0) / np.pi)) + 128
@@ -104,16 +113,20 @@ def _frequency_rule(kde, reach):
     if hit is not None:
         return hit
     nodes16, weights16 = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(-a, a, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    u = (mid + half * nodes16[None, :]).ravel()
-    w = (half * weights16[None, :]).ravel()
-    # empirical characteristic function on the grid, chunked over samples
-    psi = np.zeros(u.size, dtype=complex)
+    h = a / panels
+    offsets = -a + h + h * nodes16
+    u = offsets[None, :] + (2.0 * h) * np.arange(panels)[:, None]
+    w = np.broadcast_to(h * weights16, u.shape)
+    # empirical characteristic function on the grid, chunked over samples:
+    # cur holds exp(i (c_i + 2 p h) X) for panel p of the running product
+    psi = np.zeros(u.shape, dtype=complex)
     for start in range(0, kde.n, _SAMPLE_CHUNK):
         part = kde.samples[start : start + _SAMPLE_CHUNK]
-        psi += np.exp(1j * u[:, None] * part[None, :]).sum(axis=1)
+        cur = np.exp(1j * offsets[:, None] * part[None, :])
+        z = np.exp((2j * h) * part)
+        for p in range(panels):
+            psi[p] += cur.sum(axis=1)
+            cur *= z
     psi /= kde.n
     rule = (u, w, psi)
     kde._spectra[key] = rule
@@ -137,15 +150,25 @@ def _eval_fourier(kde, x):
     hi = max(float(x.max()) if x.size else 0.0, float(kde.samples[-1]))
     reach = hi - lo
     u, w, psi = _frequency_rule(kde, reach)
+    panels = u.shape[0]
+    h = kde.bandwidth / panels
     wpsi = w * psi
-    wpsi_d = wpsi * (-1j * u)
+    # value and derivative coefficients side by side, one row per panel
+    coef = np.concatenate([wpsi, wpsi * (-1j * u)], axis=1)
+    offsets = u[0]  # c_i: the nodes of the first panel
     value = np.empty_like(x)
     deriv = np.empty_like(x)
     for start in range(0, x.size, _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
-        phase = np.exp(-1j * x[start:stop, None] * u[None, :])
-        value[start:stop] = (phase @ wpsi).real / (2.0 * np.pi)
-        deriv[start:stop] = (phase @ wpsi_d).real / (2.0 * np.pi)
+        part = x[start:stop]
+        zeta = np.exp((-2j * h) * part)[:, None]
+        acc = np.tile(coef[-1], (part.size, 1))
+        for p in range(panels - 2, -1, -1):
+            acc *= zeta
+            acc += coef[p]
+        phase = np.exp(-1j * part[:, None] * offsets[None, :])
+        value[start:stop] = np.einsum("ki,ki->k", acc[:, :16], phase).real / (2.0 * np.pi)
+        deriv[start:stop] = np.einsum("ki,ki->k", acc[:, 16:], phase).real / (2.0 * np.pi)
     return value, deriv
 
 

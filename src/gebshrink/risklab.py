@@ -14,6 +14,7 @@ import csv
 import io as _io
 import json
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -21,16 +22,15 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .blocks import BLOCK_ESTIMATORS, TuningConfig
-from .errors import NumericFailure
+from .errors import InvalidConfigError, NumericFailure
 from .mixture import (
     MixingDistribution,
-    bayes_risk,
     empirical_mixing,
     mixture_summaries,
     signal_rate_bound,
     sparse_rate_bound,
 )
-from .sequence import BlockedSequence, estimate_sequence
+from .sequence import BlockedSequence, block_ideal_risk, estimate_sequence
 from .signals import test_signal
 from .wavelets import dwt, wavelet_basis
 
@@ -326,21 +326,19 @@ def _run_replicate(spec: ExperimentSpec, epsilon, r):
     """One replicate: returns (per-block sq errors, branches, per-block ideal)."""
     rng = replicate_rng(spec.seed, r)
     beta_blocks = spec.truth.draw_blocks(epsilon, rng)
-    y_blocks = [beta + epsilon * rng.standard_normal(beta.size) for beta in beta_blocks]
+    # overflow is reported once, as NumericFailure, not as numpy warnings
+    with np.errstate(over="ignore"):
+        y_blocks = [beta + epsilon * rng.standard_normal(beta.size) for beta in beta_blocks]
     if not all(np.all(np.isfinite(y)) for y in y_blocks):
         raise NumericFailure(f"observations overflow at epsilon {epsilon:g}")
     estimates, branches = _apply_estimator(spec, epsilon, y_blocks, beta_blocks)
-    sq = np.array(
-        [float(np.sum((est - beta) ** 2)) for est, beta in zip(estimates, beta_blocks)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.array(
+            [float(np.sum((est - beta) ** 2)) for est, beta in zip(estimates, beta_blocks)]
+        )
     ideal = None
     if spec.truth.is_random() and spec.compute_ideal:
-        ideal = np.array(
-            [
-                epsilon * epsilon * beta.size * bayes_risk(empirical_mixing(beta, epsilon))
-                for beta in beta_blocks
-            ]
-        )
+        ideal = np.array([block_ideal_risk(beta, epsilon) for beta in beta_blocks])
     return sq, branches, ideal
 
 
@@ -361,14 +359,22 @@ def _resolve_epsilon(spec: ExperimentSpec) -> float:
     return spec.epsilons[0]
 
 
-def _deterministic_ideal(spec, epsilon, ids_sizes):
+def _deterministic_ideal(spec, epsilon):
     fixed = spec.truth.fixed_blocks()
     if fixed is None:
         return None
-    return [
-        epsilon * epsilon * beta.size * bayes_risk(empirical_mixing(beta, epsilon))
-        for beta in fixed
-    ]
+    return [block_ideal_risk(beta, epsilon) for beta in fixed]
+
+
+def _check_picklable(spec):
+    """Parallel replicates ship the spec to worker processes."""
+    try:
+        pickle.dumps(spec)
+    except (pickle.PicklingError, AttributeError, TypeError) as err:
+        raise InvalidConfigError(
+            f"the experiment cannot be sent to worker processes ({err}); "
+            "TuningConfig.eta must be a module-level function for parallel runs"
+        ) from err
 
 
 def _bounds_for_blocks(spec, ids_sizes):
@@ -407,6 +413,7 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
     if jobs == 1 or reps == 1:
         results = [_replicate_payload(t) for t in tasks]
     else:
+        _check_picklable(spec)
         chunk = max(1, reps // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_replicate_payload, tasks, chunksize=chunk))
@@ -423,15 +430,16 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
         for b, label in enumerate(branches):
             branch_counts[b][label] = branch_counts[b].get(label, 0) + 1
 
-    block_mse = sq_matrix.mean(axis=0)
-    totals = sq_matrix.sum(axis=1)
-    total_mse = float(block_mse.sum())
-    total_se = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        block_mse = sq_matrix.mean(axis=0)
+        totals = sq_matrix.sum(axis=1)
+        total_mse = float(block_mse.sum())
+        total_se = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
 
     if have_random_ideal:
         block_ideal = list(ideal_matrix.mean(axis=0))
     else:
-        block_ideal = _deterministic_ideal(spec, epsilon, ids_sizes)
+        block_ideal = _deterministic_ideal(spec, epsilon)
     bounds = _bounds_for_blocks(spec, ids_sizes)
 
     rows = []

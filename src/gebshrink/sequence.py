@@ -111,16 +111,17 @@ def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), 
     return estimates, fits
 
 
+def block_ideal_risk(beta, epsilon) -> float:
+    """One block's term of R*: eps^2 n bayes_risk(empirical_mixing(beta, eps))."""
+    return epsilon * epsilon * beta.size * bayes_risk(empirical_mixing(beta, epsilon))
+
+
 def ideal_risk(seq: BlockedSequence) -> float:
     """Blockwise posterior-mean benchmark risk; requires truth."""
     if seq.truth is None:
         raise ValueError("ideal risk needs the true means")
     eps = float(seq.epsilon)
-    total = 0.0
-    for (_, values), beta in zip(seq.blocks, seq.truth):
-        prior = empirical_mixing(beta, eps)
-        total += eps * eps * values.size * bayes_risk(prior)
-    return total
+    return sum(block_ideal_risk(beta, eps) for beta in seq.truth)
 
 
 # ---------------------------------------------------------------------------

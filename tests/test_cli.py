@@ -378,6 +378,21 @@ def test_risk_overflow_is_numeric_failure(epsilon):
     assert proc.stderr.splitlines()[-1].startswith("numeric failure:")
 
 
+@pytest.mark.parametrize("epsilon", ["1e200", "1e308"])
+def test_risk_overflow_reports_only_the_numeric_failure(epsilon):
+    proc = run_cli(
+        "risk",
+        "--estimator", "mle",
+        "--truth", "zero:3",
+        "--epsilon", epsilon,
+        "--no-ideal",
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("numeric failure:")
+
+
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])
 def test_risk_rejects_non_finite_epsilon(epsilon):
     proc = run_cli(

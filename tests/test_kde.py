@@ -1,9 +1,12 @@
 """Sinc-kernel density estimation in both evaluation modes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gebshrink.kde import kde_eval, kde_fit
 
@@ -95,3 +98,105 @@ def test_density_integrates_to_about_one():
     # sinc tails decay slowly, so the truncated integral is close to 1
     # but not exact
     assert total == pytest.approx(1.0, abs=0.05)
+
+
+# --------------------------------------------------------- fourier route
+
+
+def _literal_rule(kde, u, w, points):
+    """The quadrature the fourier route computes, by its definition.
+
+    One exponential per (node, sample) for the empirical spectrum and one
+    per (node, point) for the inversion sum, on the nodes and weights the
+    route itself uses.
+    """
+    u = u.ravel()
+    w = w.ravel()
+    psi = np.zeros(u.size, dtype=complex)
+    for start in range(0, kde.n, 1024):
+        part = kde.samples[start : start + 1024]
+        psi += np.exp(1j * u[:, None] * part[None, :]).sum(axis=1)
+    psi /= kde.n
+    phase = np.exp(-1j * points[:, None] * u[None, :])
+    value = (phase @ (w * psi)).real / (2.0 * np.pi)
+    deriv = (phase @ (w * psi * (-1j * u))).real / (2.0 * np.pi)
+    return psi, value, deriv
+
+
+def _normal_block(n):
+    return np.random.default_rng(n).standard_normal(n)
+
+
+def _sparse_block(n):
+    rng = np.random.default_rng(5)
+    theta = rng.choice(np.array([0.0, -12.0, 12.0]), size=n, p=[0.9, 0.05, 0.05])
+    return theta + rng.standard_normal(n)
+
+
+def _outlier_block(n):
+    x = np.random.default_rng(9).standard_normal(n)
+    x[17] = 1e3
+    return x
+
+
+@pytest.mark.parametrize(
+    "values",
+    [_normal_block(4096), _sparse_block(1024), _outlier_block(256), _normal_block(2**15)],
+    ids=["normal-4096", "sparse-atoms", "outlier-1e3", "normal-32768"],
+)
+def test_fourier_route_matches_literal_definition(values):
+    k = kde_fit(values, "fourier")
+    points = np.concatenate([k.samples, np.linspace(k.samples[0] - 1.0, k.samples[-1] + 1.0, 97)])
+    value, deriv = kde_eval(k, points)
+    (u, w, psi), = k._spectra.values()
+
+    # the panel layout: 16 Gauss-Legendre nodes on each of P equal panels
+    panels = u.shape[0]
+    nodes16, weights16 = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(-k.bandwidth, k.bandwidth, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    layout = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes16[None, :]
+    assert u.shape == w.shape == psi.shape == (panels, 16)
+    assert float(np.max(np.abs(u - layout))) < 1e-13
+    assert float(np.max(np.abs(w - half * weights16[None, :]))) < 1e-15
+
+    psi_ref, value_ref, deriv_ref = _literal_rule(k, u, w, points)
+    assert float(np.max(np.abs(psi.ravel() - psi_ref))) < 1e-12
+    assert float(np.max(np.abs(value - value_ref))) < 1e-12
+    assert float(np.max(np.abs(deriv - deriv_ref))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 512),
+    spread=st.floats(0.0, 50.0),
+    centre=st.floats(-20.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=16),
+)
+def test_routes_agree_on_random_blocks(n, spread, centre, seed, fractions):
+    rng = np.random.default_rng(seed)
+    x = centre + spread * rng.uniform(-0.5, 0.5, n)
+    x[rng.integers(n)] = centre + 0.5 * spread  # the block spans the full spread
+    kd = kde_fit(x, "direct")
+    kf = kde_fit(x, "fourier")
+    lo, hi = float(x.min()), float(x.max())
+    points = lo + (hi - lo + 1.0) * np.array(fractions)
+    vd, dd = kde_eval(kd, points)
+    vf, df = kde_eval(kf, points)
+    assert float(np.max(np.abs(vd - vf))) < 1e-8
+    assert float(np.max(np.abs(dd - df))) < 1e-8
+
+
+def test_fourier_memory_does_not_grow_with_node_count():
+    # one far outlier makes thousands of nodes; working memory stays per chunk
+    k = kde_fit(_outlier_block(256), "fourier")
+    tracemalloc.start()
+    try:
+        kde_eval(k, k.samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (u, _, _), = k._spectra.values()
+    assert u.size > 6000
+    assert peak < 4 * 2**20

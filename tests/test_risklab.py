@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gebshrink.blocks import TuningConfig
-from gebshrink.errors import NumericFailure
+from gebshrink.errors import InvalidConfigError, NumericFailure
 from gebshrink.mixture import from_atoms
 from gebshrink.risklab import (
     ESTIMATORS,
@@ -184,6 +184,21 @@ def test_parallel_execution_is_bit_identical():
     serial = monte_carlo_risk(spec, jobs=1)
     parallel = monte_carlo_risk(spec, jobs=3)
     assert report_to_json(serial) == report_to_json(parallel)
+
+
+def test_unpicklable_eta_fails_before_the_pool_starts():
+    spec = ExperimentSpec(
+        estimator="geb-hybrid",
+        truth=TruthSource.gaussian_prior(1.0, 64),
+        epsilons=(1.0,),
+        replicates=2,
+        cfg=TuningConfig(eta=lambda n: 0.0),
+    )
+    with pytest.raises(InvalidConfigError, match="eta must be a module-level function"):
+        monte_carlo_risk(spec, jobs=2)
+    # a serial run never pickles, so the lambda is fine there
+    serial = monte_carlo_risk(spec, jobs=1)
+    assert serial.replicates == 2
 
 
 def test_gaussian_signal_compound_risk_near_oracle():
