@@ -1,7 +1,9 @@
 """CSV interchange for signals, coefficient tables, and plot data.
 
 All floats are written with 17 significant digits, which round-trips
-IEEE doubles exactly.
+IEEE doubles exactly.  Writers emit ``csv.writer``'s default dialect
+(comma-separated, CRLF-terminated, no cell quoted: numeric cells never
+need it) with one ``%``-format per row.
 """
 
 from __future__ import annotations
@@ -15,10 +17,16 @@ def format_float(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_rows(path, header, rows):
+    """Write the header and the formatted rows as CRLF-terminated lines."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *rows, ""]))
+
+
 def write_signal_csv(path, values, truth=None, estimate=None, index=None):
     """Write columns index,value[,truth][,estimate]."""
     values = np.asarray(values, dtype=float).ravel()
-    idx = np.arange(1, values.size + 1) if index is None else np.asarray(index)
+    idx = range(1, values.size + 1) if index is None else np.asarray(index)
     header = ["index", "value"]
     columns = [values]
     if truth is not None:
@@ -30,11 +38,9 @@ def write_signal_csv(path, values, truth=None, estimate=None, index=None):
     for col in columns:
         if col.size != values.size:
             raise ValueError("all columns must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(idx, *columns):
-            writer.writerow([row[0], *(format_float(v) for v in row[1:])])
+    row = "%s" + ",%.17g" * len(columns)
+    rows = zip(idx, *(col.tolist() for col in columns))
+    _write_rows(path, header, (row % cells for cells in rows))
 
 
 def read_signal_csv(path):
@@ -56,19 +62,20 @@ def read_signal_csv(path):
 def write_coefficients_csv(path, levels, deltas=None):
     """Write rows (j, k, value, delta) with 1-based k within each level."""
     levels = {int(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "value", "delta"])
-        for j in sorted(levels):
-            vals = levels[j]
-            if deltas is None:
-                marks = np.ones(vals.size, dtype=int)
-            else:
-                marks = np.asarray(dict(deltas)[j]).astype(int).ravel()
-                if marks.size != vals.size:
-                    raise ValueError(f"delta length mismatch at level {j}")
-            for k, (v, d) in enumerate(zip(vals, marks), start=1):
-                writer.writerow([j, k, format_float(v), d])
+    rows = []
+    for j in sorted(levels):
+        vals = levels[j]
+        if deltas is None:
+            marks = np.ones(vals.size, dtype=int)
+        else:
+            marks = np.asarray(dict(deltas)[j]).astype(int).ravel()
+            if marks.size != vals.size:
+                raise ValueError(f"delta length mismatch at level {j}")
+        rows += (
+            "%d,%d,%.17g,%d" % (j, k, v, d)
+            for k, (v, d) in enumerate(zip(vals.tolist(), marks.tolist()), start=1)
+        )
+    _write_rows(path, ["j", "k", "value", "delta"], rows)
 
 
 def read_coefficients_csv(path):
@@ -99,8 +106,9 @@ def write_plot_triples(path, signal, noisy, reconstruction):
     recon = np.asarray(reconstruction, dtype=float).ravel()
     if not (signal.size == noisy.size == recon.size):
         raise ValueError("signal, noisy and reconstruction must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "signal", "noisy", "reconstruction"])
-        for i, (s, y, r) in enumerate(zip(signal, noisy, recon), start=1):
-            writer.writerow([i, format_float(s), format_float(y), format_float(r)])
+    rows = zip(range(1, signal.size + 1), signal.tolist(), noisy.tolist(), recon.tolist())
+    _write_rows(
+        path,
+        ["index", "signal", "noisy", "reconstruction"],
+        ("%d,%.17g,%.17g,%.17g" % cells for cells in rows),
+    )

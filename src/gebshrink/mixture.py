@@ -12,6 +12,12 @@ signal-mass functionals used by the hybrid branch decision, and the
 oracle-approximation bound suite.  Everything here is deterministic
 quadrature-grade arithmetic; it serves as the reference oracle for the
 estimation code.
+
+The posterior-mean rule, the integrands of :func:`bayes_risk` and
+:func:`density_floor_loss`, and the floor-crossing scan evaluate one
+exponential per (point, atom) pair and walk the points in blocks of at
+most ``_BLOCK_PAIRS`` pairs, so their temporaries stay bounded whatever
+the atom count.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 DENSITY_FLOOR_LIMIT = _INV_SQRT_2PI  # valid floors satisfy 0 < rho < this
 _TAIL_PAD = 8.0  # integration window extends this many sigmas past the atoms
 _WEIGHT_TOL = 1e-12
+_BLOCK_PAIRS = 1 << 15  # (point, atom) pairs per temporary: 256 KB of float64
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +170,50 @@ def mixture_density(prior: MixingDistribution, points):
     return value.reshape(pts.shape), deriv.reshape(pts.shape)
 
 
-def _posterior_shift(prior: MixingDistribution, x):
-    """phi_G'(x)/phi_G(x), evaluated stably for any finite x.
+def _atom_blocks(prior: MixingDistribution, x):
+    """Yield ``(block, d)``: slices of the flat points ``x`` holding at most
+    ``_BLOCK_PAIRS`` (point, atom) pairs, and d = x[block] - atom."""
+    step = max(1, _BLOCK_PAIRS // prior.atom_count)
+    for start in range(0, x.size, step):
+        block = slice(start, start + step)
+        yield block, x[block, None] - prior.locations[None, :]
 
-    The shared Gaussian scale factor cancels in the ratio, so exponents
-    are re-centered per point before exponentiation; the result never
-    degenerates to 0/0 even when the raw density underflows.
+
+def _shift_and_density(prior: MixingDistribution, x):
+    """``(phi_G'(x)/phi_G(x), phi_G(x))`` at the flat points ``x``.
+
+    One exponential per (point, atom).  The exponents are re-centered per
+    point before exponentiation, so the shift never degenerates to 0/0,
+    even where the raw density underflows; the density is rescaled by the
+    point's own factor exp(-e_min) and comes out 0 where that underflows.
     """
-    d = x[:, None] - prior.locations[None, :]
-    e = 0.5 * d * d
-    e -= e.min(axis=1, keepdims=True)
-    r = np.exp(-e) * prior.weights[None, :]
-    den = r.sum(axis=1)
-    num = (-d * r).sum(axis=1)
-    return num / den
+    shift = np.empty(x.size)
+    value = np.empty(x.size)
+    for block, d in _atom_blocks(prior, x):
+        e = d * d
+        e *= 0.5
+        e_min = e.min(axis=1)
+        e -= e_min[:, None]
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        e *= prior.weights  # w exp(-(e - e_min)), in place: temporaries cost more than flops
+        den = e.sum(axis=1)
+        d *= e
+        shift[block] = -d.sum(axis=1) / den
+        value[block] = _INV_SQRT_2PI * np.exp(-e_min) * den
+    return shift, value
+
+
+def _density_values(prior: MixingDistribution, x):
+    """phi_G at the flat points ``x``: the value half of :func:`mixture_density`."""
+    value = np.empty(x.size)
+    for block, d in _atom_blocks(prior, x):
+        d *= d
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        value[block] = d @ prior.weights
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +296,7 @@ class OracleRule(ScalarRule):
 
     def __call__(self, x):
         flat = self._flat(x)
-        return self._wrap(x, flat + _posterior_shift(self.prior, flat))
+        return self._wrap(x, flat + _shift_and_density(self.prior, flat)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,8 +363,7 @@ def bayes_risk(prior: MixingDistribution, *, tol=1e-8) -> float:
     lo, hi = prior.support_window()
 
     def integrand(x):
-        shift = _posterior_shift(prior, x)
-        value, _ = mixture_density(prior, x)
+        shift, value = _shift_and_density(prior, x)
         return shift * shift * value
 
     fisher = integrate(integrand, lo, hi, tol=tol)
@@ -409,8 +445,7 @@ def density_floor_loss(rho, prior: MixingDistribution, *, tol=1e-8) -> float:
     lo, hi = prior.support_window()
 
     def factor(x):
-        shift = _posterior_shift(prior, x)
-        value, _ = mixture_density(prior, x)
+        shift, value = _shift_and_density(prior, x)
         damp = 1.0 - value / np.maximum(value, rho)
         return shift * shift * damp * damp * value
 
@@ -420,24 +455,23 @@ def density_floor_loss(rho, prior: MixingDistribution, *, tol=1e-8) -> float:
 
 
 def _floor_crossings(prior, rho, lo, hi, scan=4096):
-    """Solutions of phi_G(x) = rho located by bisection on a scan grid."""
+    """Solutions of phi_G(x) = rho located by bisection on a scan grid.
+
+    Every bracket where the scan changes sign is halved 60 times, all
+    brackets together.
+    """
     grid = np.linspace(lo, hi, scan)
-    value, _ = mixture_density(prior, grid)
-    sign = np.sign(value - rho)
-    flips = np.nonzero(np.diff(sign) != 0)[0]
-    roots = []
-    for i in flips:
-        a, b = grid[i], grid[i + 1]
-        fa = float(mixture_density(prior, a)[0] - rho)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = float(mixture_density(prior, m)[0] - rho)
-            if (fa < 0) == (fm < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        roots.append(0.5 * (a + b))
-    return tuple(roots)
+    flips = np.nonzero(np.diff(np.sign(_density_values(prior, grid) - rho)) != 0)[0]
+    if flips.size == 0:
+        return ()
+    a, b = grid[flips], grid[flips + 1]
+    fa = _density_values(prior, a) - rho
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        fm = _density_values(prior, m) - rho
+        same = (fa < 0) == (fm < 0)
+        a, fa, b = np.where(same, m, a), np.where(same, fm, fa), np.where(same, b, m)
+    return tuple((0.5 * (a + b)).tolist())
 
 
 def kernel_estimation_loss(n, rho) -> float:

@@ -1,5 +1,7 @@
 """CSV round trips at full double precision."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,73 @@ def test_plot_triples(tmp_path):
     assert len(lines) == 3
     with pytest.raises(ValueError):
         write_plot_triples(path, [1.0], [1.0, 2.0], [1.0])
+
+
+
+# the writers' former form, one csv.writer row of cells per line, is the
+# byte reference for the formatted writers
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+EDGE_VALUES = np.array([-0.0, 5e-324, 1e308, np.inf, np.nan, -np.inf, 0.1, -1.5e-300])
+
+
+def _edge_columns(count):
+    rng = np.random.default_rng(5)
+    first = np.concatenate([EDGE_VALUES, rng.standard_normal(40) * 1e3])
+    rest = [rng.standard_normal(first.size) * 10.0 ** rng.integers(-300, 300, first.size)]
+    rest.append(first[::-1].copy())
+    return [first, *rest[: count - 1]]
+
+
+def _float_rows(index, columns):
+    return [[i, *map(format_float, cells)] for i, *cells in zip(index, *columns)]
+
+
+@pytest.mark.parametrize("float_columns", [2, 3])
+def test_signal_writer_bytes_match_csv_writer(tmp_path, float_columns):
+    columns = _edge_columns(float_columns)
+    names = ["value", "truth", "estimate"][:float_columns]
+    extra = dict(zip(names[1:], columns[1:]))
+    header = ["index", *names]
+    counting = np.arange(1, columns[0].size + 1)
+    float_index = np.linspace(0.0, 3.0, columns[0].size)
+    for label, index in (("default", None), ("float", float_index)):
+        path = tmp_path / f"{label}.csv"
+        write_signal_csv(path, columns[0], index=index, **extra)
+        want = _csv_writer_bytes(
+            tmp_path / f"{label}-ref.csv",
+            header,
+            _float_rows(counting if index is None else index, columns),
+        )
+        assert path.read_bytes() == want
+    assert (tmp_path / "float.csv").read_text().splitlines()[1].startswith("0.0,")
+
+
+def test_plot_and_coefficient_writer_bytes_match_csv_writer(tmp_path):
+    signal, noisy, recon = _edge_columns(3)
+    write_plot_triples(tmp_path / "plot.csv", signal, noisy, recon)
+    want = _csv_writer_bytes(
+        tmp_path / "plot-ref.csv",
+        ["index", "signal", "noisy", "reconstruction"],
+        _float_rows(range(1, signal.size + 1), [signal, noisy, recon]),
+    )
+    assert (tmp_path / "plot.csv").read_bytes() == want
+
+    levels = {2: signal[:8], -1: noisy[:1], 0: recon[:1], 1: signal[8:10]}
+    deltas = {2: np.arange(8) % 2, -1: [1], 0: [0], 1: [True, False]}
+    write_coefficients_csv(tmp_path / "coef.csv", levels, deltas=deltas)
+    rows = [
+        [j, k, format_float(v), int(d)]
+        for j in sorted(levels)
+        for k, (v, d) in enumerate(zip(levels[j], deltas[j]), start=1)
+    ]
+    want = _csv_writer_bytes(tmp_path / "coef-ref.csv", ["j", "k", "value", "delta"], rows)
+    assert (tmp_path / "coef.csv").read_bytes() == want

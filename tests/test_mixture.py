@@ -6,10 +6,15 @@ closed-form arithmetic, before the assertions were written.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gebshrink import mixture
+from gebshrink.blocks import tuning
 from gebshrink.errors import QuadratureError
 from gebshrink.mixture import (
     DENSITY_FLOOR_LIMIT,
@@ -39,6 +44,7 @@ from gebshrink.mixture import (
     sparse_rate_bound,
     uniform_grid_prior,
 )
+from gebshrink.quadrature import integrate
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -420,3 +426,144 @@ def test_kl_rejects_boundary():
     for bad in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
         with pytest.raises(ValueError):
             kl_bernoulli(*bad)
+
+
+# ---------------------------------------------------------------- one-pass integrands
+#
+# Reference copies of the two-pass arithmetic the risk integrands used
+# before they shared one exponential per (point, atom): the re-centred
+# shift, the raw density from mixture_density, and a scalar
+# scan-and-bisect for the floor crossings.
+
+RHO_4096 = tuning(4096).rho
+
+
+def _two_pass_shift(prior, x):
+    d = x[:, None] - prior.locations[None, :]
+    e = 0.5 * d * d
+    e -= e.min(axis=1, keepdims=True)
+    r = np.exp(-e) * prior.weights[None, :]
+    return (-d * r).sum(axis=1) / r.sum(axis=1)
+
+
+def _two_pass_bayes_risk(prior):
+    if prior.atom_count == 1:
+        return 0.0
+
+    def integrand(x):
+        shift = _two_pass_shift(prior, x)
+        value, _ = mixture_density(prior, x)
+        return shift * shift * value
+
+    fisher = integrate(integrand, *prior.support_window(), tol=1e-8)
+    return min(max(1.0 - fisher, 0.0), 1.0)
+
+
+def _scalar_floor_crossings(prior, rho, lo, hi, scan=4096):
+    grid = np.linspace(lo, hi, scan)
+    value, _ = mixture_density(prior, grid)
+    flips = np.nonzero(np.diff(np.sign(value - rho)) != 0)[0]
+    roots = []
+    for i in flips:
+        a, b = grid[i], grid[i + 1]
+        fa = float(mixture_density(prior, a)[0] - rho)
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            fm = float(mixture_density(prior, m)[0] - rho)
+            if (fa < 0) == (fm < 0):
+                a, fa = m, fm
+            else:
+                b = m
+        roots.append(0.5 * (a + b))
+    return tuple(roots)
+
+
+def _two_pass_floor_loss(rho, prior):
+    lo, hi = prior.support_window()
+
+    def factor(x):
+        shift = _two_pass_shift(prior, x)
+        value, _ = mixture_density(prior, x)
+        damp = 1.0 - value / np.maximum(value, rho)
+        return shift * shift * damp * damp * value
+
+    return integrate(
+        factor, lo, hi, tol=1e-8, breakpoints=_scalar_floor_crossings(prior, rho, lo, hi)
+    )
+
+
+def _empirical_4096():
+    return empirical_mixing(np.random.default_rng(4096).standard_normal(4096), 1.0)
+
+
+# prior builder and its number of floor crossings at RHO_4096: separated
+# humps cross twice each, and at +-40 the density underflows to 0 between them
+REFERENCE_PRIORS = {
+    "empirical-4096": (_empirical_4096, 2),
+    "sparse-12": (lambda: from_atoms([0.0, -12.0, 12.0], [0.9, 0.05, 0.05]), 2),
+    "pair-5": (lambda: from_atoms([-5.0, 5.0], [0.5, 0.5]), 4),
+    "point-mass": (lambda: point_mass(0.0), 2),
+    "pair-40": (lambda: from_atoms([-40.0, 40.0], [0.5, 0.5]), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PRIORS))
+def test_one_pass_functionals_match_two_pass_arithmetic(name):
+    build, crossings = REFERENCE_PRIORS[name]
+    g = build()
+    lo, hi = g.support_window()
+    roots = mixture._floor_crossings(g, RHO_4096, lo, hi)
+    expected = _scalar_floor_crossings(g, RHO_4096, lo, hi)
+    assert len(roots) == len(expected) == crossings
+    assert max(abs(a - b) for a, b in zip(roots, expected)) <= 1e-12
+    assert abs(bayes_risk(g) - _two_pass_bayes_risk(g)) <= 1e-12
+    assert abs(density_floor_loss(RHO_4096, g) - _two_pass_floor_loss(RHO_4096, g)) <= 1e-12
+
+
+def test_floor_crossings_none_when_floor_is_never_reached():
+    g = gaussian_grid_prior(1.0, 41, 6.0)
+    lo, hi = g.support_window()
+    assert mixture._floor_crossings(g, 1e-300, lo, hi) == ()
+    assert mixture._floor_crossings(g, DENSITY_FLOOR_LIMIT * 0.999, lo, hi) == ()
+
+
+def test_oracle_rule_keeps_the_two_pass_shift_bit_for_bit():
+    g = _empirical_4096()
+    x = np.linspace(-90.0, 90.0, 1001)  # many blocks of the 4096-atom prior
+    assert np.array_equal(oracle_rule(g)(x), x + _two_pass_shift(g, x))
+
+
+@pytest.mark.parametrize("functional", ["density_floor_loss", "bayes_risk"])
+def test_risk_functionals_run_in_bounded_memory(functional):
+    g = _empirical_4096()
+    run = {
+        "density_floor_loss": lambda: density_floor_loss(RHO_4096, g),
+        "bayes_risk": lambda: bayes_risk(g),
+    }[functional]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    atoms=st.integers(1, 300),
+    spread=st.floats(0.0, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+    points=st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=256),
+)
+def test_shift_and_density_matches_two_pass(atoms, spread, seed, points):
+    rng = np.random.default_rng(seed)
+    g = from_atoms(spread * rng.uniform(-0.5, 0.5, atoms), rng.dirichlet(np.ones(atoms)))
+    x = np.array(points)
+    shift, value = mixture._shift_and_density(g, x)
+    ref_value, _ = mixture_density(g, x)
+    assert np.all(np.isfinite(shift))
+    np.testing.assert_allclose(shift, _two_pass_shift(g, x), rtol=1e-12, atol=0.0)
+    tiny = ref_value < np.finfo(float).tiny
+    np.testing.assert_allclose(value[~tiny], ref_value[~tiny], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(value[tiny] - ref_value[tiny]) <= 1e-300)
