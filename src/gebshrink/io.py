@@ -3,24 +3,41 @@
 All floats are written with 17 significant digits, which round-trips
 IEEE doubles exactly.  Writers emit ``csv.writer``'s default dialect
 (comma-separated, CRLF-terminated, no cell quoted: numeric cells never
-need it) with one ``%``-format per row.
+need it) with one ``%``-format per row, built and written a bounded chunk
+of rows at a time.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import islice
 
 import numpy as np
+
+_CHUNK_ROWS = 4096  # rows formatted per write call
 
 
 def format_float(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _cells(index, *columns):
+    """Row tuples ``(index[i], column[i], ...)``; the columns are arrays turned
+    into Python scalars ``_CHUNK_ROWS`` rows at a time, ``index`` cells are
+    its own elements.  Stops at the shortest, like ``zip``."""
+    for start in range(0, len(index), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        yield from zip(index[start:stop], *(col[start:stop].tolist() for col in columns))
+
+
 def _write_rows(path, header, rows):
-    """Write the header and the formatted rows as CRLF-terminated lines."""
+    """Write the header and the CRLF-terminated ``rows``, ``_CHUNK_ROWS`` per
+    write: whole-file strings would cost a fresh page per 4 KB of output."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows, ""]))
+        fh.write(",".join(header) + "\r\n")
+        while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+            fh.write(chunk)
 
 
 def write_signal_csv(path, values, truth=None, estimate=None, index=None):
@@ -38,9 +55,8 @@ def write_signal_csv(path, values, truth=None, estimate=None, index=None):
     for col in columns:
         if col.size != values.size:
             raise ValueError("all columns must have equal length")
-    row = "%s" + ",%.17g" * len(columns)
-    rows = zip(idx, *(col.tolist() for col in columns))
-    _write_rows(path, header, (row % cells for cells in rows))
+    row = "%s" + ",%.17g" * len(columns) + "\r\n"
+    _write_rows(path, header, (row % cells for cells in _cells(idx, *columns)))
 
 
 def read_signal_csv(path):
@@ -62,7 +78,7 @@ def read_signal_csv(path):
 def write_coefficients_csv(path, levels, deltas=None):
     """Write rows (j, k, value, delta) with 1-based k within each level."""
     levels = {int(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
-    rows = []
+    blocks = []
     for j in sorted(levels):
         vals = levels[j]
         if deltas is None:
@@ -71,11 +87,13 @@ def write_coefficients_csv(path, levels, deltas=None):
             marks = np.asarray(dict(deltas)[j]).astype(int).ravel()
             if marks.size != vals.size:
                 raise ValueError(f"delta length mismatch at level {j}")
-        rows += (
-            "%d,%d,%.17g,%d" % (j, k, v, d)
-            for k, (v, d) in enumerate(zip(vals.tolist(), marks.tolist()), start=1)
-        )
-    _write_rows(path, ["j", "k", "value", "delta"], rows)
+        blocks.append((j, vals, marks))
+    cells = (
+        (j, k, v, d)
+        for j, vals, marks in blocks
+        for k, v, d in _cells(range(1, vals.size + 1), vals, marks)
+    )
+    _write_rows(path, ["j", "k", "value", "delta"], ("%d,%d,%.17g,%d\r\n" % c for c in cells))
 
 
 def read_coefficients_csv(path):
@@ -106,9 +124,9 @@ def write_plot_triples(path, signal, noisy, reconstruction):
     recon = np.asarray(reconstruction, dtype=float).ravel()
     if not (signal.size == noisy.size == recon.size):
         raise ValueError("signal, noisy and reconstruction must have equal length")
-    rows = zip(range(1, signal.size + 1), signal.tolist(), noisy.tolist(), recon.tolist())
+    rows = _cells(range(1, signal.size + 1), signal, noisy, recon)
     _write_rows(
         path,
         ["index", "signal", "noisy", "reconstruction"],
-        ("%d,%.17g,%.17g,%.17g" % cells for cells in rows),
+        ("%d,%.17g,%.17g,%.17g\r\n" % cells for cells in rows),
     )

@@ -1,10 +1,12 @@
 """CSV round trips at full double precision."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gebshrink import io as gio
 from gebshrink.io import (
     format_float,
     read_coefficients_csv,
@@ -160,3 +162,52 @@ def test_plot_and_coefficient_writer_bytes_match_csv_writer(tmp_path):
     ]
     want = _csv_writer_bytes(tmp_path / "coef-ref.csv", ["j", "k", "value", "delta"], rows)
     assert (tmp_path / "coef.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_writer_bytes_match_csv_writer_across_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(gio, "_CHUNK_ROWS", chunk)
+    values, truth, estimate = _edge_columns(3)
+    float_index = np.linspace(0.0, 3.0, values.size)
+    write_signal_csv(tmp_path / "sig.csv", values, truth=truth, estimate=estimate, index=float_index)
+    want = _csv_writer_bytes(
+        tmp_path / "sig-ref.csv",
+        ["index", "value", "truth", "estimate"],
+        _float_rows(float_index, [values, truth, estimate]),
+    )
+    assert (tmp_path / "sig.csv").read_bytes() == want
+
+    write_plot_triples(tmp_path / "plot.csv", values, truth, estimate)
+    want = _csv_writer_bytes(
+        tmp_path / "plot-ref.csv",
+        ["index", "signal", "noisy", "reconstruction"],
+        _float_rows(range(1, values.size + 1), [values, truth, estimate]),
+    )
+    assert (tmp_path / "plot.csv").read_bytes() == want
+
+    levels = {3: values[:16], 0: truth[:1], 1: estimate[:2], 2: values[16:20]}
+    write_coefficients_csv(tmp_path / "coef.csv", levels)
+    rows = [
+        [j, k, format_float(v), 1]
+        for j in sorted(levels)
+        for k, v in enumerate(levels[j], start=1)
+    ]
+    want = _csv_writer_bytes(tmp_path / "coef-ref.csv", ["j", "k", "value", "delta"], rows)
+    assert (tmp_path / "coef.csv").read_bytes() == want
+
+    write_signal_csv(tmp_path / "empty.csv", np.array([]))
+    assert (tmp_path / "empty.csv").read_bytes() == b"index,value\r\n"
+
+
+def test_signal_writer_memory_is_bounded_by_the_chunk(tmp_path):
+    rng = np.random.default_rng(16)
+    columns = rng.standard_normal((3, 2**16))
+    tracemalloc.start()
+    try:
+        write_signal_csv(tmp_path / "big.csv", columns[0], truth=columns[1], estimate=columns[2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole-file string of these rows takes about 20 MB
+    assert peak < 4 * 2**20
+    assert len((tmp_path / "big.csv").read_bytes().splitlines()) == 2**16 + 1

@@ -549,6 +549,26 @@ def test_risk_functionals_run_in_bounded_memory(functional):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize(
+    "atoms, count",
+    [(1, 0), (1, 7), (3, 5), (5, 70_000), (4096, 1001), (40_000, 3)],
+)
+def test_atom_blocks_are_aligned_views_covering_every_point(atoms, count):
+    g = from_atoms(np.linspace(-1.0, 1.0, atoms), np.full(atoms, 1.0 / atoms))
+    x = np.linspace(-3.0, 3.0, count)
+    covered = 0
+    for block, d, e in mixture._atom_blocks(g, x, 2):
+        assert d.ctypes.data % 64 == 0 and e.ctypes.data % 64 == 0
+        assert not np.shares_memory(d, e)
+        assert d.size <= max(mixture._BLOCK_PAIRS, atoms)
+        assert np.array_equal(d, x[block, None] - g.locations[None, :])
+        assert block.start == covered
+        covered += d.shape[0]
+    assert covered == count
+    shift, value = mixture._shift_and_density(g, x)
+    assert shift.shape == value.shape == mixture._density_values(g, x).shape == (count,)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     atoms=st.integers(1, 300),
