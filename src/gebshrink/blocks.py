@@ -123,7 +123,7 @@ def kappa_hat(values) -> float:
     return 1.0 - math.sqrt(2.0) * float(terms.sum()) / x.size
 
 
-def geb_rule(values, floor, *, kde_mode="direct") -> GebRule:
+def geb_rule(values, floor) -> GebRule:
     """Kernel plug-in posterior-mean rule fitted to ``values``.
 
     The rule is x + f_hat'(x) / max(f_hat(x), floor); negative density
@@ -135,7 +135,7 @@ def geb_rule(values, floor, *, kde_mode="direct") -> GebRule:
         raise ValueError(
             f"floor must lie in (0, {DENSITY_FLOOR_LIMIT:.6f}), got {floor}"
         )
-    return GebRule(density=kde_fit(values, mode=kde_mode), floor=floor)
+    return GebRule(density=kde_fit(values), floor=floor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +168,7 @@ class FittedBlockRule:
                 )
 
 
-def hybrid_fit(values, cfg: TuningConfig = TuningConfig(), *, kde_mode="direct") -> FittedBlockRule:
+def hybrid_fit(values, cfg: TuningConfig = TuningConfig()) -> FittedBlockRule:
     """Fit the hybrid rule to one standardized block.
 
     Picks the kernel plug-in branch when kappa_hat > b(n), otherwise soft
@@ -184,7 +184,7 @@ def hybrid_fit(values, cfg: TuningConfig = TuningConfig(), *, kde_mode="direct")
     vals = tuning(x.size, cfg)
     mass = kappa_hat(x)
     if mass > vals.b:
-        rule: ScalarRule = geb_rule(x, vals.rho, kde_mode=kde_mode)
+        rule: ScalarRule = geb_rule(x, vals.rho)
         branch = "geb"
     else:
         rule = SoftThresholdRule(vals.lam)
@@ -200,7 +200,7 @@ def hybrid_fit(values, cfg: TuningConfig = TuningConfig(), *, kde_mode="direct")
     )
 
 
-def fit_block(values, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid", *, kde_mode="direct") -> FittedBlockRule:
+def fit_block(values, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid") -> FittedBlockRule:
     """Fit one of :data:`BLOCK_ESTIMATORS` to one standardized block.
 
     geb-hybrid runs :func:`hybrid_fit`; soft-universal and hard-universal
@@ -217,7 +217,7 @@ def fit_block(values, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid"
     elif x.size < cfg.n_star:
         branch = cfg.small_block_policy
     elif estimator == "geb-hybrid":
-        return hybrid_fit(x, cfg, kde_mode=kde_mode)
+        return hybrid_fit(x, cfg)
     else:
         branch = "threshold"
     lam = math.nan

@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rsk.add_argument("--jobs", type=int, default=None)
     p_rsk.add_argument("--rate", action="store_true", help="fit log-risk slope over the epsilon grid")
     p_rsk.add_argument("--no-ideal", action="store_true", help="skip the posterior-mean benchmark")
-    p_rsk.add_argument("--kde-mode", choices=("direct", "fourier"), default="direct")
+    p_rsk.add_argument("--kde-mode", choices=("direct", "fourier"), default="direct", help="accepted for compatibility; ignored")
     p_rsk.add_argument("--format", choices=("csv", "json"), default=None)
     p_rsk.add_argument("--output", default=None)
     _add_tuning_flags(p_rsk)

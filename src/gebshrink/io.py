@@ -44,6 +44,8 @@ def write_signal_csv(path, values, truth=None, estimate=None, index=None):
     """Write columns index,value[,truth][,estimate]."""
     values = np.asarray(values, dtype=float).ravel()
     idx = range(1, values.size + 1) if index is None else np.asarray(index)
+    if index is not None and idx.size != values.size:
+        raise ValueError(f"index has {idx.size} entries for {values.size} values")
     header = ["index", "value"]
     columns = [values]
     if truth is not None:

@@ -7,7 +7,7 @@ indicator of [-1, 1].  With bandwidth a = sqrt(2 log n) the estimate
 
 equals the inverse Fourier transform of the empirical characteristic
 function truncated to frequencies |u| <= a.  Both forms are implemented:
-``direct`` sums the kernel (O(n) per evaluation point); ``fourier``
+``direct`` (the reference) sums the kernel, O(n) per point; ``fourier``
 applies a Gauss-Legendre rule (16 nodes on each of P uniform panels of
 half-width h = a / P) to the truncated inversion integral.  Node i of
 panel p sits at u = c_i + 2 p h with c_i = -a + h + h nu_i, so
@@ -17,8 +17,8 @@ panel p sits at u = c_i + 2 p h with c_i = -a + h + h nu_i, so
 The empirical spectrum is therefore a running product over the panels,
 and evaluation is a Horner recurrence in exp(-2 i h x) followed by the 16
 node phases: 17 exponentials per sample or point instead of one per node,
-and O(16 * chunk) working memory whatever the node count.  The two modes
-agree to 1e-8 and that agreement is part of the test contract.
+and O(16 * chunk) working memory whatever the node count.  The routes agree
+to 1e-8 (a test contract); ``kde_fit`` picks the cheaper at its n samples.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ import numpy as np
 
 _EVAL_CHUNK = 1024
 _SAMPLE_CHUNK = 4096
+_DIRECT_PAIRS = 2**15  # (point, sample) pairs per direct-route chunk
+
+# route costs in ns (2-core Xeon): per (sample, point), per (node, sample or point), fixed
+_DIRECT_NS, _FOURIER_NS, _FOURIER_FIXED_NS = 90.0, 5.0, 5e5
 
 
 def _kernel(u):
@@ -39,7 +43,6 @@ def _kernel(u):
 
 def _kernel_deriv(u):
     """K'(u) = (u cos u - sin u) / (pi u^2), K'(0) = 0."""
-    u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
     small = np.abs(u) < 1e-4
     us = u[small]
@@ -57,14 +60,14 @@ class KernelDensityEstimate:
     ``samples`` are stored sorted so that evaluation is invariant, bit for
     bit, under permutations of the input.  ``bandwidth`` is always
     sqrt(2 log n); it is recorded rather than recomputed so downstream
-    code can read it off.  The spectrum cache is an idempotent memo for
-    the fourier fast path (same key always maps to the same arrays), so
-    concurrent readers are safe.
+    code can read it off; ``mode`` is the route ``kde_fit`` chose.  The
+    spectrum cache is an idempotent memo for the fourier fast path (same
+    key always maps to the same arrays), so concurrent readers are safe.
     """
 
     samples: np.ndarray
     bandwidth: float
-    mode: str = "direct"
+    mode: str
     _spectra: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -72,28 +75,30 @@ class KernelDensityEstimate:
         return self.samples.size
 
 
-def kde_fit(values, mode="direct"):
-    """Fit the sinc-kernel density to ``values``.
-
-    Parameters
-    ----------
-    values : array_like
-        At least three finite observations.
-    mode : str
-        ``"direct"`` (kernel sums) or ``"fourier"`` (truncated inversion
-        integral); the modes agree to 1e-8.
-    """
+def kde_fit(values):
+    """Fit the sinc-kernel density to at least three finite ``values``."""
     x = np.asarray(values, dtype=float).ravel()
     if x.size < 3:
         raise ValueError(f"need at least 3 samples to fit, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    if mode not in ("direct", "fourier"):
-        raise ValueError(f"unknown kde mode {mode!r}")
     samples = np.sort(x)
     samples.setflags(write=False)
     a = math.sqrt(2.0 * math.log(x.size))
+    mode = _route(a, x.size, x.size, float(samples[-1] - samples[0]))
     return KernelDensityEstimate(samples=samples, bandwidth=a, mode=mode)
+
+
+def _route(a, n, points, reach):
+    """The cheaper of n * points kernel terms and fourier's nodes(reach) * (n + points)."""
+    nodes = 16 * _panel_count(a, reach)
+    fourier_ns = _FOURIER_NS * nodes * (n + points) + _FOURIER_FIXED_NS
+    return "direct" if _DIRECT_NS * n * points <= fourier_ns else "fourier"
+
+
+def _panel_count(a, reach):
+    """Panels of 16 nodes: 6*a*reach/pi + 128 nodes, rounded up to panels."""
+    return math.ceil((math.ceil(6.0 * a * max(reach, 1.0) / math.pi) + 128) / 16.0)
 
 
 def _frequency_rule(kde, reach):
@@ -106,9 +111,7 @@ def _frequency_rule(kde, reach):
     and (1/n) sum_k exp(i u X_k).
     """
     a = kde.bandwidth
-    target = int(np.ceil(6.0 * a * max(reach, 1.0) / np.pi)) + 128
-    panels = int(np.ceil(target / 16.0))
-    key = panels
+    panels = key = _panel_count(a, reach)
     hit = kde._spectra.get(key)
     if hit is not None:
         return hit
@@ -134,11 +137,14 @@ def _frequency_rule(kde, reach):
 
 
 def _eval_direct(kde, x):
+    """The kernel sums, over chunks of at most ``_DIRECT_PAIRS`` pairs (or one
+    point); rows are independent, so the chunking does not change a bit."""
     a = kde.bandwidth
     value = np.empty_like(x)
     deriv = np.empty_like(x)
-    for start in range(0, x.size, _EVAL_CHUNK):
-        stop = start + _EVAL_CHUNK
+    rows = max(1, _DIRECT_PAIRS // kde.n)
+    for start in range(0, x.size, rows):
+        stop = start + rows
         u = a * (x[start:stop, None] - kde.samples[None, :])
         value[start:stop] = a * _kernel(u).mean(axis=1)
         deriv[start:stop] = a * a * _kernel_deriv(u).mean(axis=1)
@@ -146,9 +152,7 @@ def _eval_direct(kde, x):
 
 
 def _eval_fourier(kde, x):
-    lo = min(float(x.min()) if x.size else 0.0, float(kde.samples[0]))
-    hi = max(float(x.max()) if x.size else 0.0, float(kde.samples[-1]))
-    reach = hi - lo
+    reach = float(x.max(initial=kde.samples[-1]) - x.min(initial=kde.samples[0]))
     u, w, psi = _frequency_rule(kde, reach)
     panels = u.shape[0]
     h = kde.bandwidth / panels
@@ -184,10 +188,10 @@ def kde_eval(kde, points):
     flat = np.atleast_1d(pts).astype(float).ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("evaluation points must be finite")
-    if kde.mode == "direct":
-        value, deriv = _eval_direct(kde, flat)
-    else:
-        value, deriv = _eval_fourier(kde, flat)
+    mode, lo, hi = kde.mode, flat.min(initial=kde.samples[0]), flat.max(initial=kde.samples[-1])
+    if mode == "fourier" and hi - lo > kde.samples[-1] - kde.samples[0]:  # the fit priced the samples' span
+        mode = _route(kde.bandwidth, kde.n, flat.size, float(hi - lo))
+    value, deriv = (_eval_direct if mode == "direct" else _eval_fourier)(kde, flat)
     if scalar:
         return float(value[0]), float(deriv[0])
     return value.reshape(pts.shape), deriv.reshape(pts.shape)

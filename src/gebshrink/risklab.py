@@ -221,8 +221,8 @@ class ExperimentSpec:
     epsilons is the noise grid (exactly one entry for monte_carlo_risk,
     at least four for rate_fit); signal truths derive their own epsilon
     and take an empty grid.  compute_ideal toggles the per-replicate
-    posterior-mean benchmark for random truths, which costs one
-    quadrature per replicate.
+    posterior-mean benchmark for random truths (one quadrature each).
+    kde_mode is validated but selects nothing: ``kde`` picks its route.
     """
 
     estimator: str
@@ -318,7 +318,7 @@ def _apply_estimator(spec: ExperimentSpec, epsilon, y_blocks, beta_blocks):
         epsilon=epsilon,
         blocks=tuple((j, y) for (j, _), y in zip(spec.truth.block_ids_and_sizes(), y_blocks)),
     )
-    estimates, fits = estimate_sequence(seq, spec.cfg, spec.estimator, kde_mode=spec.kde_mode)
+    estimates, fits = estimate_sequence(seq, spec.cfg, spec.estimator)
     return estimates, [fit.branch for fit in fits]
 
 

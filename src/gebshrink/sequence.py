@@ -89,7 +89,7 @@ def dyadic_sequence(epsilon, levels, truth=None) -> BlockedSequence:
     return BlockedSequence(epsilon=float(epsilon), blocks=tuple(items), truth=truth_tuple)
 
 
-def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid", *, kde_mode="direct"):
+def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid"):
     """Estimate every block of ``seq`` with one of the block estimators.
 
     Returns ``(estimates, fits)``: a list of arrays matching the block
@@ -101,7 +101,7 @@ def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), 
     fits = []
     for _, values in seq.blocks:
         x = values / eps
-        fit = fit_block(x, cfg, estimator, kde_mode=kde_mode)
+        fit = fit_block(x, cfg, estimator)
         if isinstance(fit.rule, IdentityRule):
             # exact passthrough, not eps * (values / eps)
             estimates.append(values.copy())

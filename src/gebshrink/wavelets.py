@@ -188,7 +188,7 @@ class EquispacedReport:
     fits: tuple
 
 
-def denoise_equispaced(observations, basis: WaveletBasis, cfg: TuningConfig = TuningConfig(), sigma=None, *, kde_mode="direct"):
+def denoise_equispaced(observations, basis: WaveletBasis, cfg: TuningConfig = TuningConfig(), sigma=None):
     """Shrink an equispaced noisy signal in the given wavelet basis.
 
     Analyzes, calibrates the noise scale (MAD on the finest level unless
@@ -208,7 +208,7 @@ def denoise_equispaced(observations, basis: WaveletBasis, cfg: TuningConfig = Tu
         return y.copy(), EquispacedReport(sigma_hat=0.0, epsilon=0.0, levels=(), fits=())
     epsilon = sigma_hat / math.sqrt(n)
     seq = dyadic_sequence(epsilon, levels)
-    estimates, fits = estimate_sequence(seq, cfg, kde_mode=kde_mode)
+    estimates, fits = estimate_sequence(seq, cfg)
     shrunk = {j: est for (j, _), est in zip(seq.blocks, estimates)}
     f_hat = idwt(shrunk, basis)
     return f_hat, EquispacedReport(
@@ -365,7 +365,7 @@ class RandomDesignReport:
     effective: tuple
 
 
-def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningConfig(), sigma=1.0, *, kde_mode="direct"):
+def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningConfig(), sigma=1.0):
     """Estimate the regression function from standardized Haar contrasts.
 
     Where the usability indicator is zero the coefficient estimate is
@@ -394,7 +394,7 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
         active = coef[mask]
         if active.size:
             x = active / epsilon
-            fit = fit_block(x, cfg, kde_mode=kde_mode)
+            fit = fit_block(x, cfg)
             beta_hat[mask] = epsilon * np.asarray(fit.rule(x), dtype=float)
             fits.append(fit)
         else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from gebshrink.blocks import TuningConfig, kappa_hat
 from gebshrink.io import read_signal_csv, write_signal_csv
-from gebshrink.kde import kde_eval, kde_fit
+from gebshrink.kde import _eval_direct, _eval_fourier, kde_fit
 from gebshrink.mixture import (
     bayes_risk,
     from_atoms,
@@ -270,8 +270,9 @@ def test_criterion_7_exact_invariants():
     # density evaluation routes agree
     samples = rng.standard_normal(512) * 1.3
     grid = np.linspace(-6.0, 6.0, 201)
-    vd, dd = kde_eval(kde_fit(samples, mode="direct"), grid)
-    vf, df = kde_eval(kde_fit(samples, mode="fourier"), grid)
+    fitted = kde_fit(samples)
+    vd, dd = _eval_direct(fitted, grid)
+    vf, df = _eval_fourier(fitted, grid)
     route_gap = max(float(np.max(np.abs(vd - vf))), float(np.max(np.abs(dd - df))))
     ok = ok and route_gap <= 1e-8
 
@@ -333,7 +334,7 @@ def test_criterion_9_random_design_sanity():
         t = np.where(t == 0.0, 1.0, t)
         y = rng.standard_normal(n)
         data = random_design_transform(t, y, 11)
-        cells, report = random_design_estimate(data, sigma=1.0, kde_mode="fourier")
+        cells, report = random_design_estimate(data, sigma=1.0)
         integrals.append(float(np.mean(cells * cells)))
         effectives.append(sum(data.effective.values()))
     mean_integral = sum(integrals) / len(integrals)

@@ -143,8 +143,8 @@ def test_geb_rule_degenerate_zeros():
 def test_geb_rule_floor_engages_far_out():
     x = np.random.default_rng(5).standard_normal(64)
     rho = 0.2
-    rule = geb_rule(x, rho, kde_mode="direct")
-    k = kde_fit(x, "direct")
+    rule = geb_rule(x, rho)
+    k = kde_fit(x)
     at = 9.5
     v, d = kde_eval(k, at)
     assert v < rho
@@ -163,7 +163,7 @@ def test_geb_rule_tracks_oracle_on_gaussian_compound_draw():
     rng = np.random.default_rng(2026)
     theta = rng.standard_normal(4096)
     x = theta + rng.standard_normal(4096)
-    rule = geb_rule(x, tuning(4096).rho, kde_mode="fourier")
+    rule = geb_rule(x, tuning(4096).rho)
     oracle = oracle_rule(gaussian_grid_prior(1.0, 801, 8.0))
     msd = float(np.mean((np.asarray(rule(x)) - np.asarray(oracle(x))) ** 2))
     assert msd < 0.05

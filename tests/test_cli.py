@@ -363,6 +363,25 @@ def test_risk_report_to_stdout():
     assert payload["total_mse"] > 0.0
 
 
+def test_risk_kde_mode_is_accepted_and_ignored():
+    # geb branch at b0 = 0.25: the kde route is exercised, yet the flag selects nothing
+    argv = ("risk", "--estimator", "geb-hybrid", "--truth", "gaussian:1.0:256", "--epsilon", "1.0",
+            "--replicates", 2, "--b0", 0.25, "--no-ideal", "--kde-mode")
+    direct, fourier = run_cli(*argv, "direct"), run_cli(*argv, "fourier")
+    assert direct.returncode == fourier.returncode == 0, direct.stderr + fourier.stderr
+    assert json.loads(direct.stdout)["per_block"][0]["branch"] == "geb"
+    assert direct.stdout == fourier.stdout
+
+
+def test_simulate_spec_rejects_unknown_kde_mode(tmp_path):
+    spec = tmp_path / "exp.cfg"
+    write_spec(spec, estimator="geb-hybrid", truth="gaussian:1.0:256", epsilon="1.0", kde_mode="fft")
+    proc = run_cli("simulate", "--spec", spec)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("epsilon", ["1e200", "1e308"])
 def test_risk_overflow_is_numeric_failure(epsilon):
     # 1e200 overflows the squared errors, 1e308 the observations themselves

@@ -50,6 +50,15 @@ def test_signal_csv_length_mismatch(tmp_path):
         write_signal_csv(tmp_path / "x.csv", np.zeros(4), truth=np.zeros(3))
 
 
+@pytest.mark.parametrize("index", [[1, 2], [1, 2, 3, 4, 5]], ids=["short", "long"])
+def test_signal_csv_index_length_mismatch(tmp_path, index):
+    # a short index used to drop rows silently
+    path = tmp_path / "s.csv"
+    with pytest.raises(ValueError, match="index has"):
+        write_signal_csv(path, np.arange(4.0), index=index)
+    assert not path.exists()
+
+
 def test_signal_csv_missing_value_column(tmp_path):
     path = tmp_path / "wrong.csv"
     path.write_text("index,foo\n1,2\n")

@@ -1,4 +1,4 @@
-"""Sinc-kernel density estimation in both evaluation modes."""
+"""Sinc-kernel density estimation: the route choice and both evaluation routes."""
 
 import math
 import tracemalloc
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gebshrink.kde import kde_eval, kde_fit
+from gebshrink import kde as kde_module
+from gebshrink.kde import _eval_direct, _eval_fourier, kde_eval, kde_fit
 
 
 def test_bandwidth_is_tied_to_sample_count():
@@ -44,11 +45,6 @@ def test_nonfinite_samples_rejected():
         kde_fit([0.0, 1.0, math.nan])
 
 
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        kde_fit([0.0, 1.0, 2.0], "spectral")
-
-
 def test_samples_are_sorted_and_frozen():
     k = kde_fit([3.0, -1.0, 2.0])
     assert k.samples.tolist() == [-1.0, 2.0, 3.0]
@@ -58,12 +54,10 @@ def test_samples_are_sorted_and_frozen():
 
 def test_direct_and_fourier_agree_on_normal_samples():
     rng = np.random.default_rng(42)
-    x = rng.standard_normal(512)
-    kd = kde_fit(x, "direct")
-    kf = kde_fit(x, "fourier")
+    k = kde_fit(rng.standard_normal(512))
     grid = np.linspace(-6.0, 6.0, 201)
-    vd, dd = kde_eval(kd, grid)
-    vf, df = kde_eval(kf, grid)
+    vd, dd = _eval_direct(k, grid)
+    vf, df = _eval_fourier(k, grid)
     assert float(np.max(np.abs(vd - vf))) < 1e-8
     assert float(np.max(np.abs(dd - df))) < 1e-8
 
@@ -71,11 +65,10 @@ def test_direct_and_fourier_agree_on_normal_samples():
 def test_modes_agree_on_rough_data():
     rng = np.random.default_rng(7)
     x = np.concatenate([rng.standard_normal(100) * 0.1, rng.uniform(3, 9, 60)])
-    kd = kde_fit(x, "direct")
-    kf = kde_fit(x, "fourier")
+    k = kde_fit(x)
     grid = np.linspace(-2.0, 11.0, 301)
-    vd, dd = kde_eval(kd, grid)
-    vf, df = kde_eval(kf, grid)
+    vd, dd = _eval_direct(k, grid)
+    vf, df = _eval_fourier(k, grid)
     assert float(np.max(np.abs(vd - vf))) < 1e-8
     assert float(np.max(np.abs(dd - df))) < 1e-8
 
@@ -145,9 +138,9 @@ def _outlier_block(n):
     ids=["normal-4096", "sparse-atoms", "outlier-1e3", "normal-32768"],
 )
 def test_fourier_route_matches_literal_definition(values):
-    k = kde_fit(values, "fourier")
+    k = kde_fit(values)
     points = np.concatenate([k.samples, np.linspace(k.samples[0] - 1.0, k.samples[-1] + 1.0, 97)])
-    value, deriv = kde_eval(k, points)
+    value, deriv = _eval_fourier(k, points)
     (u, w, psi), = k._spectra.values()
 
     # the panel layout: 16 Gauss-Legendre nodes on each of P equal panels
@@ -178,25 +171,102 @@ def test_routes_agree_on_random_blocks(n, spread, centre, seed, fractions):
     rng = np.random.default_rng(seed)
     x = centre + spread * rng.uniform(-0.5, 0.5, n)
     x[rng.integers(n)] = centre + 0.5 * spread  # the block spans the full spread
-    kd = kde_fit(x, "direct")
-    kf = kde_fit(x, "fourier")
+    k = kde_fit(x)
     lo, hi = float(x.min()), float(x.max())
     points = lo + (hi - lo + 1.0) * np.array(fractions)
-    vd, dd = kde_eval(kd, points)
-    vf, df = kde_eval(kf, points)
+    vd, dd = _eval_direct(k, points)
+    vf, df = _eval_fourier(k, points)
     assert float(np.max(np.abs(vd - vf))) < 1e-8
     assert float(np.max(np.abs(dd - df))) < 1e-8
 
 
 def test_fourier_memory_does_not_grow_with_node_count():
     # one far outlier makes thousands of nodes; working memory stays per chunk
-    k = kde_fit(_outlier_block(256), "fourier")
+    k = kde_fit(_outlier_block(256))
     tracemalloc.start()
     try:
-        kde_eval(k, k.samples)
+        _eval_fourier(k, k.samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     (u, _, _), = k._spectra.values()
     assert u.size > 6000
     assert peak < 4 * 2**20
+
+
+def test_direct_memory_is_bounded_by_the_pair_budget():
+    # 64 points x 65,536 samples: one (64, n) chunk would take 164 MB
+    k = kde_fit(np.random.default_rng(1).standard_normal(2**16))
+    points = np.linspace(-3.0, 3.0, 64)
+    tracemalloc.start()
+    try:
+        _eval_direct(k, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("pairs", [1, 700, 2**15, 2**30], ids=["one-row", "odd", "default", "one-chunk"])
+def test_direct_chunking_does_not_change_a_bit(pairs, monkeypatch):
+    k = kde_fit(_outlier_block(256))
+    points = np.concatenate([k.samples, np.linspace(-5.0, 5.0, 333)])
+    want = _eval_direct(k, points)
+    monkeypatch.setattr(kde_module, "_DIRECT_PAIRS", pairs)
+    got = _eval_direct(k, points)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# ------------------------------------------------------------- route choice
+
+
+@pytest.mark.parametrize(
+    "values, mode",
+    [(_outlier_block(256), "direct")]
+    + [(_normal_block(n), "fourier") for n in (256, 512, 1024, 2048, 4096, 8192)]
+    + [(_sparse_block(n), "fourier") for n in (256, 512, 1024)],
+    ids=["outlier-256"] + [f"normal-{2**p}" for p in range(8, 14)] + [f"sparse-{2**p}" for p in range(8, 11)],
+)
+def test_route_choice_table(values, mode):
+    k = kde_fit(values)
+    assert k.mode == mode
+    # kde_eval follows the recorded route bit for bit
+    points = np.linspace(k.samples[0], k.samples[-1], 17)
+    route = _eval_direct if mode == "direct" else _eval_fourier
+    got, want = kde_eval(k, points), route(k, points)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_small_blocks_go_direct():
+    assert kde_fit(_normal_block(64)).mode == "direct"
+    assert kde_fit(np.zeros(3)).mode == "direct"
+
+
+def test_far_points_are_priced_again():
+    # the fit priced the fourier rule for the samples' span; a point at 1e6
+    # would need millions of nodes, so that call goes direct
+    k = kde_fit(_normal_block(128))
+    assert k.mode == "fourier"
+    points = np.array([-1e6, 0.0, 1e6])
+    got, want = kde_eval(k, points), _eval_direct(k, points)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert not k._spectra
+    kde_eval(k, k.samples[::2])  # within the span the fit's route holds
+    assert len(k._spectra) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 400),
+    spread=st.sampled_from([0.0, 1.0, 10.0, 1e3, 1e5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_route_and_values_invariant_under_permutation(n, spread, seed):
+    rng = np.random.default_rng(seed)
+    x = spread * rng.standard_normal(n)
+    k, kp = kde_fit(x), kde_fit(rng.permutation(x))
+    assert kp.mode == k.mode
+    points = np.concatenate([x[:5], np.linspace(-3.0, 3.0, 7)])
+    v, d = kde_eval(k, points)
+    vp, dp = kde_eval(kp, points)
+    assert np.array_equal(v, vp) and np.array_equal(d, dp)

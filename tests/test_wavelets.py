@@ -334,7 +334,7 @@ def test_step_trend_error_shrinks_with_sample_size():
             t = np.where(t == 0.0, 1.0, t)
             y = fstep(t) + rng.standard_normal(n)
             data = random_design_transform(t, y, j_max)
-            cells, _ = random_design_estimate(data, sigma=1.0, kde_mode="fourier")
+            cells, _ = random_design_estimate(data, sigma=1.0)
             mids = (np.arange(cells.size) + 0.5) / cells.size
             errs.append(float(np.mean((cells - fstep(mids)) ** 2)))
         mises.append(sum(errs) / len(errs))
