@@ -47,7 +47,9 @@ class TuningConfig:
 
     rho0, b0            coefficients of the floor and branch schedules
     eta                 optional callable n -> eta_n perturbing the floor
-                        schedule (None means identically zero)
+                        schedule (None means identically zero); runs with
+                        --jobs > 1 pickle the config, so there it must be
+                        a module-level function, not a lambda or closure
     n_star              smallest block size the hybrid path accepts
     threshold_inflation the A0 in the threshold sqrt(2 (1 + A0) log n)
     small_block_policy  "mle" or "james_stein", applied below n_star

@@ -187,6 +187,20 @@ def _cmd_denoise(args):
     return 0
 
 
+def _write_report(spec, args, config):
+    """Run spec, then write the report in --format to --output or print it."""
+    report = monte_carlo_risk(spec, jobs=_jobs_from(args, config))
+    fmt = _merged(args, config, "format", "json")
+    payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(payload)
+        print(f"wrote {args.output}")
+    else:
+        print(payload, end="" if payload.endswith("\n") else "\n")
+    return report
+
+
 def _cmd_simulate(args):
     config = _read_config(args.spec, _SPEC_KEYS)
     if args.config:
@@ -209,23 +223,12 @@ def _cmd_simulate(args):
         compute_ideal=str(config.get("compute_ideal", "true")).lower() != "false",
         kde_mode=config.get("kde_mode", "direct"),
     )
-    jobs = _jobs_from(args, config)
-    fmt = _merged(args, config, "format", "json")
-    report = monte_carlo_risk(spec, jobs=jobs)
-    payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-        print(f"wrote {args.output}")
-        summary_stream = sys.stdout
-    else:
-        # keep stdout machine-readable so the payload can be piped
-        print(payload, end="" if payload.endswith("\n") else "\n")
-        summary_stream = sys.stderr
+    report = _write_report(spec, args, config)
+    # a printed payload keeps stdout machine-readable, so the summary goes to stderr
     print(
         f"total_mse = {gio.format_float(report.total_mse)}  "
         f"(se {gio.format_float(report.total_se)}, replicates {report.replicates})",
-        file=summary_stream,
+        file=sys.stdout if args.output else sys.stderr,
     )
     return 0
 
@@ -252,10 +255,8 @@ def _cmd_risk(args):
         compute_ideal=not args.no_ideal,
         kde_mode=args.kde_mode,
     )
-    jobs = _jobs_from(args, config)
-    fmt = _merged(args, config, "format", "json")
     if args.rate:
-        fit = rate_fit(spec, jobs=jobs)
+        fit = rate_fit(spec, jobs=_jobs_from(args, config))
         print(f"slope     = {gio.format_float(fit.slope)}")
         print(f"intercept = {gio.format_float(fit.intercept)}")
         for eps, risk, se in fit.points:
@@ -264,14 +265,7 @@ def _cmd_risk(args):
                 f"(se {gio.format_float(se)})"
             )
         return 0
-    report = monte_carlo_risk(spec, jobs=jobs)
-    payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-        print(f"wrote {args.output}")
-    else:
-        print(payload, end="" if payload.endswith("\n") else "\n")
+    _write_report(spec, args, config)
     return 0
 
 

@@ -185,7 +185,7 @@ def kde_eval(kde, points):
     """
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0
-    flat = np.atleast_1d(pts).astype(float).ravel()
+    flat = pts.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("evaluation points must be finite")
     mode, lo, hi = kde.mode, flat.min(initial=kde.samples[0]), flat.max(initial=kde.samples[-1])

@@ -16,7 +16,7 @@ import json
 import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -75,24 +75,33 @@ def besov_norm(levels, alpha, p, q) -> float:
 # truth sources
 
 
+def _frozen_blocks(pairs):
+    """((j, beta), ...) with each beta a read-only float copy."""
+    out = tuple((int(j), np.array(v, dtype=float).ravel()) for j, v in pairs)
+    for _, beta in out:
+        beta.flags.writeable = False
+    return out
+
+
+def _zero_blocks(j_max):
+    return [(j, np.zeros(2 ** max(j, 0))) for j in range(-1, j_max + 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class TruthSource:
     """Where the true means come from.
 
-    Deterministic kinds (explicit, zero, besov, signal) fix beta once;
-    prior kinds (gaussian-prior, atom-prior) redraw theta i.i.d. from the
+    Deterministic kinds (explicit, zero, besov, signal) build beta once,
+    as read-only ``((j, beta), ...)`` pairs in ``blocks``; a signal truth
+    also carries its own noise scale sigma / sqrt(N) in ``epsilon``.
+    Prior kinds (gaussian-prior, atom-prior) redraw theta i.i.d. from the
     prior on every replicate and set beta = epsilon * theta, which is the
     compound-estimation regime.
     """
 
     kind: str
     blocks: tuple = ()
-    alpha: float = math.nan
-    j_max: int = -1
-    name: str = ""
-    n: int = 0
-    snr: float = math.nan
-    basis_name: str = "s8"
+    epsilon: float | None = None
     tau: float = math.nan
     size: int = 0
     prior: MixingDistribution | None = None
@@ -100,25 +109,22 @@ class TruthSource:
     def __post_init__(self):
         if self.kind not in _TRUTH_KINDS:
             raise ValueError(f"unknown truth kind {self.kind!r}")
+        if not (self.is_random() or self.blocks):
+            raise ValueError(f"{self.kind} truth needs at least one block")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def explicit(blocks) -> "TruthSource":
         pairs = blocks.items() if isinstance(blocks, dict) else blocks
-        cleaned = tuple(
-            (int(j), np.asarray(v, dtype=float).ravel()) for j, v in pairs
-        )
-        if not cleaned:
-            raise ValueError("explicit truth needs at least one block")
-        return TruthSource(kind="explicit", blocks=cleaned)
+        return TruthSource(kind="explicit", blocks=_frozen_blocks(pairs))
 
     @staticmethod
     def zero(j_max) -> "TruthSource":
         j_max = int(j_max)
         if j_max < -1:
             raise ValueError("j_max must be at least -1")
-        return TruthSource(kind="zero", j_max=j_max)
+        return TruthSource(kind="zero", blocks=_frozen_blocks(_zero_blocks(j_max)))
 
     @staticmethod
     def besov_extremal(alpha, j_max) -> "TruthSource":
@@ -129,14 +135,20 @@ class TruthSource:
             raise ValueError(f"alpha must be positive, got {alpha}")
         if j_max < 0:
             raise ValueError("j_max must be nonnegative")
-        return TruthSource(kind="besov", alpha=alpha, j_max=j_max)
+        pairs = _zero_blocks(j_max)
+        for j, beta in pairs[1:]:
+            beta[0] = 2.0 ** (-j * (alpha + 0.5))
+        return TruthSource(kind="besov", blocks=_frozen_blocks(pairs))
 
     @staticmethod
-    def signal(name, n, snr, basis_name="s8") -> "TruthSource":
+    def signal(name, n, snr) -> "TruthSource":
+        """Periodic s8 wavelet coefficients of a test signal, with epsilon = sigma / sqrt(N)."""
         n = int(n)
         if n < 2 or n & (n - 1):
             raise ValueError(f"signal length must be a power of two, got {n}")
-        return TruthSource(kind="signal", name=name, n=n, snr=float(snr), basis_name=basis_name)
+        samples, sigma = test_signal(name, n, float(snr))
+        blocks = _frozen_blocks(dwt(samples, wavelet_basis("s8")).items())
+        return TruthSource(kind="signal", blocks=blocks, epsilon=sigma / math.sqrt(n))
 
     @staticmethod
     def gaussian_prior(tau, size) -> "TruthSource":
@@ -161,52 +173,17 @@ class TruthSource:
         return self.kind in ("gaussian-prior", "atom-prior")
 
     def block_ids_and_sizes(self):
-        if self.kind == "explicit":
-            return tuple((j, arr.size) for j, arr in self.blocks)
-        if self.kind in ("zero", "besov"):
-            return tuple((j, 2 ** max(j, 0)) for j in range(-1, self.j_max + 1))
-        if self.kind == "signal":
-            j_top = int(math.log2(self.n)) - 1
-            return tuple((j, 2 ** max(j, 0)) for j in range(-1, j_top + 1))
-        return ((0, self.size),)
-
-    def fixed_blocks(self):
-        """The beta arrays for deterministic kinds, None for prior kinds."""
-        if self.kind == "explicit":
-            return tuple(arr for _, arr in self.blocks)
-        if self.kind == "zero":
-            return tuple(np.zeros(s) for _, s in self.block_ids_and_sizes())
-        if self.kind == "besov":
-            out = []
-            for j, size in self.block_ids_and_sizes():
-                beta = np.zeros(size)
-                if j >= 0:
-                    beta[0] = 2.0 ** (-j * (self.alpha + 0.5))
-                out.append(beta)
-            return tuple(out)
-        if self.kind == "signal":
-            samples, _ = test_signal(self.name, self.n, self.snr)
-            levels = dwt(samples, wavelet_basis(self.basis_name))
-            return tuple(levels[j] for j, _ in self.block_ids_and_sizes())
-        return None
-
-    def implied_epsilon(self):
-        """Signal truths carry their own noise scale; others return None."""
-        if self.kind != "signal":
-            return None
-        _, sigma = test_signal(self.name, self.n, self.snr)
-        return sigma / math.sqrt(self.n)
+        return tuple((j, beta.size) for j, beta in self.blocks) or ((0, self.size),)
 
     def draw_blocks(self, epsilon, rng):
         """Per-replicate beta arrays (prior kinds sample theta here)."""
-        fixed = self.fixed_blocks()
-        if fixed is not None:
-            return fixed
         if self.kind == "gaussian-prior":
             theta = self.tau * rng.standard_normal(self.size)
-        else:
+        elif self.kind == "atom-prior":
             atoms = self.prior.locations
             theta = atoms[rng.choice(atoms.size, size=self.size, p=self.prior.weights)]
+        else:
+            return tuple(beta for _, beta in self.blocks)
         return (epsilon * theta,)
 
 
@@ -219,7 +196,7 @@ class ExperimentSpec:
     """A reproducible Monte Carlo risk experiment.
 
     epsilons is the noise grid (exactly one entry for monte_carlo_risk,
-    at least four for rate_fit); signal truths derive their own epsilon
+    at least four for rate_fit); signal truths carry their own epsilon
     and take an empty grid.  compute_ideal toggles the per-replicate
     posterior-mean benchmark for random truths (one quadrature each).
     kde_mode is validated but selects nothing: ``kde`` picks its route.
@@ -243,7 +220,7 @@ class ExperimentSpec:
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "seed", int(self.seed))
         eps = tuple(float(e) for e in self.epsilons)
-        if self.truth.kind == "signal":
+        if self.truth.epsilon is not None:
             if eps:
                 raise ValueError("signal truths size their own noise; leave epsilons empty")
         else:
@@ -279,6 +256,10 @@ class BlockReport:
     ideal_risk: float | None
     bound_r_p: float | None
     bound_r0: float | None
+
+
+# report column order: block_id, size, branch, then the four float columns
+_BLOCK_COLUMNS = tuple(f.name for f in fields(BlockReport))
 
 
 @dataclass(frozen=True)
@@ -342,15 +323,9 @@ def _run_replicate(spec: ExperimentSpec, epsilon, r):
     return sq, branches, ideal
 
 
-def _replicate_payload(args):
-    spec, epsilon, r = args
-    return _run_replicate(spec, epsilon, r)
-
-
 def _resolve_epsilon(spec: ExperimentSpec) -> float:
-    implied = spec.truth.implied_epsilon()
-    if implied is not None:
-        return implied
+    if spec.truth.epsilon is not None:
+        return spec.truth.epsilon
     if len(spec.epsilons) != 1:
         raise ValueError(
             f"monte_carlo_risk needs exactly one epsilon, got {len(spec.epsilons)}; "
@@ -360,10 +335,9 @@ def _resolve_epsilon(spec: ExperimentSpec) -> float:
 
 
 def _deterministic_ideal(spec, epsilon):
-    fixed = spec.truth.fixed_blocks()
-    if fixed is None:
+    if not spec.truth.blocks:
         return None
-    return [block_ideal_risk(beta, epsilon) for beta in fixed]
+    return [block_ideal_risk(beta, epsilon) for _, beta in spec.truth.blocks]
 
 
 def _check_picklable(spec):
@@ -377,13 +351,11 @@ def _check_picklable(spec):
         ) from err
 
 
-def _bounds_for_blocks(spec, ids_sizes):
+def _bounds_for_blocks(spec, epsilon, ids_sizes):
     """Per-block (r_p, r0) for deterministic or atom-prior truths."""
-    fixed = spec.truth.fixed_blocks()
-    if fixed is not None:
-        eps = _resolve_epsilon(spec)
-        priors = [empirical_mixing(beta, eps) for beta in fixed]
-    elif spec.truth.kind == "atom-prior":
+    if spec.truth.blocks:
+        priors = [empirical_mixing(beta, epsilon) for _, beta in spec.truth.blocks]
+    elif spec.truth.prior is not None:
         priors = [spec.truth.prior] * len(ids_sizes)
     else:
         return [(None, None) for _ in ids_sizes]
@@ -409,14 +381,14 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
     reps = spec.replicates
     jobs = max(1, int(jobs))
 
-    tasks = [(spec, epsilon, r) for r in range(reps)]
+    args = ([spec] * reps, [epsilon] * reps, range(reps))
     if jobs == 1 or reps == 1:
-        results = [_replicate_payload(t) for t in tasks]
+        results = list(map(_run_replicate, *args))
     else:
         _check_picklable(spec)
         chunk = max(1, reps // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replicate_payload, tasks, chunksize=chunk))
+            results = list(pool.map(_run_replicate, *args, chunksize=chunk))
 
     n_blocks = len(ids_sizes)
     sq_matrix = np.zeros((reps, n_blocks))
@@ -440,7 +412,7 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
         block_ideal = list(ideal_matrix.mean(axis=0))
     else:
         block_ideal = _deterministic_ideal(spec, epsilon)
-    bounds = _bounds_for_blocks(spec, ids_sizes)
+    bounds = _bounds_for_blocks(spec, epsilon, ids_sizes)
 
     rows = []
     for b, (block_id, size) in enumerate(ids_sizes):
@@ -513,6 +485,12 @@ def _clean(value):
     return None if value is None else float(value)
 
 
+def _row_cells(row: BlockReport, fmt):
+    """One per-block row in column order; fmt maps the float columns."""
+    values = [getattr(row, name) for name in _BLOCK_COLUMNS]
+    return values[:3] + [fmt(v) for v in values[3:]]
+
+
 def report_to_dict(report: RiskReport) -> dict:
     return {
         "estimator": report.estimator,
@@ -524,16 +502,7 @@ def report_to_dict(report: RiskReport) -> dict:
         "regret": _clean(report.regret),
         "total_se": _clean(report.total_se),
         "per_block": [
-            {
-                "block_id": row.block_id,
-                "size": row.size,
-                "branch": row.branch,
-                "empirical_mse": _clean(row.empirical_mse),
-                "ideal_risk": _clean(row.ideal_risk),
-                "bound_r_p": _clean(row.bound_r_p),
-                "bound_r0": _clean(row.bound_r0),
-            }
-            for row in report.per_block
+            dict(zip(_BLOCK_COLUMNS, _row_cells(row, _clean))) for row in report.per_block
         ],
     }
 
@@ -545,25 +514,13 @@ def report_to_json(report: RiskReport) -> str:
 def report_to_csv(report: RiskReport) -> str:
     buffer = _io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(
-        ["block_id", "size", "branch", "empirical_mse", "ideal_risk", "bound_r_p", "bound_r0"]
-    )
+    writer.writerow(_BLOCK_COLUMNS)
 
     def fmt(v):
         return "" if v is None else f"{float(v):.17g}"
 
     for row in report.per_block:
-        writer.writerow(
-            [
-                row.block_id,
-                row.size,
-                row.branch,
-                fmt(row.empirical_mse),
-                fmt(row.ideal_risk),
-                fmt(row.bound_r_p),
-                fmt(row.bound_r0),
-            ]
-        )
+        writer.writerow(_row_cells(row, fmt))
     writer.writerow(
         ["total", sum(r.size for r in report.per_block), "", fmt(report.total_mse), fmt(report.total_ideal), "", ""]
     )

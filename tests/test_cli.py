@@ -348,6 +348,16 @@ def test_risk_bad_truth_spec():
     assert "bad --truth" in proc.stderr
 
 
+def test_risk_unknown_signal_fails_when_the_truth_is_parsed():
+    proc = run_cli("risk", "--estimator", "mle", "--truth", "signal:nosuch:256:7")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: bad --truth 'signal:nosuch:256:7'")
+
+
 def test_risk_report_to_stdout():
     proc = run_cli(
         "risk",

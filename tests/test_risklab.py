@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,8 @@ def test_besov_norm_rejects_bad_exponents():
 def test_truth_source_validation():
     with pytest.raises(ValueError):
         TruthSource(kind="mystery")
+    with pytest.raises(ValueError, match="needs at least one block"):
+        TruthSource(kind="signal")
     with pytest.raises(ValueError):
         TruthSource.explicit([])
     with pytest.raises(ValueError):
@@ -70,6 +73,8 @@ def test_truth_source_validation():
         TruthSource.besov_extremal(0.0, 10)
     with pytest.raises(ValueError):
         TruthSource.signal("blocks", 1000, 7.0)
+    with pytest.raises(ValueError, match="unknown test signal"):
+        TruthSource.signal("nosuch", 256, 7.0)
     with pytest.raises(ValueError):
         TruthSource.gaussian_prior(0.0, 16)
     with pytest.raises(ValueError):
@@ -172,11 +177,24 @@ def test_signal_truth_carries_its_own_epsilon():
     assert sum(row.size for row in report.per_block) == 1024
 
 
-def test_parallel_execution_is_bit_identical():
+# truth factory and noise grid; deterministic truths ship their built arrays to the workers
+_PARALLEL_TRUTHS = {
+    "gaussian-prior": (lambda: TruthSource.gaussian_prior(1.0, 256), (1.0,)),
+    "signal": (lambda: TruthSource.signal("blocks", 1024, 7.0), ()),
+    "explicit": (
+        lambda: TruthSource.explicit({-1: [0.4], 0: [1.5], 6: np.linspace(-3.0, 3.0, 64)}),
+        (0.5,),
+    ),
+}
+
+
+@pytest.mark.parametrize("truth_kind", list(_PARALLEL_TRUTHS))
+def test_parallel_execution_is_bit_identical(truth_kind):
+    make_truth, epsilons = _PARALLEL_TRUTHS[truth_kind]
     spec = ExperimentSpec(
         estimator="geb-hybrid",
-        truth=TruthSource.gaussian_prior(1.0, 256),
-        epsilons=(1.0,),
+        truth=make_truth(),
+        epsilons=epsilons,
         replicates=6,
         seed=21,
         kde_mode="fourier",
@@ -184,6 +202,50 @@ def test_parallel_execution_is_bit_identical():
     serial = monte_carlo_risk(spec, jobs=1)
     parallel = monte_carlo_risk(spec, jobs=3)
     assert report_to_json(serial) == report_to_json(parallel)
+
+
+def test_signal_truth_is_built_once(monkeypatch):
+    calls = {"test_signal": 0, "dwt": 0}
+    for name in calls:
+        original = getattr(sys.modules["gebshrink.risklab"], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every binding site, so no module reaches the uncounted function
+        for key, module in list(sys.modules.items()):
+            if key.startswith("gebshrink") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    truth = TruthSource.signal("bumps", 256, 7.0)
+    assert calls == {"test_signal": 1, "dwt": 1}
+    for estimator in ("soft-universal", "oracle-truth"):
+        spec = ExperimentSpec(estimator=estimator, truth=truth, replicates=5, seed=3)
+        monte_carlo_risk(spec)
+    assert calls == {"test_signal": 1, "dwt": 1}
+
+
+def test_deterministic_truth_blocks_are_read_only():
+    source = np.array([0.3, -1.0, 2.0, 0.0])
+    truths = (
+        TruthSource.zero(3),
+        TruthSource.besov_extremal(1.0, 3),
+        TruthSource.signal("doppler", 64, 7.0),
+        TruthSource.explicit({2: source}),
+    )
+    for truth in truths:
+        assert [j for j, _ in truth.blocks] == [j for j, _ in truth.block_ids_and_sizes()]
+        drawn = truth.draw_blocks(0.5, replicate_rng(0, 0))
+        for (_, beta), same in zip(truth.blocks, drawn):
+            assert same is beta
+            assert not beta.flags.writeable
+            with pytest.raises(ValueError):
+                beta[0] = 1.0
+    # explicit truths copy: the caller's array stays writeable and unlinked
+    source[0] = 9.0
+    assert truths[-1].blocks[0][1][0] == 0.3
+    assert truths[1].blocks[3][1][0] == 2.0 ** (-2 * 1.5)
 
 
 def test_unpicklable_eta_fails_before_the_pool_starts():
