@@ -36,6 +36,7 @@ from .wavelets import denoise_equispaced, wavelet_basis
 
 _TUNING_FLAGS = ("rho0", "b0", "nstar", "a0", "small_block")
 _CONFIG_KEYS = frozenset(_TUNING_FLAGS) | {"seed", "jobs", "format"}
+_JOBS_HELP = "worker processes, capped at the usable CPUs; reports do not depend on it"
 _DENOISE_KEYS = frozenset(_TUNING_FLAGS) | {"wavelet"}
 _SPEC_KEYS = _CONFIG_KEYS | {
     "estimator",
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", default=None, help="report destination (prints when omitted)")
     p_sim.add_argument("--format", choices=("csv", "json"), default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--jobs", type=int, default=None)
+    p_sim.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     _add_tuning_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rsk.add_argument("--epsilon", default=None, help="comma-separated noise grid (or 'auto' for signal truths)")
     p_rsk.add_argument("--replicates", type=int, default=100)
     p_rsk.add_argument("--seed", type=int, default=None)
-    p_rsk.add_argument("--jobs", type=int, default=None)
+    p_rsk.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p_rsk.add_argument("--rate", action="store_true", help="fit log-risk slope over the epsilon grid")
     p_rsk.add_argument("--no-ideal", action="store_true", help="skip the posterior-mean benchmark")
     p_rsk.add_argument("--kde-mode", choices=("direct", "fourier"), default="direct", help="accepted for compatibility; ignored")

@@ -5,7 +5,7 @@ by (master seed, r), so results are bit-identical no matter how many
 worker processes share the replicates, and two experiments that differ
 only in the estimator see exactly the same truths and noise (paired
 comparisons).  Per-replicate results are always reduced in replicate
-order.
+order.  Parallel replicates run on one warm worker pool per process.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import csv
 import io as _io
 import json
 import math
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -370,11 +372,74 @@ def _bounds_for_blocks(spec, epsilon, ids_sizes):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the worker pool
+
+
+# ((pid, workers), executor) of the process's one live pool, or None
+_pool = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _close_pool():
+    """Shut the cached pool down and wait for it; a forked child only forgets it."""
+    global _pool
+    if _pool is not None and _pool[0][0] == os.getpid():
+        _pool[1].shutdown(wait=True)
+    _pool = None
+
+
+def _worker_pool(workers) -> ProcessPoolExecutor:
+    """The process's pool of ``workers`` workers, started on first use.
+
+    Keyed by pid, so a forked child never reuses its parent's executor.
+    A pool of another size is shut down before the new one forks its
+    workers: forking while its manager thread runs can deadlock (cpython
+    issue 90622).
+    """
+    global _pool
+    key = (os.getpid(), workers)
+    if _pool is None or _pool[0] != key:
+        _close_pool()
+        _pool = (key, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def _pooled_replicates(workers, args, chunk):
+    """_run_replicate over args on the warm pool, in replicate order.
+
+    ``map`` submits every chunk before it returns, so a pool that broke
+    before this call (a worker died) fails there, before any work, and is
+    replaced once.  A pool that breaks during the run is dropped and the
+    error raised; the next call starts a fresh one.
+    """
+    try:
+        chunks = _worker_pool(workers).map(_run_replicate, *args, chunksize=chunk)
+    except BrokenProcessPool:
+        _close_pool()
+        chunks = _worker_pool(workers).map(_run_replicate, *args, chunksize=chunk)
+    try:
+        return list(chunks)
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+
+
 def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
     """Replicate-averaged risk of the configured estimator.
 
     Deterministic function of (spec, nothing else): the worker count only
-    changes wall time, never a bit of the report.
+    changes wall time, never a bit of the report.  ``jobs`` is capped at
+    the CPUs this process may use.  The first parallel call starts one
+    pool of that many workers and later calls with the same count reuse
+    it; workers are forked when the pool starts, so a monkeypatch applied
+    after that does not reach them.
     """
     epsilon = _resolve_epsilon(spec)
     ids_sizes = spec.truth.block_ids_and_sizes()
@@ -382,13 +447,13 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
     jobs = max(1, int(jobs))
 
     args = ([spec] * reps, [epsilon] * reps, range(reps))
+    if jobs > 1 and reps > 1:
+        _check_picklable(spec)
+        jobs = min(jobs, _usable_cpus())
     if jobs == 1 or reps == 1:
         results = list(map(_run_replicate, *args))
     else:
-        _check_picklable(spec)
-        chunk = max(1, reps // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_replicate, *args, chunksize=chunk))
+        results = _pooled_replicates(jobs, args, max(1, reps // (4 * jobs)))
 
     n_blocks = len(ids_sizes)
     sq_matrix = np.zeros((reps, n_blocks))

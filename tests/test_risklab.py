@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gebshrink import risklab
 from gebshrink.blocks import TuningConfig
 from gebshrink.errors import InvalidConfigError, NumericFailure
 from gebshrink.mixture import from_atoms
@@ -22,6 +28,7 @@ from gebshrink.risklab import (
     report_to_dict,
     report_to_json,
 )
+from gebshrink.signals import SIGNAL_NAMES
 
 # ---------------------------------------------------------------- besov norm
 
@@ -204,6 +211,49 @@ def test_parallel_execution_is_bit_identical(truth_kind):
     assert report_to_json(serial) == report_to_json(parallel)
 
 
+# truth factories over a total of n coefficients; draw picks their free parameters
+_REPLICATE_TRUTHS = {
+    "zero": lambda n, draw: TruthSource.zero(n.bit_length() - 2),
+    "besov": lambda n, draw: TruthSource.besov_extremal(
+        draw(st.sampled_from((0.5, 1.0, 2.0))), n.bit_length() - 2
+    ),
+    "signal": lambda n, draw: TruthSource.signal(draw(st.sampled_from(SIGNAL_NAMES)), n, 7.0),
+    "explicit": lambda n, draw: TruthSource.explicit(
+        {-1: [0.5], 0: [1.0], 5: np.linspace(-4.0, 4.0, n - 2)}
+    ),
+    "gaussian-prior": lambda n, draw: TruthSource.gaussian_prior(
+        draw(st.sampled_from((0.5, 1.0, 3.0))), n
+    ),
+    "atom-prior": lambda n, draw: TruthSource.atom_prior(
+        from_atoms([0.0, -3.0, 3.0], [0.8, 0.1, 0.1]), n
+    ),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_REPLICATE_TRUTHS)),
+    n=st.sampled_from((4, 16, 64, 256)),
+    replicates=st.integers(2, 6),
+    estimator=st.sampled_from(ESTIMATORS),
+    seed=st.integers(0, 2**63 - 1),
+    data=st.data(),
+)
+def test_reports_do_not_depend_on_jobs(kind, n, replicates, estimator, seed, data):
+    truth = _REPLICATE_TRUTHS[kind](n, data.draw)
+    spec = ExperimentSpec(
+        estimator=estimator,
+        truth=truth,
+        epsilons=() if kind == "signal" else (0.5,),
+        replicates=replicates,
+        seed=seed,
+        cfg=TuningConfig(b0=0.25),
+    )
+    serial = report_to_json(monte_carlo_risk(spec, jobs=1))
+    for jobs in (2, 3):
+        assert report_to_json(monte_carlo_risk(spec, jobs=jobs)) == serial
+
+
 def test_signal_truth_is_built_once(monkeypatch):
     calls = {"test_signal": 0, "dwt": 0}
     for name in calls:
@@ -248,7 +298,7 @@ def test_deterministic_truth_blocks_are_read_only():
     assert truths[1].blocks[3][1][0] == 2.0 ** (-2 * 1.5)
 
 
-def test_unpicklable_eta_fails_before_the_pool_starts():
+def test_unpicklable_eta_fails_before_the_pool_starts(started_pools):
     spec = ExperimentSpec(
         estimator="geb-hybrid",
         truth=TruthSource.gaussian_prior(1.0, 64),
@@ -258,9 +308,110 @@ def test_unpicklable_eta_fails_before_the_pool_starts():
     )
     with pytest.raises(InvalidConfigError, match="eta must be a module-level function"):
         monte_carlo_risk(spec, jobs=2)
+    assert started_pools == []
     # a serial run never pickles, so the lambda is fine there
     serial = monte_carlo_risk(spec, jobs=1)
     assert serial.replicates == 2
+
+
+# ----------------------------------------------------------- the worker pool
+
+_TEST_PID = os.getpid()
+
+
+def _exit_worker(n):
+    """An eta that kills the pool worker evaluating it (never this process)."""
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("a worker-killing eta ran in the test process")
+    os._exit(1)
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """Pools started during the test, on a host that reports three usable CPUs.
+
+    No pool is cached when the test starts, and the test's pools are shut
+    down when it ends.
+    """
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.workers = max_workers
+            self.closed = False
+            started.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.closed = True
+            super().shutdown(*args, **kwargs)
+
+    risklab._close_pool()
+    monkeypatch.setattr(risklab, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    yield started
+    risklab._close_pool()
+
+
+def _small_spec(**changes):
+    fields = dict(
+        estimator="geb-hybrid",
+        truth=TruthSource.gaussian_prior(1.0, 64),
+        epsilons=(1.0,),
+        replicates=4,
+        seed=17,
+    )
+    fields.update(changes)
+    return ExperimentSpec(**fields)
+
+
+def test_one_pool_serves_every_call(started_pools):
+    spec = ExperimentSpec(
+        estimator="mle",
+        truth=TruthSource.explicit({2: [0.3, -1.0, 2.0, 0.0]}),
+        epsilons=(0.5, 0.25, 0.125, 0.0625),
+        replicates=4,
+        seed=1,
+    )
+    rate_fit(spec, jobs=2)
+    for seed in (1, 2, 3):
+        monte_carlo_risk(_small_spec(seed=seed), jobs=2)
+    assert len(started_pools) == 1
+    assert started_pools[0].workers == 2
+    assert not started_pools[0].closed
+
+
+def test_a_new_worker_count_replaces_the_pool(started_pools):
+    spec = _small_spec()
+    serial = report_to_json(monte_carlo_risk(spec, jobs=1))
+    for jobs in (2, 3, 3):
+        assert report_to_json(monte_carlo_risk(spec, jobs=jobs)) == serial
+    assert [pool.workers for pool in started_pools] == [2, 3]
+    assert [pool.closed for pool in started_pools] == [True, False]
+
+
+def test_a_broken_pool_is_replaced(started_pools):
+    spec = _small_spec()
+    serial = report_to_json(monte_carlo_risk(spec, jobs=1))
+    monte_carlo_risk(spec, jobs=2)
+    with pytest.raises(BrokenProcessPool):
+        started_pools[0].submit(os._exit, 1).result()
+    # found broken before any work: replaced, and the call succeeds
+    assert report_to_json(monte_carlo_risk(spec, jobs=2)) == serial
+    assert len(started_pools) == 2 and started_pools[0].closed
+    # broken during the run: the call fails and the next one starts afresh
+    with pytest.raises(BrokenProcessPool):
+        monte_carlo_risk(_small_spec(cfg=TuningConfig(eta=_exit_worker)), jobs=2)
+    assert report_to_json(monte_carlo_risk(spec, jobs=2)) == serial
+    assert len(started_pools) == 3 and started_pools[1].closed
+
+
+def test_jobs_are_capped_at_the_usable_cpus(started_pools):
+    ncpu = len(os.sched_getaffinity(0))
+    spec = _small_spec()
+    serial = report_to_json(monte_carlo_risk(spec, jobs=1))
+    assert report_to_json(monte_carlo_risk(spec, jobs=ncpu + 1)) == serial
+    assert [pool.workers for pool in started_pools] == [ncpu]
 
 
 def test_gaussian_signal_compound_risk_near_oracle():

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from gebshrink.blocks import TuningConfig
+from gebshrink.signals import SIGNAL_NAMES
+from gebshrink.signals import test_signal as make_signal
 from gebshrink.wavelets import (
     Z_THREE_QUARTERS,
     denoise_equispaced,
@@ -161,6 +165,40 @@ def test_denoise_scale_equivariance_with_known_sigma():
     c = 5.5
     scaled, _ = denoise_equispaced(c * y, wavelet_basis("d4"), sigma=c * 0.3)
     assert float(np.max(np.abs(scaled - c * base))) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(SIGNAL_NAMES),
+    basis_name=st.sampled_from(BASES),
+    n=st.sampled_from((64, 256, 1024)),
+    seed=st.integers(0, 2**32 - 1),
+    # the paper's schedule, and one that lets coarse levels take the geb branch
+    cfg=st.sampled_from((TuningConfig(), TuningConfig(b0=0.25, n_star=8))),
+    power=st.integers(-40, 40),
+    factor=st.floats(1e-4, 1e4),
+)
+def test_denoise_is_scale_equivariant(name, basis_name, n, seed, cfg, power, factor):
+    samples, sigma = make_signal(name, n, 7.0)
+    y = samples + sigma * np.random.default_rng(seed).standard_normal(n)
+    basis = wavelet_basis(basis_name)
+    base, report = denoise_equispaced(y, basis, cfg)
+    branches = [fit.branch for fit in report.fits]
+
+    # scaling by a power of two is exact in every step, so bit for bit
+    c = 2.0**power
+    scaled, scaled_report = denoise_equispaced(c * y, basis, cfg)
+    assert np.array_equal(scaled, c * base)
+    assert scaled_report.sigma_hat == c * report.sigma_hat
+    assert [fit.branch for fit in scaled_report.fits] == branches
+
+    # any other factor: to rounding, relative to the estimate's scale
+    scaled, scaled_report = denoise_equispaced(factor * y, basis, cfg)
+    assert scaled_report.sigma_hat == pytest.approx(factor * report.sigma_hat, rel=1e-12)
+    assert float(np.max(np.abs(scaled - factor * base))) <= 1e-12 * factor * float(
+        np.max(np.abs(base))
+    )
+    assert [fit.branch for fit in scaled_report.fits] == branches
 
 
 def test_denoise_smooth_run_reports_levels():
