@@ -63,15 +63,15 @@ class TuningConfig:
     small_block_policy: str = "mle"
 
     def __post_init__(self):
-        if not self.rho0 > 0:
-            raise InvalidConfigError(f"rho0 must be positive, got {self.rho0}")
-        if not self.b0 > 0:
-            raise InvalidConfigError(f"b0 must be positive, got {self.b0}")
+        if not 0 < self.rho0 < math.inf:
+            raise InvalidConfigError(f"rho0 must be positive and finite, got {self.rho0}")
+        if not 0 < self.b0 < math.inf:
+            raise InvalidConfigError(f"b0 must be positive and finite, got {self.b0}")
         if self.n_star <= 2:
             raise InvalidConfigError(f"n_star must exceed 2, got {self.n_star}")
-        if self.threshold_inflation < 0:
+        if not 0 <= self.threshold_inflation < math.inf:
             raise InvalidConfigError(
-                f"threshold_inflation must be nonnegative, got {self.threshold_inflation}"
+                f"threshold_inflation must be nonnegative and finite, got {self.threshold_inflation}"
             )
         if self.small_block_policy not in _POLICIES:
             raise InvalidConfigError(

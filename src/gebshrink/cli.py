@@ -7,7 +7,8 @@ Four commands:
   oracle     print posterior-mean risk and signal-mass summaries of a prior
   risk       quick risk run / rate fit configured entirely by flags
 
-Exit codes: 0 success, 1 numeric failure, 2 invalid arguments or config.
+Exit codes: 0 success, 1 numeric failure or a worker process that died
+(one ``error:`` line), 2 invalid arguments or config.
 Flags override spec/config files; GEB_SHRINK_THREADS supplies the worker
 count when --jobs is absent.  --seed pins every stochastic output bit for
 bit.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import io as gio
 from .blocks import TuningConfig
@@ -156,6 +158,13 @@ def _parse_atoms(text):
     return from_atoms(locations, weights)
 
 
+def _parse_bool(key, text):
+    value = str(text).strip().lower()
+    if value not in ("true", "false"):
+        raise ValueError(f"{key} must be true or false, got {text!r}")
+    return value == "true"
+
+
 def _parse_epsilons(text):
     if text is None or str(text).strip() in ("", "auto"):
         return ()
@@ -190,8 +199,10 @@ def _cmd_denoise(args):
 
 def _write_report(spec, args, config):
     """Run spec, then write the report in --format to --output or print it."""
-    report = monte_carlo_risk(spec, jobs=_jobs_from(args, config))
     fmt = _merged(args, config, "format", "json")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    report = monte_carlo_risk(spec, jobs=_jobs_from(args, config))
     payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
     if args.output:
         with open(args.output, "w") as fh:
@@ -221,7 +232,7 @@ def _cmd_simulate(args):
         seed=seed,
         cfg=cfg,
         bound_p=float(config.get("bound_p", 2.0)),
-        compute_ideal=str(config.get("compute_ideal", "true")).lower() != "false",
+        compute_ideal=_parse_bool("compute_ideal", config.get("compute_ideal", "true")),
         kde_mode=config.get("kde_mode", "direct"),
     )
     report = _write_report(spec, args, config)
@@ -326,6 +337,9 @@ def main(argv=None) -> int:
         return 2
     except NumericFailure as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as err:
+        print(f"error: worker process died: {err}", file=sys.stderr)
         return 1
 
 

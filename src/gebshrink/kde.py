@@ -8,15 +8,23 @@ indicator of [-1, 1].  With bandwidth a = sqrt(2 log n) the estimate
 equals the inverse Fourier transform of the empirical characteristic
 function truncated to frequencies |u| <= a.  Both forms are implemented:
 ``direct`` (the reference) sums the kernel, O(n) per point; ``fourier``
-applies a Gauss-Legendre rule (16 nodes on each of P uniform panels of
-half-width h = a / P) to the truncated inversion integral.  Node i of
-panel p sits at u = c_i + 2 p h with c_i = -a + h + h nu_i, so
+applies a Gauss-Legendre rule (16 nodes on each of an even number P of
+uniform panels of half-width h = a / P) to the truncated inversion
+integral.  The samples are real, so psi(-u) = conj psi(u), and the even
+panel layout is mirror-symmetric about 0; hence
+
+    f_hat(x) = (1/pi) Re sum_{u > 0} w psi(u) exp(-i u x),
+
+and f_hat'(x) is the same sum with an extra factor -i u.  Only the P/2
+positive panels are built.  Node i of positive panel p sits at
+u = c_i + 2 p h with c_i = h (1 + nu_i), so
 
     exp(i u X) = exp(i c_i X) * z^p,    z = exp(2 i h X).
 
-The empirical spectrum is therefore a running product over the panels,
+The empirical spectrum is therefore a running product over P/2 panels,
 and evaluation is a Horner recurrence in exp(-2 i h x) followed by the 16
 node phases: 17 exponentials per sample or point instead of one per node,
+each built by ``_cis`` from one cos and one sin rather than a complex exp,
 and O(16 * chunk) working memory whatever the node count.  The routes agree
 to 1e-8 (a test contract); ``kde_fit`` picks the cheaper at its n samples.
 """
@@ -31,9 +39,11 @@ import numpy as np
 _EVAL_CHUNK = 1024
 _SAMPLE_CHUNK = 4096
 _DIRECT_PAIRS = 2**15  # (point, sample) pairs per direct-route chunk
+_NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)  # about 0.5 ms, so once
 
-# route costs in ns (2-core Xeon): per (sample, point), per (node, sample or point), fixed
-_DIRECT_NS, _FOURIER_NS, _FOURIER_FIXED_NS = 90.0, 5.0, 5e5
+# route costs in ns (2-core Xeon): per (sample, point); fourier per (node, sample
+# or point), per panel step of a chunk, and fixed
+_DIRECT_NS, _FOURIER_NS, _PANEL_NS, _FOURIER_FIXED_NS = 60.0, 4.7, 3e3, 2.2e5
 
 
 def _kernel(u):
@@ -90,46 +100,60 @@ def kde_fit(values):
 
 
 def _route(a, n, points, reach):
-    """The cheaper of n * points kernel terms and fourier's nodes(reach) * (n + points)."""
-    nodes = 16 * _panel_count(a, reach)
-    fourier_ns = _FOURIER_NS * nodes * (n + points) + _FOURIER_FIXED_NS
+    """The cheaper of n * points kernel terms and the fourier route: the
+    nodes of its P/2 positive panels times (n + points), plus one Python
+    step per panel for each chunk of samples or points, plus a fixed cost."""
+    panels = _panel_count(a, reach) // 2
+    steps = panels * (math.ceil(n / _SAMPLE_CHUNK) + math.ceil(points / _EVAL_CHUNK))
+    fourier_ns = _FOURIER_NS * 16 * panels * (n + points) + _PANEL_NS * steps + _FOURIER_FIXED_NS
     return "direct" if _DIRECT_NS * n * points <= fourier_ns else "fourier"
 
 
 def _panel_count(a, reach):
-    """Panels of 16 nodes: 6*a*reach/pi + 128 nodes, rounded up to panels."""
-    return math.ceil((math.ceil(6.0 * a * max(reach, 1.0) / math.pi) + 128) / 16.0)
+    """An even panel count P: 6*a*reach/pi + 128 nodes, rounded up to a multiple of 32."""
+    return 2 * math.ceil((math.ceil(6.0 * a * max(reach, 1.0) / math.pi) + 128) / 32.0)
+
+
+def _cis(theta):
+    """exp(i theta) for real theta: one cos and one sin written into one complex array."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _frequency_rule(kde, reach):
-    """Gauss-Legendre rule on [-a, a] plus the empirical spectrum there.
+    """The positive half of a Gauss-Legendre rule on [-a, a], plus the
+    empirical spectrum there.
 
     ``reach`` bounds max |x - X_k| over the points to be evaluated; the
     node count scales with a * reach / pi (oscillations of the integrand)
     and stays above the 4*a*reach/pi + 64 floor of the accuracy contract.
-    Returns ``(u, w, psi)``, each of shape (panels, 16): nodes, weights
-    and (1/n) sum_k exp(i u X_k).
+    The P panels are mirror-symmetric about 0 and psi(-u) = conj psi(u),
+    so only the P/2 panels on (0, a] are kept.  Returns ``(u, w, psi)``,
+    each of shape (P/2, 16): nodes, weights and (1/n) sum_k exp(i u X_k).
     """
     a = kde.bandwidth
     panels = key = _panel_count(a, reach)
     hit = kde._spectra.get(key)
     if hit is not None:
         return hit
-    nodes16, weights16 = np.polynomial.legendre.leggauss(16)
+    half = panels // 2
     h = a / panels
-    offsets = -a + h + h * nodes16
-    u = offsets[None, :] + (2.0 * h) * np.arange(panels)[:, None]
-    w = np.broadcast_to(h * weights16, u.shape)
+    offsets = h + h * _NODES16
+    u = offsets[None, :] + (2.0 * h) * np.arange(half)[:, None]
+    w = np.broadcast_to(h * _WEIGHTS16, u.shape)
     # empirical characteristic function on the grid, chunked over samples:
     # cur holds exp(i (c_i + 2 p h) X) for panel p of the running product
     psi = np.zeros(u.shape, dtype=complex)
     for start in range(0, kde.n, _SAMPLE_CHUNK):
         part = kde.samples[start : start + _SAMPLE_CHUNK]
-        cur = np.exp(1j * offsets[:, None] * part[None, :])
-        z = np.exp((2j * h) * part)
-        for p in range(panels):
-            psi[p] += cur.sum(axis=1)
+        cur = _cis(offsets[:, None] * part[None, :])
+        z = _cis((2.0 * h) * part)
+        psi[0] += cur.sum(axis=1)
+        for p in range(1, half):
             cur *= z
+            psi[p] += cur.sum(axis=1)
     psi /= kde.n
     rule = (u, w, psi)
     kde._spectra[key] = rule
@@ -155,7 +179,7 @@ def _eval_fourier(kde, x):
     reach = float(x.max(initial=kde.samples[-1]) - x.min(initial=kde.samples[0]))
     u, w, psi = _frequency_rule(kde, reach)
     panels = u.shape[0]
-    h = kde.bandwidth / panels
+    h = kde.bandwidth / (2 * panels)
     wpsi = w * psi
     # value and derivative coefficients side by side, one row per panel
     coef = np.concatenate([wpsi, wpsi * (-1j * u)], axis=1)
@@ -165,14 +189,15 @@ def _eval_fourier(kde, x):
     for start in range(0, x.size, _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
         part = x[start:stop]
-        zeta = np.exp((-2j * h) * part)[:, None]
+        zeta = _cis((-2.0 * h) * part)[:, None]
         acc = np.tile(coef[-1], (part.size, 1))
         for p in range(panels - 2, -1, -1):
             acc *= zeta
             acc += coef[p]
-        phase = np.exp(-1j * part[:, None] * offsets[None, :])
-        value[start:stop] = np.einsum("ki,ki->k", acc[:, :16], phase).real / (2.0 * np.pi)
-        deriv[start:stop] = np.einsum("ki,ki->k", acc[:, 16:], phase).real / (2.0 * np.pi)
+        phase = _cis(-part[:, None] * offsets[None, :])
+        # the negative half is the conjugate of the positive: 2 Re over u > 0
+        value[start:stop] = np.einsum("ki,ki->k", acc[:, :16], phase).real / np.pi
+        deriv[start:stop] = np.einsum("ki,ki->k", acc[:, 16:], phase).real / np.pi
     return value, deriv
 
 

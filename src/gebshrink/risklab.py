@@ -133,8 +133,8 @@ class TruthSource:
         """One coefficient per level: beta_{j,1} = 2^{-j (alpha + 1/2)}."""
         alpha = float(alpha)
         j_max = int(j_max)
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         if j_max < 0:
             raise ValueError("j_max must be nonnegative")
         pairs = _zero_blocks(j_max)
@@ -156,8 +156,8 @@ class TruthSource:
     def gaussian_prior(tau, size) -> "TruthSource":
         tau = float(tau)
         size = int(size)
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         if size < 1:
             raise ValueError("size must be positive")
         return TruthSource(kind="gaussian-prior", tau=tau, size=size)
@@ -231,8 +231,8 @@ class ExperimentSpec:
             if not all(0.0 < e < math.inf for e in eps):
                 raise ValueError(f"epsilons must be positive and finite, got {list(eps)}")
         object.__setattr__(self, "epsilons", eps)
-        if not float(self.bound_p) > 0:
-            raise ValueError("bound_p must be positive")
+        if not 0 < float(self.bound_p) < math.inf:
+            raise ValueError(f"bound_p must be positive and finite, got {self.bound_p}")
         if self.kde_mode not in ("direct", "fourier"):
             raise ValueError(f"unknown kde mode {self.kde_mode!r}")
 

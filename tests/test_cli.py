@@ -1,14 +1,21 @@
-"""End-to-end command-line checks via subprocess."""
+"""End-to-end command-line checks, via subprocess and in-process."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gebshrink import cli
 from gebshrink.blocks import TuningConfig
 from gebshrink.io import read_signal_csv, write_signal_csv
 from gebshrink.mixture import bayes_risk, from_atoms
@@ -420,6 +427,100 @@ def test_risk_overflow_reports_only_the_numeric_failure(epsilon):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("numeric failure:")
+
+
+def test_dead_worker_is_one_error_line(monkeypatch, capsys):
+    def dead_pool(spec, jobs=1):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(cli, "monte_carlo_risk", dead_pool)
+    argv = ["risk", "--estimator", "mle", "--truth", "zero:3", "--epsilon", "0.5", "--jobs", "2", "--no-ideal"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: worker process died"), err
+
+
+# ------------------------------------------------------------ spec fuzzing
+
+_VALID_SPEC = {"estimator": "mle", "truth": "zero:3", "epsilon": "0.5", "replicates": "2"}
+_TRUTH_FIELDS = {"zero": 1, "besov": 2, "signal": 3, "gaussian": 2, "atoms": 2}
+_CHOICES = ("true", "false", "csv", "json", "mle", "james_stein", "direct", "fourier", *cli.ESTIMATORS)
+
+
+def _parses_as_finite(text):
+    try:
+        return all(abs(float(piece)) < float("inf") for piece in text.split(","))
+    except ValueError:
+        return False
+
+
+_NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999"])
+_NON_NUMERIC = st.text(alphabet="abcdefghijklmnopqrstuvwxyz.,-+ ", min_size=1, max_size=8).filter(
+    lambda t: t.strip() not in ("", "auto") and not _parses_as_finite(t)
+)
+_BAD_NUMBER = st.one_of(_NON_FINITE, _NON_NUMERIC)
+_BAD_INT = st.one_of(_BAD_NUMBER, st.sampled_from(["2.5", "1e3", "0x10", "8.0"]))
+
+
+def _spec_with(keys, values):
+    """The valid spec with one key (from ``keys``) set to a value from ``values``."""
+    return st.builds(lambda key, value: {**_VALID_SPEC, key: value}, st.sampled_from(keys), values)
+
+
+_BAD_TRUTHS = st.one_of(
+    # no kind separator
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789.,=- ", max_size=16),
+    # a known kind with the wrong number of fields
+    st.builds(
+        lambda kind, fields: ":".join([kind, *fields]),
+        st.sampled_from(sorted(_TRUTH_FIELDS)),
+        st.lists(st.sampled_from(["1", "64", "0.5", "bumps"]), max_size=4),
+    ).filter(lambda t: t.count(":") != _TRUTH_FIELDS[t.split(":")[0]]),
+    # a known kind with one field non-numeric or non-finite
+    st.builds("zero:{}".format, _BAD_INT),
+    st.builds("besov:{}:3".format, _BAD_NUMBER),
+    st.builds("besov:1.0:{}".format, _BAD_INT),
+    st.builds("signal:bumps:{}:7".format, _BAD_INT),
+    st.builds("signal:bumps:64:{}".format, _BAD_NUMBER),
+    st.builds("gaussian:{}:64".format, _BAD_NUMBER),
+    st.builds("gaussian:1.0:{}".format, _BAD_INT),
+    st.builds("atoms:0={}:64".format, _BAD_NUMBER),
+    st.builds("atoms:{}=1:64".format, _BAD_NUMBER),
+    st.builds("atoms:0=1:{}".format, _BAD_INT),
+)
+
+_MALFORMED_SPECS = st.one_of(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+    .filter(lambda key: key not in cli._SPEC_KEYS)
+    .map(lambda key: {**_VALID_SPEC, key: "1"}),
+    _spec_with(("epsilon", "bound_p", "rho0", "b0", "a0"), _BAD_NUMBER),
+    _spec_with(("replicates", "seed", "nstar", "jobs"), _BAD_INT),
+    _spec_with(
+        ("compute_ideal", "format", "estimator", "small_block", "kde_mode"),
+        st.one_of(_BAD_NUMBER, st.sampled_from(["1", "0", "yes", "JSON"])).filter(
+            lambda v: v.strip() not in _CHOICES
+        ),
+    ),
+    _spec_with(("truth",), _BAD_TRUTHS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_MALFORMED_SPECS)
+def test_malformed_spec_is_one_error_line(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        write_spec(path, **spec)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--spec", path])
+    lines = err.getvalue().splitlines()
+    assert code == 2, (spec, err.getvalue())
+    assert len(lines) == 1 and lines[0].startswith("error:"), (spec, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])

@@ -143,20 +143,46 @@ def test_fourier_route_matches_literal_definition(values):
     value, deriv = _eval_fourier(k, points)
     (u, w, psi), = k._spectra.values()
 
-    # the panel layout: 16 Gauss-Legendre nodes on each of P equal panels
-    panels = u.shape[0]
+    # the stored rule is the positive half of 16 Gauss-Legendre nodes on
+    # each of an even number P of equal panels
+    half = u.shape[0]
+    panels = 2 * half
     nodes16, weights16 = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(-k.bandwidth, k.bandwidth, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    layout = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes16[None, :]
-    assert u.shape == w.shape == psi.shape == (panels, 16)
-    assert float(np.max(np.abs(u - layout))) < 1e-13
-    assert float(np.max(np.abs(w - half * weights16[None, :]))) < 1e-15
+    width = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    layout = 0.5 * (edges[:-1] + edges[1:])[:, None] + width * nodes16[None, :]
+    assert u.shape == w.shape == psi.shape == (half, 16)
+    assert float(np.max(np.abs(u - layout[half:]))) < 1e-13
+    assert float(np.max(np.abs(w - width[half:] * weights16[None, :]))) < 1e-15
 
-    psi_ref, value_ref, deriv_ref = _literal_rule(k, u, w, points)
-    assert float(np.max(np.abs(psi.ravel() - psi_ref))) < 1e-12
+    # the full rule the route stands for: the stored half and its mirror image
+    u_full = np.concatenate([-u[::-1, ::-1], u])
+    w_full = np.concatenate([w[::-1, ::-1], w])
+    assert float(np.max(np.abs(u_full - layout))) < 1e-13
+    psi_ref, value_ref, deriv_ref = _literal_rule(k, u_full, w_full, points)
+    assert float(np.max(np.abs(psi.ravel() - psi_ref[half * 16 :]))) < 1e-12
     assert float(np.max(np.abs(value - value_ref))) < 1e-12
     assert float(np.max(np.abs(deriv - deriv_ref))) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 2**20), reach=st.floats(0.0, 1e6))
+def test_panel_count_is_even_and_above_the_accuracy_floor(n, reach):
+    a = math.sqrt(2.0 * math.log(n))
+    panels = kde_module._panel_count(a, reach)
+    assert panels % 2 == 0
+    assert 16 * panels >= 4.0 * a * reach / math.pi + 64
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.lists(st.floats(-1e4, 1e4), min_size=0, max_size=64))
+def test_cis_matches_complex_exponential(theta):
+    t = np.array(theta, dtype=float)
+    got = kde_module._cis(t)
+    assert got.dtype == complex and got.shape == t.shape
+    assert np.all(np.abs(got - np.exp(1j * t)) <= 1e-15)
+    grid = t[:, None] * t[None, :] / 1e4  # the 2-d shape the phases take
+    assert np.all(np.abs(kde_module._cis(grid) - np.exp(1j * grid)) <= 1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,7 +216,7 @@ def test_fourier_memory_does_not_grow_with_node_count():
     finally:
         tracemalloc.stop()
     (u, _, _), = k._spectra.values()
-    assert u.size > 6000
+    assert 2 * u.size > 6000  # the stored half rule stands for twice its nodes
     assert peak < 4 * 2**20
 
 
