@@ -8,15 +8,15 @@ whether the signal-mass statistic
     kappa_hat = 1 - (sqrt 2 / n) sum_k exp(-X_k^2 / 2)
 
 exceeds the schedule b(n) = b0 log(n) / sqrt(n).  All logarithms are
-natural.  The density floor follows rho(n) = (1 + eta_n) rho0
-sqrt(2 log(n) / n) and the threshold uses sqrt(2 (1 + A0) log n).
+natural.  The density floor follows rho(n) = rho0 sqrt(2 log(n) / n) and
+the threshold uses sqrt(2 (1 + A0) log n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class TuningConfig:
     """Tuning constants for the hybrid fit.
 
     rho0, b0            coefficients of the floor and branch schedules
-    eta                 optional callable n -> eta_n perturbing the floor
-                        schedule (None means identically zero); runs with
-                        --jobs > 1 pickle the config, so there it must be
-                        a module-level function, not a lambda or closure
     n_star              smallest block size the hybrid path accepts
     threshold_inflation the A0 in the threshold sqrt(2 (1 + A0) log n)
     small_block_policy  "mle" or "james_stein", applied below n_star
@@ -57,7 +53,6 @@ class TuningConfig:
 
     rho0: float = 0.4
     b0: float = 2.0
-    eta: Callable[[int], float] | None = None
     n_star: int = 64
     threshold_inflation: float = 0.0
     small_block_policy: str = "mle"
@@ -96,12 +91,10 @@ def tuning(n, cfg: TuningConfig = TuningConfig()) -> TuningValues:
     if n < 3:
         raise ValueError(f"block size must be at least 3, got {n}")
     log_n = math.log(n)
-    eta_n = 0.0 if cfg.eta is None else float(cfg.eta(n))
-    rho = (1.0 + eta_n) * cfg.rho0 * math.sqrt(2.0 * log_n / n)
+    rho = cfg.rho0 * math.sqrt(2.0 * log_n / n)
     if rho >= DENSITY_FLOOR_LIMIT:
         raise InvalidConfigError(
-            f"density floor {rho:.6f} at n={n} reaches the 1/sqrt(2 pi) limit; "
-            "reduce rho0 or eta"
+            f"density floor {rho:.6f} at n={n} reaches the 1/sqrt(2 pi) limit; reduce rho0"
         )
     if rho <= 0:
         raise InvalidConfigError(f"density floor {rho:.6f} at n={n} is not positive")

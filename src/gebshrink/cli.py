@@ -36,10 +36,17 @@ from .risklab import (
 )
 from .wavelets import denoise_equispaced, wavelet_basis
 
-_TUNING_FLAGS = ("rho0", "b0", "nstar", "a0", "small_block")
-_CONFIG_KEYS = frozenset(_TUNING_FLAGS) | {"seed", "jobs", "format"}
+# flag or config key -> (TuningConfig field, parser)
+_TUNING_FIELDS = {
+    "rho0": ("rho0", float),
+    "b0": ("b0", float),
+    "nstar": ("n_star", int),
+    "a0": ("threshold_inflation", float),
+    "small_block": ("small_block_policy", str),
+}
+_CONFIG_KEYS = frozenset(_TUNING_FIELDS) | {"seed", "jobs", "format"}
 _JOBS_HELP = "worker processes, capped at the usable CPUs; reports do not depend on it"
-_DENOISE_KEYS = frozenset(_TUNING_FLAGS) | {"wavelet"}
+_DENOISE_KEYS = frozenset(_TUNING_FIELDS) | {"wavelet"}
 _SPEC_KEYS = _CONFIG_KEYS | {
     "estimator",
     "truth",
@@ -47,21 +54,21 @@ _SPEC_KEYS = _CONFIG_KEYS | {
     "replicates",
     "bound_p",
     "compute_ideal",
-    "kde_mode",
 }
 
 
 def _add_tuning_flags(parser):
-    parser.add_argument("--rho0", type=float, default=None, help="density-floor coefficient (default 0.4)")
-    parser.add_argument("--b0", type=float, default=None, help="branch-schedule coefficient (default 2)")
-    parser.add_argument("--nstar", type=int, default=None, help="smallest hybrid block size (default 64)")
-    parser.add_argument("--a0", type=float, default=None, help="threshold inflation (default 0)")
+    defaults = TuningConfig()
+    parser.add_argument("--rho0", type=float, default=None, help=f"density-floor coefficient (default {defaults.rho0:g})")
+    parser.add_argument("--b0", type=float, default=None, help=f"branch-schedule coefficient (default {defaults.b0:g})")
+    parser.add_argument("--nstar", type=int, default=None, help=f"smallest hybrid block size (default {defaults.n_star})")
+    parser.add_argument("--a0", type=float, default=None, help=f"threshold inflation (default {defaults.threshold_inflation:g})")
     parser.add_argument(
         "--small-block",
         dest="small_block",
         choices=("mle", "james_stein"),
         default=None,
-        help="policy below nstar (default mle)",
+        help=f"policy below nstar (default {defaults.small_block_policy})",
     )
     parser.add_argument("--config", default=None, help="flat key=value file; flags override it")
 
@@ -93,22 +100,17 @@ def _merged(args, config, key, fallback):
 
 
 def _tuning_from(args, config):
-    return TuningConfig(
-        rho0=float(_merged(args, config, "rho0", 0.4)),
-        b0=float(_merged(args, config, "b0", 2.0)),
-        n_star=int(_merged(args, config, "nstar", 64)),
-        threshold_inflation=float(_merged(args, config, "a0", 0.0)),
-        small_block_policy=str(_merged(args, config, "small_block", "mle")),
-    )
+    """The values set by a flag or config key; TuningConfig supplies the rest."""
+    values = {}
+    for key, (name, parse) in _TUNING_FIELDS.items():
+        value = _merged(args, config, key, None)
+        if value is not None:
+            values[name] = parse(value)
+    return TuningConfig(**values)
 
 
 def _jobs_from(args, config):
-    value = getattr(args, "jobs", None)
-    if value is None and config:
-        value = config.get("jobs")
-    if value is None:
-        value = os.environ.get("GEB_SHRINK_THREADS")
-    jobs = int(value) if value is not None else 1
+    jobs = int(_merged(args, config, "jobs", os.environ.get("GEB_SHRINK_THREADS", 1)))
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     return jobs
@@ -180,8 +182,7 @@ def _cmd_denoise(args):
     cfg = _tuning_from(args, config)
     values, truth, _ = gio.read_signal_csv(args.input)
     basis = wavelet_basis(str(_merged(args, config, "wavelet", "s8")))
-    sigma = args.sigma if args.sigma is not None else None
-    estimate, report = denoise_equispaced(values, basis, cfg, sigma=sigma)
+    estimate, report = denoise_equispaced(values, basis, cfg, sigma=args.sigma)
     gio.write_signal_csv(args.output, values, truth=truth, estimate=estimate)
     print(f"sigma_hat = {gio.format_float(report.sigma_hat)}")
     print(f"epsilon   = {gio.format_float(report.epsilon)}")
@@ -233,7 +234,6 @@ def _cmd_simulate(args):
         cfg=cfg,
         bound_p=float(config.get("bound_p", 2.0)),
         compute_ideal=_parse_bool("compute_ideal", config.get("compute_ideal", "true")),
-        kde_mode=config.get("kde_mode", "direct"),
     )
     report = _write_report(spec, args, config)
     # a printed payload keeps stdout machine-readable, so the summary goes to stderr
@@ -265,7 +265,6 @@ def _cmd_risk(args):
         seed=int(_merged(args, config, "seed", 0)),
         cfg=cfg,
         compute_ideal=not args.no_ideal,
-        kde_mode=args.kde_mode,
     )
     if args.rate:
         fit = rate_fit(spec, jobs=_jobs_from(args, config))
@@ -318,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rsk.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p_rsk.add_argument("--rate", action="store_true", help="fit log-risk slope over the epsilon grid")
     p_rsk.add_argument("--no-ideal", action="store_true", help="skip the posterior-mean benchmark")
-    p_rsk.add_argument("--kde-mode", choices=("direct", "fourier"), default="direct", help="accepted for compatibility; ignored")
     p_rsk.add_argument("--format", choices=("csv", "json"), default=None)
     p_rsk.add_argument("--output", default=None)
     _add_tuning_flags(p_rsk)

@@ -32,7 +32,7 @@ to 1e-8 (a test contract); ``kde_fit`` picks the cheaper at its n samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,15 +70,12 @@ class KernelDensityEstimate:
     ``samples`` are stored sorted so that evaluation is invariant, bit for
     bit, under permutations of the input.  ``bandwidth`` is always
     sqrt(2 log n); it is recorded rather than recomputed so downstream
-    code can read it off; ``mode`` is the route ``kde_fit`` chose.  The
-    spectrum cache is an idempotent memo for the fourier fast path (same
-    key always maps to the same arrays), so concurrent readers are safe.
+    code can read it off; ``mode`` is the route ``kde_fit`` chose.
     """
 
     samples: np.ndarray
     bandwidth: float
     mode: str
-    _spectra: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -134,10 +131,7 @@ def _frequency_rule(kde, reach):
     each of shape (P/2, 16): nodes, weights and (1/n) sum_k exp(i u X_k).
     """
     a = kde.bandwidth
-    panels = key = _panel_count(a, reach)
-    hit = kde._spectra.get(key)
-    if hit is not None:
-        return hit
+    panels = _panel_count(a, reach)
     half = panels // 2
     h = a / panels
     offsets = h + h * _NODES16
@@ -155,9 +149,7 @@ def _frequency_rule(kde, reach):
             cur *= z
             psi[p] += cur.sum(axis=1)
     psi /= kde.n
-    rule = (u, w, psi)
-    kde._spectra[key] = rule
-    return rule
+    return u, w, psi
 
 
 def _eval_direct(kde, x):

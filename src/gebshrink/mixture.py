@@ -13,11 +13,11 @@ oracle-approximation bound suite.  Everything here is deterministic
 quadrature-grade arithmetic; it serves as the reference oracle for the
 estimation code.
 
-The posterior-mean rule, the integrands of :func:`bayes_risk` and
-:func:`density_floor_loss`, and the floor-crossing scan evaluate one
-exponential per (point, atom) pair and walk the points in blocks of at
-most ``_BLOCK_PAIRS`` pairs, so their temporaries stay bounded whatever
-the atom count.
+The posterior-mean rule, the integrands of :func:`bayes_risk`,
+:func:`rule_risk` and :func:`density_floor_loss`, and the floor-crossing
+scan evaluate one exponential per (point, atom) pair and walk the points
+in blocks of at most ``_BLOCK_PAIRS`` pairs, so their temporaries stay
+bounded whatever the atom count.
 """
 
 from __future__ import annotations
@@ -362,10 +362,17 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution, *, tol=1e-8) -> float
 
     def integrand(x):
         t = np.asarray(rule(x), dtype=float)
-        d = x[:, None] - prior.locations[None, :]
-        err = t[:, None] - prior.locations[None, :]
-        kern = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
-        return (err * err * kern) @ prior.weights
+        out = np.empty(x.size)
+        for block, d, err in _atom_blocks(prior, x, 2):
+            np.subtract(t[block, None], prior.locations[None, :], out=err)
+            d *= d
+            d *= -0.5
+            np.exp(d, out=d)
+            d *= _INV_SQRT_2PI
+            err *= err
+            err *= d
+            out[block] = err @ prior.weights
+        return out
 
     return integrate(integrand, lo, hi, tol=tol, breakpoints=rule.breakpoints())
 

@@ -15,7 +15,6 @@ import io as _io
 import json
 import math
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
@@ -24,7 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .blocks import BLOCK_ESTIMATORS, TuningConfig
-from .errors import InvalidConfigError, NumericFailure
+from .errors import NumericFailure
 from .mixture import (
     MixingDistribution,
     empirical_mixing,
@@ -202,6 +201,7 @@ class ExperimentSpec:
     and take an empty grid.  compute_ideal toggles the per-replicate
     posterior-mean benchmark for random truths (one quadrature each).
     kde_mode is validated but selects nothing: ``kde`` picks its route.
+    No command sets it; it stays only for callers that still pass it.
     """
 
     estimator: str
@@ -342,17 +342,6 @@ def _deterministic_ideal(spec, epsilon):
     return [block_ideal_risk(beta, epsilon) for _, beta in spec.truth.blocks]
 
 
-def _check_picklable(spec):
-    """Parallel replicates ship the spec to worker processes."""
-    try:
-        pickle.dumps(spec)
-    except (pickle.PicklingError, AttributeError, TypeError) as err:
-        raise InvalidConfigError(
-            f"the experiment cannot be sent to worker processes ({err}); "
-            "TuningConfig.eta must be a module-level function for parallel runs"
-        ) from err
-
-
 def _bounds_for_blocks(spec, epsilon, ids_sizes):
     """Per-block (r_p, r0) for deterministic or atom-prior truths."""
     if spec.truth.blocks:
@@ -448,7 +437,6 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
 
     args = ([spec] * reps, [epsilon] * reps, range(reps))
     if jobs > 1 and reps > 1:
-        _check_picklable(spec)
         jobs = min(jobs, _usable_cpus())
     if jobs == 1 or reps == 1:
         results = list(map(_run_replicate, *args))

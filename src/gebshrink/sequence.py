@@ -14,11 +14,13 @@ on any parallel execution of callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import TuningConfig, fit_block
+from .errors import NumericFailure
 from .mixture import IdentityRule, bayes_risk, empirical_mixing
 
 
@@ -31,8 +33,8 @@ class BlockedSequence:
     truth: tuple | None = None
 
     def __post_init__(self):
-        if not float(self.epsilon) > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < float(self.epsilon) < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if len(self.blocks) == 0:
             raise ValueError("need at least one block")
         cleaned = []
@@ -94,13 +96,18 @@ def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), 
 
     Returns ``(estimates, fits)``: a list of arrays matching the block
     shapes and the list of per-block FittedBlockRule diagnostics.  Each
-    block is standardized by eps and fitted by :func:`blocks.fit_block`.
+    block is standardized by eps and fitted by :func:`blocks.fit_block`;
+    a block that overflows when standardized raises NumericFailure.
     """
     eps = float(seq.epsilon)
     estimates = []
     fits = []
-    for _, values in seq.blocks:
-        x = values / eps
+    for level, values in seq.blocks:
+        # overflow is reported once, as NumericFailure, not as numpy warnings
+        with np.errstate(over="ignore"):
+            x = values / eps
+        if not np.all(np.isfinite(x)):
+            raise NumericFailure(f"block {level} overflows when standardized by epsilon {eps:g}")
         fit = fit_block(x, cfg, estimator)
         if isinstance(fit.rule, IdentityRule):
             # exact passthrough, not eps * (values / eps)

@@ -375,8 +375,8 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
     is the estimated function on the 2^(J+1) finest dyadic cells.
     """
     sigma = float(sigma)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     estimates = {}
     fits = []
     levels = sorted(data.coefficients)

@@ -59,13 +59,6 @@ def test_tuning_threshold_inflation():
     assert t.lam == pytest.approx(math.sqrt(2.0 * 1.5 * math.log(512.0)), rel=1e-15)
 
 
-def test_tuning_eta_schedule():
-    cfg = TuningConfig(eta=lambda n: 1.0 / math.log(n))
-    t = tuning(256, cfg)
-    boost = 1.0 + 1.0 / math.log(256.0)
-    assert t.rho == pytest.approx(boost * 0.4 * math.sqrt(2.0 * math.log(256.0) / 256.0), rel=1e-15)
-
-
 def test_tuning_floor_guard():
     with pytest.raises(InvalidConfigError):
         tuning(8, TuningConfig(rho0=2.0))

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -106,6 +107,32 @@ def test_denoise_rejects_invalid_tuning(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+_SIGMAS = ("inf", "-inf", "nan", "0", "-1", "5e-324", "1e-320", "1e308")
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=st.sampled_from(_SIGMAS), name=st.sampled_from(["bumps_noisy_2048.csv", "doppler_2048.csv"]))
+def test_denoise_extreme_sigma_is_one_line_or_finite(sigma, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        dst = os.path.join(tmp, "o.csv")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["denoise", "--input", str(DATA / name), "--output", dst, f"--sigma={sigma}"])
+        assert [str(w.message) for w in caught] == [], sigma
+        assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+        if code == 0:
+            assert err.getvalue() == ""
+            _, _, estimate = read_signal_csv(dst)
+            assert np.all(np.isfinite(estimate)), sigma
+        else:
+            assert code in (1, 2), (sigma, code)
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(("error:", "numeric failure:")), err.getvalue()
+            assert out.getvalue() == ""
+
+
 def test_denoise_missing_input_file(tmp_path):
     proc = run_cli(
         "denoise", "--input", tmp_path / "nope.csv", "--output", tmp_path / "o.csv"
@@ -178,7 +205,6 @@ def test_simulate_seed_fixes_output_bitwise(tmp_path):
         truth="gaussian:1.0:128",
         epsilon="1.0",
         replicates=8,
-        kde_mode="fourier",
     )
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -218,7 +244,6 @@ def test_simulate_config_file_supplies_tuning_and_flags_win(tmp_path):
         truth="gaussian:1.0:512",
         epsilon="1.0",
         replicates=4,
-        kde_mode="fourier",
     )
     tuning = tmp_path / "tuning.cfg"
     write_spec(tuning, b0=0.25)
@@ -237,6 +262,21 @@ def test_simulate_config_file_supplies_tuning_and_flags_win(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # an explicit flag wins over the config file
     assert json.loads(out_flag.read_text())["per_block"][0]["branch"] == "threshold"
+
+
+def test_unset_tuning_flags_leave_the_tuning_defaults():
+    parser = cli.build_parser()
+    for argv in (
+        ["denoise", "--input", "in.csv", "--output", "out.csv"],
+        ["simulate", "--spec", "exp.cfg"],
+        ["risk", "--estimator", "mle", "--truth", "zero:3"],
+    ):
+        assert cli._tuning_from(parser.parse_args(argv), {}) == TuningConfig()
+    set_all = parser.parse_args(["risk", "--estimator", "mle", "--truth", "zero:3", "--b0", "0.25", "--nstar", "8"])
+    config = {"rho0": "0.5", "a0": "1", "small_block": "james_stein", "b0": "3"}
+    assert cli._tuning_from(set_all, config) == TuningConfig(
+        rho0=0.5, b0=0.25, n_star=8, threshold_inflation=1.0, small_block_policy="james_stein"
+    )
 
 
 def test_simulate_bare_stdout_is_pure_json(tmp_path):
@@ -270,7 +310,6 @@ def test_simulate_jobs_do_not_change_results(tmp_path):
         epsilon="1.0",
         replicates=6,
         seed=21,
-        kde_mode="fourier",
     )
     outs = []
     for jobs in (1, 2):
@@ -290,7 +329,6 @@ def test_threads_env_var_is_jobs_fallback(tmp_path):
         epsilon="1.0",
         replicates=6,
         seed=21,
-        kde_mode="fourier",
     )
     out_flag = tmp_path / "flag.json"
     proc = run_cli("simulate", "--spec", spec, "--jobs", 2, "--output", out_flag)
@@ -380,22 +418,13 @@ def test_risk_report_to_stdout():
     assert payload["total_mse"] > 0.0
 
 
-def test_risk_kde_mode_is_accepted_and_ignored():
-    # geb branch at b0 = 0.25: the kde route is exercised, yet the flag selects nothing
-    argv = ("risk", "--estimator", "geb-hybrid", "--truth", "gaussian:1.0:256", "--epsilon", "1.0",
-            "--replicates", 2, "--b0", 0.25, "--no-ideal", "--kde-mode")
-    direct, fourier = run_cli(*argv, "direct"), run_cli(*argv, "fourier")
-    assert direct.returncode == fourier.returncode == 0, direct.stderr + fourier.stderr
-    assert json.loads(direct.stdout)["per_block"][0]["branch"] == "geb"
-    assert direct.stdout == fourier.stdout
-
-
 def test_simulate_spec_rejects_unknown_kde_mode(tmp_path):
     spec = tmp_path / "exp.cfg"
     write_spec(spec, estimator="geb-hybrid", truth="gaussian:1.0:256", epsilon="1.0", kde_mode="fft")
     proc = run_cli("simulate", "--spec", spec)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+    assert "unknown keys: kde_mode" in proc.stderr
     assert proc.stderr.count("\n") == 1
 
 
@@ -446,7 +475,7 @@ def test_dead_worker_is_one_error_line(monkeypatch, capsys):
 
 _VALID_SPEC = {"estimator": "mle", "truth": "zero:3", "epsilon": "0.5", "replicates": "2"}
 _TRUTH_FIELDS = {"zero": 1, "besov": 2, "signal": 3, "gaussian": 2, "atoms": 2}
-_CHOICES = ("true", "false", "csv", "json", "mle", "james_stein", "direct", "fourier", *cli.ESTIMATORS)
+_CHOICES = ("true", "false", "csv", "json", "mle", "james_stein", *cli.ESTIMATORS)
 
 
 def _parses_as_finite(text):
@@ -498,7 +527,7 @@ _MALFORMED_SPECS = st.one_of(
     _spec_with(("epsilon", "bound_p", "rho0", "b0", "a0"), _BAD_NUMBER),
     _spec_with(("replicates", "seed", "nstar", "jobs"), _BAD_INT),
     _spec_with(
-        ("compute_ideal", "format", "estimator", "small_block", "kde_mode"),
+        ("compute_ideal", "format", "estimator", "small_block"),
         st.one_of(_BAD_NUMBER, st.sampled_from(["1", "0", "yes", "JSON"])).filter(
             lambda v: v.strip() not in _CHOICES
         ),

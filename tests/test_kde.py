@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gebshrink import kde as kde_module
-from gebshrink.kde import _eval_direct, _eval_fourier, kde_eval, kde_fit
+from gebshrink.kde import _eval_direct, _eval_fourier, _frequency_rule, kde_eval, kde_fit
 
 
 def test_bandwidth_is_tied_to_sample_count():
@@ -132,6 +132,11 @@ def _outlier_block(n):
     return x
 
 
+def _reach(k, points):
+    """The reach ``_eval_fourier`` asks its frequency rule for."""
+    return float(points.max(initial=k.samples[-1]) - points.min(initial=k.samples[0]))
+
+
 @pytest.mark.parametrize(
     "values",
     [_normal_block(4096), _sparse_block(1024), _outlier_block(256), _normal_block(2**15)],
@@ -141,7 +146,7 @@ def test_fourier_route_matches_literal_definition(values):
     k = kde_fit(values)
     points = np.concatenate([k.samples, np.linspace(k.samples[0] - 1.0, k.samples[-1] + 1.0, 97)])
     value, deriv = _eval_fourier(k, points)
-    (u, w, psi), = k._spectra.values()
+    u, w, psi = _frequency_rule(k, _reach(k, points))
 
     # the stored rule is the positive half of 16 Gauss-Legendre nodes on
     # each of an even number P of equal panels
@@ -215,7 +220,7 @@ def test_fourier_memory_does_not_grow_with_node_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    (u, _, _), = k._spectra.values()
+    u, _, _ = _frequency_rule(k, _reach(k, k.samples))
     assert 2 * u.size > 6000  # the stored half rule stands for twice its nodes
     assert peak < 4 * 2**20
 
@@ -268,17 +273,24 @@ def test_small_blocks_go_direct():
     assert kde_fit(np.zeros(3)).mode == "direct"
 
 
-def test_far_points_are_priced_again():
+def test_far_points_are_priced_again(monkeypatch):
     # the fit priced the fourier rule for the samples' span; a point at 1e6
     # would need millions of nodes, so that call goes direct
     k = kde_fit(_normal_block(128))
     assert k.mode == "fourier"
+    reaches = []
+
+    def counted(kde, reach):
+        reaches.append(reach)
+        return _frequency_rule(kde, reach)
+
+    monkeypatch.setattr(kde_module, "_frequency_rule", counted)
     points = np.array([-1e6, 0.0, 1e6])
     got, want = kde_eval(k, points), _eval_direct(k, points)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert not k._spectra
+    assert reaches == []
     kde_eval(k, k.samples[::2])  # within the span the fit's route holds
-    assert len(k._spectra) == 1
+    assert reaches == [float(k.samples[-1] - k.samples[0])]
 
 
 @settings(max_examples=60, deadline=None)

@@ -459,6 +459,20 @@ def _two_pass_bayes_risk(prior):
     return min(max(1.0 - fisher, 0.0), 1.0)
 
 
+def _two_pass_rule_risk(rule, prior):
+    """rule_risk's integrand as it was: whole (points, atoms) temporaries."""
+    lo, hi = prior.support_window()
+
+    def integrand(x):
+        t = np.asarray(rule(x), dtype=float)
+        d = x[:, None] - prior.locations[None, :]
+        err = t[:, None] - prior.locations[None, :]
+        kern = PHI0 * np.exp(-0.5 * d * d)
+        return (err * err * kern) @ prior.weights
+
+    return integrate(integrand, lo, hi, tol=1e-8, breakpoints=rule.breakpoints())
+
+
 def _scalar_floor_crossings(prior, rho, lo, hi, scan=4096):
     grid = np.linspace(lo, hi, scan)
     value, _ = mixture_density(prior, grid)
@@ -518,6 +532,8 @@ def test_one_pass_functionals_match_two_pass_arithmetic(name):
     assert max(abs(a - b) for a, b in zip(roots, expected)) <= 1e-12
     assert abs(bayes_risk(g) - _two_pass_bayes_risk(g)) <= 1e-12
     assert abs(density_floor_loss(RHO_4096, g) - _two_pass_floor_loss(RHO_4096, g)) <= 1e-12
+    for rule in (oracle_rule(g), HardThresholdRule(3.0), LinearShrinkRule(0.5)):
+        assert abs(rule_risk(rule, g) - _two_pass_rule_risk(rule, g)) <= 1e-12
 
 
 def test_floor_crossings_none_when_floor_is_never_reached():
@@ -547,6 +563,19 @@ def test_risk_functionals_run_in_bounded_memory(functional):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_rule_risk_memory_does_not_grow_with_atom_count():
+    # whole (points, atoms) temporaries took about 100 MB at 40,000 atoms
+    g = empirical_mixing(np.random.default_rng(40_000).standard_normal(40_000), 1.0)
+    assert g.atom_count == 40_000
+    tracemalloc.start()
+    try:
+        rule_risk(oracle_rule(g), g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(

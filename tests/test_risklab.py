@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gebshrink import risklab
 from gebshrink.blocks import TuningConfig
-from gebshrink.errors import InvalidConfigError, NumericFailure
+from gebshrink.errors import NumericFailure
 from gebshrink.mixture import from_atoms
 from gebshrink.risklab import (
     ESTIMATORS,
@@ -298,31 +298,15 @@ def test_deterministic_truth_blocks_are_read_only():
     assert truths[1].blocks[3][1][0] == 2.0 ** (-2 * 1.5)
 
 
-def test_unpicklable_eta_fails_before_the_pool_starts(started_pools):
-    spec = ExperimentSpec(
-        estimator="geb-hybrid",
-        truth=TruthSource.gaussian_prior(1.0, 64),
-        epsilons=(1.0,),
-        replicates=2,
-        cfg=TuningConfig(eta=lambda n: 0.0),
-    )
-    with pytest.raises(InvalidConfigError, match="eta must be a module-level function"):
-        monte_carlo_risk(spec, jobs=2)
-    assert started_pools == []
-    # a serial run never pickles, so the lambda is fine there
-    serial = monte_carlo_risk(spec, jobs=1)
-    assert serial.replicates == 2
-
-
 # ----------------------------------------------------------- the worker pool
 
 _TEST_PID = os.getpid()
 
 
-def _exit_worker(n):
-    """An eta that kills the pool worker evaluating it (never this process)."""
+def _exit_worker(*args, **kwargs):
+    """Stands in for estimate_sequence: kills the pool worker calling it (never this process)."""
     if os.getpid() == _TEST_PID:
-        raise RuntimeError("a worker-killing eta ran in the test process")
+        raise RuntimeError("a worker-killing stand-in ran in the test process")
     os._exit(1)
 
 
@@ -390,7 +374,7 @@ def test_a_new_worker_count_replaces_the_pool(started_pools):
     assert [pool.closed for pool in started_pools] == [True, False]
 
 
-def test_a_broken_pool_is_replaced(started_pools):
+def test_a_broken_pool_is_replaced(started_pools, monkeypatch):
     spec = _small_spec()
     serial = report_to_json(monte_carlo_risk(spec, jobs=1))
     monte_carlo_risk(spec, jobs=2)
@@ -399,11 +383,17 @@ def test_a_broken_pool_is_replaced(started_pools):
     # found broken before any work: replaced, and the call succeeds
     assert report_to_json(monte_carlo_risk(spec, jobs=2)) == serial
     assert len(started_pools) == 2 and started_pools[0].closed
-    # broken during the run: the call fails and the next one starts afresh
-    with pytest.raises(BrokenProcessPool):
-        monte_carlo_risk(_small_spec(cfg=TuningConfig(eta=_exit_worker)), jobs=2)
+    # broken during the run: the call fails and the next one starts afresh.
+    # Workers fork when a pool starts, so only a pool started under the
+    # patch runs the stand-in.
+    with monkeypatch.context() as patch:
+        risklab._close_pool()
+        patch.setattr(risklab, "estimate_sequence", _exit_worker)
+        with pytest.raises(BrokenProcessPool):
+            monte_carlo_risk(spec, jobs=2)
+    assert len(started_pools) == 3 and started_pools[1].closed and started_pools[2].closed
     assert report_to_json(monte_carlo_risk(spec, jobs=2)) == serial
-    assert len(started_pools) == 3 and started_pools[1].closed
+    assert len(started_pools) == 4 and not started_pools[3].closed
 
 
 def test_jobs_are_capped_at_the_usable_cpus(started_pools):

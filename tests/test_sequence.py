@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gebshrink.blocks import TuningConfig, james_stein
+from gebshrink.errors import NumericFailure
 from gebshrink.mixture import bayes_risk, from_atoms
 from gebshrink.sequence import (
     BlockedSequence,
@@ -45,6 +46,19 @@ def test_dyadic_sequence_validates_shape():
         dyadic_sequence(0.1, {-1: np.zeros(1), 1: np.zeros(2)})  # gap
     with pytest.raises(ValueError):
         dyadic_sequence(0.0, {-1: np.zeros(1)})
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_epsilon_must_be_positive_and_finite(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        BlockedSequence(epsilon=epsilon, blocks=((0, np.ones(4)),))
+
+
+def test_overflowing_standardization_is_numeric_failure():
+    # 1e-320 is a valid epsilon, but the second block divided by it overflows
+    seq = BlockedSequence(epsilon=1e-320, blocks=((3, np.zeros(4)), (5, np.full(4, 1e-3))))
+    with pytest.raises(NumericFailure, match="block 5 overflows"):
+        estimate_sequence(seq)
 
 
 def test_truth_shape_must_match():

@@ -384,3 +384,10 @@ def test_estimate_rejects_negative_sigma():
     data = random_design_transform([0.2, 0.7], [1.0, -1.0], 0)
     with pytest.raises(ValueError):
         random_design_estimate(data, sigma=-0.5)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+def test_estimate_rejects_non_finite_sigma(sigma):
+    data = random_design_transform([0.2, 0.7], [1.0, -1.0], 0)
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        random_design_estimate(data, sigma=sigma)
