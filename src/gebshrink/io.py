@@ -61,8 +61,23 @@ def write_signal_csv(path, values, truth=None, estimate=None, index=None):
     _write_rows(path, header, (row % cells for cells in _cells(idx, *columns)))
 
 
+def _short_row(path, width):
+    """ValueError naming the first data line of ``path`` with fewer than
+    ``width`` cells; read again only once a row has turned out short."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row and len(row) < width:
+                break
+    return ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's {width} cells")
+
+
 def read_signal_csv(path):
-    """Read a signal CSV; returns (values, truth or None, estimate or None)."""
+    """Read a signal CSV; returns (values, truth or None, estimate or None).
+
+    A row with fewer cells than a column it needs raises ValueError naming
+    the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -74,7 +89,10 @@ def read_signal_csv(path):
         if name not in cols:
             return None
         return np.array([float(row[cols[name]]) for row in rows])
-    return column("value"), column("truth"), column("estimate")
+    try:
+        return column("value"), column("truth"), column("estimate")
+    except IndexError:
+        raise _short_row(path, len(header)) from None
 
 
 def write_coefficients_csv(path, levels, deltas=None):
@@ -99,7 +117,9 @@ def write_coefficients_csv(path, levels, deltas=None):
 
 
 def read_coefficients_csv(path):
-    """Read a coefficient CSV; returns (levels, deltas) as {j: array} dicts."""
+    """Read a coefficient CSV; returns (levels, deltas) as {j: array} dicts.
+
+    A row with fewer than the four cells raises ValueError naming the line."""
     levels: dict[int, list] = {}
     deltas: dict[int, list] = {}
     with open(path, newline="") as fh:
@@ -107,12 +127,15 @@ def read_coefficients_csv(path):
         header = next(reader)
         if header[:4] != ["j", "k", "value", "delta"]:
             raise ValueError(f"{path}: expected header j,k,value,delta")
-        for row in reader:
-            if not row:
-                continue
-            j = int(row[0])
-            levels.setdefault(j, []).append(float(row[2]))
-            deltas.setdefault(j, []).append(int(row[3]))
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                j = int(row[0])
+                levels.setdefault(j, []).append(float(row[2]))
+                deltas.setdefault(j, []).append(int(row[3]))
+        except IndexError:
+            raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's 4 cells") from None
     return (
         {j: np.array(v) for j, v in sorted(levels.items())},
         {j: np.array(v, dtype=int) for j, v in sorted(deltas.items())},

@@ -21,12 +21,32 @@ u = c_i + 2 p h with c_i = h (1 + nu_i), so
 
     exp(i u X) = exp(i c_i X) * z^p,    z = exp(2 i h X).
 
-The empirical spectrum is therefore a running product over P/2 panels,
-and evaluation is a Horner recurrence in exp(-2 i h x) followed by the 16
-node phases: 17 exponentials per sample or point instead of one per node,
-each built by ``_cis`` from one cos and one sin rather than a complex exp,
-and O(16 * chunk) working memory whatever the node count.  The routes agree
-to 1e-8 (a test contract); ``kde_fit`` picks the cheaper at its n samples.
+One walk over the P/2 panels (``_walk``) serves every use.  Per chunk of
+points it builds the 16 phases exp(i c_i x) from 9 exponentials, each one
+cos and one sin: s = exp(i h x) and the 8 exp(i h nu_i x) with nu_i < 0,
+whose conjugates give the mirrored nodes (nu_{15-i} = -nu_i).  The step is
+z = s^2.  Each panel then costs one complex product per node and point.
+The empirical spectrum sums the phases over the samples.  Evaluation at
+other points is its transpose: since Re(conj(c) conj(e)) = Re(c e), the
+inversion sum at x is Re of the conjugated coefficients times the same +i
+phases, one (2, 16) @ (16, m) product per panel.  At the samples
+themselves both reductions share one walk (the fused pass, for at most
+``_FUSED_SAMPLES`` samples): panel p's spectrum is the sum of its phases,
+so its coefficients are known before the walk leaves the panel.  A fit
+evaluated at its own samples thus takes 9 exponentials per sample, where
+the separate spectrum and Horner evaluation took 17 each, 34 in all.
+
+Whatever the node count, the chunked walks hold 16 complex phases per
+point of a chunk, plus a value and a derivative accumulator per
+evaluation point; the fused pass holds 16 complex phases per sample,
+about 3 MB at its cap of 8192 samples.  Above the cap the spectrum and
+the evaluation at the samples run as two chunked walks.  The points are
+padded to whole blocks of ``_LANES``, so a point's bits depend on the
+rest of its batch in two ways only: through the rule, whose node count
+the batch's span sets, and through the fused pass, which a batch that
+holds exactly the samples, in any order, takes, and whose bits differ
+from the chunked walks' in the last places.  The routes agree to 1e-8 (a
+test contract); ``kde_fit`` picks the cheaper at its n samples.
 """
 
 from __future__ import annotations
@@ -36,14 +56,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_EVAL_CHUNK = 1024
+_EVAL_CHUNK = 1024  # points per product: small enough that BLAS starts no threads
 _SAMPLE_CHUNK = 4096
+_FUSED_SAMPLES = 2**13  # the fused walk holds 16 phases per sample: about 3 MB at the cap
+_LANES = 64  # evaluation points are padded to a multiple of this
 _DIRECT_PAIRS = 2**15  # (point, sample) pairs per direct-route chunk
 _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)  # about 0.5 ms, so once
 
-# route costs in ns (2-core Xeon): per (sample, point); fourier per (node, sample
-# or point), per panel step of a chunk, and fixed
-_DIRECT_NS, _FOURIER_NS, _PANEL_NS, _FOURIER_FIXED_NS = 60.0, 4.7, 3e3, 2.2e5
+# route costs in ns (2-core Xeon): direct per (sample, point); fourier per (node,
+# sample) of the fused walk, per (node, sample or point) of the two chunked walks,
+# per panel step of a chunk, and fixed
+_DIRECT_NS, _FUSED_NS, _FOURIER_NS, _PANEL_NS, _FOURIER_FIXED_NS = 71.0, 4.0, 3.3, 5.1e3, 8.1e4
 
 
 def _kernel(u):
@@ -92,17 +115,28 @@ def kde_fit(values):
     samples = np.sort(x)
     samples.setflags(write=False)
     a = math.sqrt(2.0 * math.log(x.size))
-    mode = _route(a, x.size, x.size, float(samples[-1] - samples[0]))
+    mode = _route(a, x.size, None, float(samples[-1] - samples[0]))
     return KernelDensityEstimate(samples=samples, bandwidth=a, mode=mode)
 
 
 def _route(a, n, points, reach):
-    """The cheaper of n * points kernel terms and the fourier route: the
-    nodes of its P/2 positive panels times (n + points), plus one Python
-    step per panel for each chunk of samples or points, plus a fixed cost."""
+    """The cheaper of n * points kernel terms and the fourier route at
+    ``points`` points, or at the n samples when ``points`` is None.
+
+    At the samples, up to ``_FUSED_SAMPLES`` of them, the fourier route is one
+    fused walk: the nodes of its P/2 positive panels times n, plus one Python
+    step per panel.  Otherwise it is two chunked walks: the nodes times
+    (n + points), plus one step per panel for each chunk of samples or points.
+    Both add a fixed cost.
+    """
     panels = _panel_count(a, reach) // 2
-    steps = panels * (math.ceil(n / _SAMPLE_CHUNK) + math.ceil(points / _EVAL_CHUNK))
-    fourier_ns = _FOURIER_NS * 16 * panels * (n + points) + _PANEL_NS * steps + _FOURIER_FIXED_NS
+    if points is None and n <= _FUSED_SAMPLES:
+        points, work_ns, steps = n, _FUSED_NS * n, panels
+    else:
+        points = n if points is None else points
+        work_ns = _FOURIER_NS * (n + points)
+        steps = panels * (math.ceil(n / _SAMPLE_CHUNK) + math.ceil(points / _EVAL_CHUNK))
+    fourier_ns = 16 * panels * work_ns + _PANEL_NS * steps + _FOURIER_FIXED_NS
     return "direct" if _DIRECT_NS * n * points <= fourier_ns else "fourier"
 
 
@@ -119,6 +153,44 @@ def _cis(theta):
     return out
 
 
+def _positive_nodes(a, reach):
+    """The (P/2, 16) nodes u = c_i + 2 p h of the positive panels for ``reach``,
+    and the panel half-width h = a / P."""
+    panels = _panel_count(a, reach)
+    h = a / panels
+    return (h + h * _NODES16)[None, :] + (2.0 * h) * np.arange(panels // 2)[:, None], h
+
+
+def _walk(x, h, panels, chunk, reduce):
+    """Walk the positive panels at the points ``x``, ``chunk`` points at a time.
+
+    For each chunk and each panel p < ``panels`` in turn, calls
+    ``reduce(p, columns, cur)`` with cur[i, k] = exp(i (c_i + 2 p h) x_k), the
+    (16, chunk) phases of panel p: built once from cis(h x) and the 8
+    cis(h nu_i x) with nu_i < 0, then advanced by one product with
+    z = cis(h x)^2 per panel.
+    """
+    for start in range(0, x.size, chunk):
+        part = x[start : start + chunk]
+        shift = _cis(h * part)
+        # c_i = h + h nu_i, and the nodes are symmetric to the bit, nu_{15-i} = -nu_i:
+        # 8 exponentials cis(h nu_i x), built in place (the angles go into the
+        # imaginary part first), then their conjugates
+        cur = np.empty((16, part.size), dtype=complex)
+        low = cur[:8]
+        np.multiply((h * _NODES16[:8])[:, None], part[None, :], out=low.imag)
+        np.cos(low.imag, out=low.real)
+        np.sin(low.imag, out=low.imag)
+        np.conjugate(low[::-1], out=cur[8:])
+        cur *= shift
+        z = shift * shift
+        columns = slice(start, start + chunk)
+        for p in range(panels):
+            if p:
+                cur *= z
+            reduce(p, columns, cur)
+
+
 def _frequency_rule(kde, reach):
     """The positive half of a Gauss-Legendre rule on [-a, a], plus the
     empirical spectrum there.
@@ -130,24 +202,14 @@ def _frequency_rule(kde, reach):
     so only the P/2 panels on (0, a] are kept.  Returns ``(u, w, psi)``,
     each of shape (P/2, 16): nodes, weights and (1/n) sum_k exp(i u X_k).
     """
-    a = kde.bandwidth
-    panels = _panel_count(a, reach)
-    half = panels // 2
-    h = a / panels
-    offsets = h + h * _NODES16
-    u = offsets[None, :] + (2.0 * h) * np.arange(half)[:, None]
+    u, h = _positive_nodes(kde.bandwidth, reach)
     w = np.broadcast_to(h * _WEIGHTS16, u.shape)
-    # empirical characteristic function on the grid, chunked over samples:
-    # cur holds exp(i (c_i + 2 p h) X) for panel p of the running product
     psi = np.zeros(u.shape, dtype=complex)
-    for start in range(0, kde.n, _SAMPLE_CHUNK):
-        part = kde.samples[start : start + _SAMPLE_CHUNK]
-        cur = _cis(offsets[:, None] * part[None, :])
-        z = _cis((2.0 * h) * part)
-        psi[0] += cur.sum(axis=1)
-        for p in range(1, half):
-            cur *= z
-            psi[p] += cur.sum(axis=1)
+
+    def spectrum(p, columns, cur):
+        psi[p] += cur.sum(axis=1)
+
+    _walk(kde.samples, h, u.shape[0], _SAMPLE_CHUNK, spectrum)
     psi /= kde.n
     return u, w, psi
 
@@ -167,30 +229,66 @@ def _eval_direct(kde, x):
     return value, deriv
 
 
+def _padded(x):
+    """``x`` followed by zeros up to a multiple of ``_LANES`` points: the
+    (2, 16) @ (16, m) products then run whole blocks of columns, with no
+    ragged edge, so no point's bits depend on where it sits in its batch."""
+    out = np.zeros(-(-x.size // _LANES) * _LANES)
+    out[: x.size] = x
+    return out
+
+
 def _eval_fourier(kde, x):
+    """The spectrum, then its transpose at the points: with the +i phases of
+    the points, Re(conj(c) conj(e)) = Re(c e) gives the inversion sum."""
     reach = float(x.max(initial=kde.samples[-1]) - x.min(initial=kde.samples[0]))
     u, w, psi = _frequency_rule(kde, reach)
-    panels = u.shape[0]
-    h = kde.bandwidth / (2 * panels)
-    wpsi = w * psi
-    # value and derivative coefficients side by side, one row per panel
-    coef = np.concatenate([wpsi, wpsi * (-1j * u)], axis=1)
-    offsets = u[0]  # c_i: the nodes of the first panel
-    value = np.empty_like(x)
-    deriv = np.empty_like(x)
-    for start in range(0, x.size, _EVAL_CHUNK):
-        stop = start + _EVAL_CHUNK
-        part = x[start:stop]
-        zeta = _cis((-2.0 * h) * part)[:, None]
-        acc = np.tile(coef[-1], (part.size, 1))
-        for p in range(panels - 2, -1, -1):
-            acc *= zeta
-            acc += coef[p]
-        phase = _cis(-part[:, None] * offsets[None, :])
-        # the negative half is the conjugate of the positive: 2 Re over u > 0
-        value[start:stop] = np.einsum("ki,ki->k", acc[:, :16], phase).real / np.pi
-        deriv[start:stop] = np.einsum("ki,ki->k", acc[:, 16:], phase).real / np.pi
-    return value, deriv
+    wpsi = np.conj(w * psi)
+    # value and derivative coefficients, (P/2, 2, 16): conj of w psi and w psi (-i u)
+    coef = np.stack([wpsi, wpsi * (1j * u)], axis=1)
+    points = _padded(x)
+    acc = np.zeros((2, points.size), dtype=complex)
+
+    def transposed(p, columns, cur):
+        acc[:, columns] += coef[p] @ cur
+
+    half = u.shape[0]
+    _walk(points, kde.bandwidth / (2 * half), half, _EVAL_CHUNK, transposed)
+    # the negative half is the conjugate of the positive: 2 Re over u > 0
+    return acc[0, : x.size].real / np.pi, acc[1, : x.size].real / np.pi
+
+
+def _eval_fused(kde):
+    """Value and derivative at the sorted samples, in one walk of at most
+    ``_FUSED_SAMPLES`` samples: panel p's spectrum is the sum of its phases at
+    the samples, so its coefficients are ready before the walk moves on."""
+    a, n = kde.bandwidth, kde.n
+    u, h = _positive_nodes(a, float(kde.samples[-1] - kde.samples[0]))
+    scale = np.empty((u.shape[0], 2, 16), dtype=complex)
+    scale[:, 0] = h * _WEIGHTS16 / n
+    scale[:, 1] = scale[:, 0] * (1j * u)
+    points = _padded(kde.samples)
+    acc = np.zeros((2, points.size), dtype=complex)
+
+    def fused(p, columns, cur):
+        coef = np.conj(cur[:, :n].sum(axis=1)) * scale[p]
+        # one product per _EVAL_CHUNK points, so that BLAS starts no threads: in the
+        # pool's workers they contend for the cores and slow the walk down
+        for start in range(0, points.size, _EVAL_CHUNK):
+            part = slice(start, start + _EVAL_CHUNK)
+            acc[:, part] += coef @ cur[:, part]
+
+    _walk(points, h, u.shape[0], points.size, fused)
+    return acc[0, :n].real / np.pi, acc[1, :n].real / np.pi
+
+
+def _sample_order(kde, x):
+    """The permutation that sorts ``x`` when ``x`` holds exactly the samples
+    and the fused walk takes them, else None."""
+    if x.size != kde.n or kde.n > _FUSED_SAMPLES:
+        return None
+    order = np.argsort(x)
+    return order if np.array_equal(x[order], kde.samples) else None
 
 
 def kde_eval(kde, points):
@@ -208,7 +306,12 @@ def kde_eval(kde, points):
     mode, lo, hi = kde.mode, flat.min(initial=kde.samples[0]), flat.max(initial=kde.samples[-1])
     if mode == "fourier" and hi - lo > kde.samples[-1] - kde.samples[0]:  # the fit priced the samples' span
         mode = _route(kde.bandwidth, kde.n, flat.size, float(hi - lo))
-    value, deriv = (_eval_direct if mode == "direct" else _eval_fourier)(kde, flat)
+    order = None if mode == "direct" else _sample_order(kde, flat)
+    if order is not None:  # the points are the samples: one fused walk, then scatter back
+        value, deriv = np.empty_like(flat), np.empty_like(flat)
+        value[order], deriv[order] = _eval_fused(kde)
+    else:
+        value, deriv = (_eval_direct if mode == "direct" else _eval_fourier)(kde, flat)
     if scalar:
         return float(value[0]), float(deriv[0])
     return value.reshape(pts.shape), deriv.reshape(pts.shape)

@@ -24,6 +24,22 @@ from .errors import NumericFailure
 from .mixture import IdentityRule, bayes_risk, empirical_mixing
 
 
+def check_epsilon(epsilon):
+    """Raise ValueError unless 0 < epsilon < inf."""
+    if not 0 < float(epsilon) < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
+def standardize(values, epsilon, name):
+    """values / epsilon; an overflow is reported once, as NumericFailure
+    naming ``name``, not as numpy warnings."""
+    with np.errstate(over="ignore"):
+        x = values / epsilon
+    if not np.all(np.isfinite(x)):
+        raise NumericFailure(f"{name} overflows when standardized by epsilon {epsilon:g}")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class BlockedSequence:
     """Noise scale, ordered (level, values) blocks, optional true means."""
@@ -33,8 +49,7 @@ class BlockedSequence:
     truth: tuple | None = None
 
     def __post_init__(self):
-        if not 0 < float(self.epsilon) < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if len(self.blocks) == 0:
             raise ValueError("need at least one block")
         cleaned = []
@@ -103,11 +118,7 @@ def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), 
     estimates = []
     fits = []
     for level, values in seq.blocks:
-        # overflow is reported once, as NumericFailure, not as numpy warnings
-        with np.errstate(over="ignore"):
-            x = values / eps
-        if not np.all(np.isfinite(x)):
-            raise NumericFailure(f"block {level} overflows when standardized by epsilon {eps:g}")
+        x = standardize(values, eps, f"block {level}")
         fit = fit_block(x, cfg, estimator)
         if isinstance(fit.rule, IdentityRule):
             # exact passthrough, not eps * (values / eps)

@@ -20,7 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .blocks import TuningConfig, fit_block
-from .sequence import dyadic_sequence, estimate_sequence
+from .sequence import check_epsilon, dyadic_sequence, estimate_sequence, standardize
 
 #: upper quartile of the standard normal, for MAD noise calibration
 Z_THREE_QUARTERS = NormalDist().inv_cdf(0.75)
@@ -371,8 +371,10 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
     Where the usability indicator is zero the coefficient estimate is
     zero.  Each level's usable coefficients, standardized, are fitted as
     one block by :func:`blocks.fit_block` with the hybrid estimator.
-    ``sigma = 0`` short-circuits to the identity on the raw contrasts.  Returns ``(cell_values, report)`` where ``cell_values``
-    is the estimated function on the 2^(J+1) finest dyadic cells.
+    ``sigma = 0`` short-circuits to the identity on the raw contrasts.  A
+    level that overflows when standardized raises NumericFailure.  Returns
+    ``(cell_values, report)`` where ``cell_values`` is the estimated
+    function on the 2^(J+1) finest dyadic cells.
     """
     sigma = float(sigma)
     if not 0 <= sigma < math.inf:
@@ -387,13 +389,14 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
             epsilon=0.0, levels=tuple(levels), fits=(), effective=tuple(data.effective[j] for j in levels)
         )
     epsilon = sigma / math.sqrt(data.n_points)
+    check_epsilon(epsilon)  # a subnormal sigma can round sigma / sqrt(n) to 0
     for j in levels:
         coef = data.coefficients[j]
         mask = data.deltas[j] == 1
         beta_hat = np.zeros(coef.size)
         active = coef[mask]
         if active.size:
-            x = active / epsilon
+            x = standardize(active, epsilon, f"level {j}")
             fit = fit_block(x, cfg)
             beta_hat[mask] = epsilon * np.asarray(fit.rule(x), dtype=float)
             fits.append(fit)

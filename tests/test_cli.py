@@ -133,6 +133,17 @@ def test_denoise_extreme_sigma_is_one_line_or_finite(sigma, name):
             assert out.getvalue() == ""
 
 
+def test_denoise_short_row_is_one_error_line(tmp_path):
+    src = tmp_path / "short.csv"
+    src.write_text("index,value\n1,0.5\n2\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["denoise", "--input", str(src), "--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert err.getvalue().splitlines() == [f"error: {src}:3: row has 1 of the header's 2 cells"]
+    assert out.getvalue() == ""
+
+
 def test_denoise_missing_input_file(tmp_path):
     proc = run_cli(
         "denoise", "--input", tmp_path / "nope.csv", "--output", tmp_path / "o.csv"

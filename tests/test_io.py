@@ -220,3 +220,25 @@ def test_signal_writer_memory_is_bounded_by_the_chunk(tmp_path):
     # a whole-file string of these rows takes about 20 MB
     assert peak < 4 * 2**20
     assert len((tmp_path / "big.csv").read_bytes().splitlines()) == 2**16 + 1
+
+
+@pytest.mark.parametrize(
+    "text, line, cells",
+    [
+        ("index,value\n1,0.5\n2\n", 3, 1),
+        ("index,value,truth\n1,0.5,0.4\n\n2,0.1\n3,0.2,0.3\n", 4, 2),
+    ],
+    ids=["value-missing", "truth-missing-after-blank-line"],
+)
+def test_short_signal_row_names_the_line(tmp_path, text, line, cells):
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"short\.csv:{line}: row has {cells} of the header's"):
+        read_signal_csv(path)
+
+
+def test_short_coefficient_row_names_the_line(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("j,k,value,delta\n0,1,0.5,1\n1,1,0.25\n")
+    with pytest.raises(ValueError, match=r"short\.csv:3: row has 3 of the header's 4 cells"):
+        read_coefficients_csv(path)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gebshrink import kde as kde_module
-from gebshrink.kde import _eval_direct, _eval_fourier, _frequency_rule, kde_eval, kde_fit
+from gebshrink.kde import _eval_direct, _eval_fourier, _eval_fused, _frequency_rule, kde_eval, kde_fit
 
 
 def test_bandwidth_is_tied_to_sample_count():
@@ -179,6 +179,12 @@ def test_panel_count_is_even_and_above_the_accuracy_floor(n, reach):
     assert 16 * panels >= 4.0 * a * reach / math.pi + 64
 
 
+def test_nodes_are_symmetric_to_the_bit():
+    # the walk builds the phases of nodes 8..15 as conjugates of those of 0..7
+    nodes = kde_module._NODES16
+    assert np.array_equal(nodes[8:], -nodes[7::-1]) and np.all(nodes[:8] < 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(theta=st.lists(st.floats(-1e4, 1e4), min_size=0, max_size=64))
 def test_cis_matches_complex_exponential(theta):
@@ -253,10 +259,12 @@ def test_direct_chunking_does_not_change_a_bit(pairs, monkeypatch):
 
 @pytest.mark.parametrize(
     "values, mode",
-    [(_outlier_block(256), "direct")]
-    + [(_normal_block(n), "fourier") for n in (256, 512, 1024, 2048, 4096, 8192)]
+    [(_outlier_block(128), "direct"), (_outlier_block(256), "fourier")]
+    + [(_normal_block(n), "fourier") for n in (64, 256, 512, 1024, 2048, 4096, 8192)]
     + [(_sparse_block(n), "fourier") for n in (256, 512, 1024)],
-    ids=["outlier-256"] + [f"normal-{2**p}" for p in range(8, 14)] + [f"sparse-{2**p}" for p in range(8, 11)],
+    ids=["outlier-128", "outlier-256", "normal-64"]
+    + [f"normal-{2**p}" for p in range(8, 14)]
+    + [f"sparse-{2**p}" for p in range(8, 11)],
 )
 def test_route_choice_table(values, mode):
     k = kde_fit(values)
@@ -269,7 +277,7 @@ def test_route_choice_table(values, mode):
 
 
 def test_small_blocks_go_direct():
-    assert kde_fit(_normal_block(64)).mode == "direct"
+    assert kde_fit(_normal_block(32)).mode == "direct"
     assert kde_fit(np.zeros(3)).mode == "direct"
 
 
@@ -308,3 +316,84 @@ def test_route_and_values_invariant_under_permutation(n, spread, seed):
     v, d = kde_eval(k, points)
     vp, dp = kde_eval(kp, points)
     assert np.array_equal(v, vp) and np.array_equal(d, dp)
+
+
+# ------------------------------------------------------------- fused pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 600),
+    spread=st.sampled_from([0.0, 1.0, 10.0, 200.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_pass_matches_direct_and_two_walks(n, spread, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + spread * rng.uniform(-0.5, 0.5, n)
+    k = kde_fit(x)
+    value, deriv = _eval_fused(k)
+    vd, dd = _eval_direct(k, k.samples)
+    assert float(np.max(np.abs(value - vd))) < 1e-8
+    assert float(np.max(np.abs(deriv - dd))) < 1e-8
+    vf, df = _eval_fourier(k, k.samples)
+    scale = float(np.max(np.abs(vf)))
+    assert float(np.max(np.abs(value - vf))) <= 1e-12 * scale
+    assert float(np.max(np.abs(deriv - df))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [200, kde_module._FUSED_SAMPLES])
+def test_samples_in_any_order_take_the_fused_pass(n, monkeypatch):
+    x = np.random.default_rng(n).standard_normal(n)
+    k = kde_fit(x)
+    value, deriv = _eval_fused(k)
+    spectra = []
+    monkeypatch.setattr(kde_module, "_frequency_rule", lambda *args: spectra.append(args))
+    for perm in (np.arange(n), np.argsort(x), np.random.default_rng(1).permutation(n)):
+        got = kde_eval(k, k.samples[perm])
+        assert np.array_equal(got[0], value[perm]) and np.array_equal(got[1], deriv[perm])
+    assert spectra == []  # one fused walk per call, no separate spectrum
+    monkeypatch.undo()
+    moved = k.samples[perm] + 1e-3  # as many points as samples, but not the samples
+    got, want = kde_eval(k, moved), _eval_fourier(k, moved)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_samples_above_the_cap_take_two_walks(monkeypatch):
+    n = kde_module._FUSED_SAMPLES + 1
+    k = kde_fit(_normal_block(n))
+    want = _eval_fourier(k, k.samples)
+    reaches = []
+
+    def counted(kde, reach):
+        reaches.append(reach)
+        return _frequency_rule(kde, reach)
+
+    monkeypatch.setattr(kde_module, "_frequency_rule", counted)
+    got = kde_eval(k, k.samples[::-1])
+    assert np.array_equal(got[0], want[0][::-1]) and np.array_equal(got[1], want[1][::-1])
+    assert reaches == [float(k.samples[-1] - k.samples[0])]
+
+
+def test_a_points_bits_do_not_depend_on_its_neighbours():
+    # within the samples' span every batch gets the same rule
+    k = kde_fit(_sparse_block(1024))
+    points = np.linspace(k.samples[0], k.samples[-1], 1500)
+    value, deriv = _eval_fourier(k, points)
+    for lo, hi in ((0, 1), (3, 70), (700, 1500), (1499, 1500)):
+        v, d = _eval_fourier(k, points[lo:hi])
+        assert np.array_equal(v, value[lo:hi]) and np.array_equal(d, deriv[lo:hi])
+
+
+@pytest.mark.parametrize(
+    "n", [kde_module._FUSED_SAMPLES, 2**16], ids=["fused-at-cap", "two-walks-above"]
+)
+def test_memory_at_the_samples_is_bounded(n):
+    x = np.random.default_rng(2).standard_normal(n)
+    k = kde_fit(x)
+    tracemalloc.start()
+    try:
+        kde_eval(k, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -142,6 +142,25 @@ def test_within_block_permutation_acts_coordinatewise():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [256, 2**13, 2**13 + 197], ids=["fused", "fused-at-cap", "two-walks"])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "rounded"])
+def test_permuted_geb_block_gives_the_permuted_estimate(n, ties):
+    rng = np.random.default_rng(n)
+    values = 3.0 * rng.standard_normal(n) + 0.5 * rng.standard_normal(n)
+    if ties:  # many equal values: equal inputs must give equal outputs
+        values = np.round(values, 1)
+    cfg = TuningConfig(b0=0.25)
+    estimates, fits = estimate_sequence(BlockedSequence(0.5, ((3, values),)), cfg)
+    assert fits[0].branch == "geb" and fits[0].rule.density.mode == "fourier"
+    perm = rng.permutation(n)
+    permuted, _ = estimate_sequence(BlockedSequence(0.5, ((3, values[perm]),)), cfg)
+    assert np.array_equal(permuted[0], estimates[0][perm])
+    if ties:
+        first = {}
+        for v, e in zip(values, estimates[0]):
+            assert first.setdefault(v, e) == e
+
+
 def test_fit_determinism_repeated_runs():
     rng = np.random.default_rng(9)
     seq = make_dyadic(rng, 8, 0.3)

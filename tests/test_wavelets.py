@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from gebshrink.blocks import TuningConfig
+from gebshrink.errors import NumericFailure
 from gebshrink.signals import SIGNAL_NAMES
 from gebshrink.signals import test_signal as make_signal
 from gebshrink.wavelets import (
@@ -391,3 +392,31 @@ def test_estimate_rejects_non_finite_sigma(sigma):
     data = random_design_transform([0.2, 0.7], [1.0, -1.0], 0)
     with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
         random_design_estimate(data, sigma=sigma)
+
+
+# the values of the denoise --sigma fuzzer in test_cli.py, with what each must give
+_SIGMAS = {
+    math.inf: (ValueError, "sigma must be nonnegative and finite"),
+    -math.inf: (ValueError, "sigma must be nonnegative and finite"),
+    math.nan: (ValueError, "sigma must be nonnegative and finite"),
+    -1.0: (ValueError, "sigma must be nonnegative and finite"),
+    5e-324: (ValueError, "epsilon must be positive and finite, got 0.0"),  # 5e-324 / 16 rounds to 0
+    1e-320: (NumericFailure, r"level -?\d+ overflows when standardized by epsilon"),
+    0.0: None,
+    1e308: None,
+}
+
+
+@pytest.mark.parametrize("sigma", list(_SIGMAS), ids=[repr(s) for s in _SIGMAS])
+def test_random_design_extreme_sigma_fails_cleanly_or_is_finite(sigma, recwarn):
+    rng = np.random.default_rng(3)
+    t = rng.uniform(1e-9, 1.0, 256)
+    data = random_design_transform(t, np.sin(6.0 * t) + 0.3 * rng.standard_normal(256), 4)
+    if _SIGMAS[sigma] is None:
+        cells, _ = random_design_estimate(data, sigma=sigma)
+        assert np.all(np.isfinite(cells))
+    else:
+        error, message = _SIGMAS[sigma]
+        with pytest.raises(error, match=message):
+            random_design_estimate(data, sigma=sigma)
+    assert [str(w.message) for w in recwarn] == []
