@@ -2,11 +2,11 @@
 
 The package is organized bottom-up:
 
-  mixture     exact risks, rules and bounds for atomic mixing distributions
+  mixture     exact risks, rules and rate bounds for atomic mixing distributions
   kde         sinc-kernel density estimation (direct and spectral forms)
   thresholds  threshold maps and the closed-form soft-threshold risk
   blocks      tuning schedules and the one per-block policy, fit_block
-  sequence    the blocked sequence model and its ideal benchmark
+  sequence    the blocked sequence model and each block's ideal risk
   wavelets    periodic orthonormal transforms, equispaced and random-design
               regression pipelines
   signals     the four standard test signals
@@ -15,7 +15,6 @@ The package is organized bottom-up:
 """
 
 from .blocks import (
-    RHO0_BALANCED,
     FittedBlockRule,
     TuningConfig,
     TuningValues,
@@ -35,28 +34,20 @@ from .mixture import (
     LinearShrinkRule,
     MixingDistribution,
     MixtureSummary,
-    OracleBounds,
     OracleRule,
     ScalarRule,
     SoftThresholdRule,
-    ZeroRule,
     bayes_risk,
     density_floor_loss,
     empirical_mixing,
     from_atoms,
     gaussian_grid_prior,
-    kernel_estimation_loss,
-    kl_bernoulli,
-    mix,
     mixture_density,
     mixture_summaries,
-    oracle_bound_suite,
     oracle_rule,
-    point_mass,
     rule_risk,
     signal_rate_bound,
     sparse_rate_bound,
-    uniform_grid_prior,
 )
 from .risklab import (
     ESTIMATORS,
@@ -65,7 +56,6 @@ from .risklab import (
     RateFit,
     RiskReport,
     TruthSource,
-    besov_norm,
     monte_carlo_risk,
     rate_fit,
     report_to_csv,
@@ -75,11 +65,8 @@ from .risklab import (
 )
 from .sequence import (
     BlockedSequence,
-    BlockScheduleReport,
-    check_blocks,
     dyadic_sequence,
     estimate_sequence,
-    ideal_risk,
 )
 from .signals import SIGNAL_NAMES, test_signal
 from .thresholds import soft_threshold_risk, threshold
@@ -91,7 +78,6 @@ from .wavelets import (
     Z_THREE_QUARTERS,
     denoise_equispaced,
     dwt,
-    haar_coefficients,
     haar_reconstruct,
     idwt,
     mad_sigma,

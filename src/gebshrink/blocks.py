@@ -32,9 +32,6 @@ from .mixture import (
     SoftThresholdRule,
 )
 
-#: density-floor coefficient matching the balanced-rate schedule
-RHO0_BALANCED = 0.6094
-
 #: estimators that fit each block on its own; see :func:`fit_block`
 BLOCK_ESTIMATORS = ("geb-hybrid", "soft-universal", "hard-universal", "james-stein", "mle")
 
@@ -63,10 +60,10 @@ class TuningConfig:
         if not 0 < self.b0 < math.inf:
             raise InvalidConfigError(f"b0 must be positive and finite, got {self.b0}")
         if self.n_star <= 2:
-            raise InvalidConfigError(f"n_star must exceed 2, got {self.n_star}")
+            raise InvalidConfigError(f"n_star (nstar) must exceed 2, got {self.n_star}")
         if not 0 <= self.threshold_inflation < math.inf:
             raise InvalidConfigError(
-                f"threshold_inflation must be nonnegative and finite, got {self.threshold_inflation}"
+                f"threshold_inflation (a0) must be nonnegative and finite, got {self.threshold_inflation}"
             )
         if self.small_block_policy not in _POLICIES:
             raise InvalidConfigError(

@@ -90,29 +90,45 @@ def _read_config(path, allowed):
     return table
 
 
-def _merged(args, config, key, fallback):
+_EXPECTED = {int: "an integer", float: "a number"}
+
+
+def _parse(key, text, kind):
+    """``kind(text)``; a malformed value raises ValueError naming ``key``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {_EXPECTED[kind]}, got {text!r}") from None
+
+
+def _merged(args, config, key, fallback, kind=str):
+    """The flag's value, else the config entry read as ``kind``, else ``fallback``."""
     cli = getattr(args, key, None)
     if cli is not None:
         return cli
     if config and key in config:
-        return config[key]
+        return _parse(key, config[key], kind)
     return fallback
 
 
 def _tuning_from(args, config):
     """The values set by a flag or config key; TuningConfig supplies the rest."""
     values = {}
-    for key, (name, parse) in _TUNING_FIELDS.items():
-        value = _merged(args, config, key, None)
+    for key, (name, kind) in _TUNING_FIELDS.items():
+        value = _merged(args, config, key, None, kind)
         if value is not None:
-            values[name] = parse(value)
+            values[name] = value
     return TuningConfig(**values)
 
 
 def _jobs_from(args, config):
-    jobs = int(_merged(args, config, "jobs", os.environ.get("GEB_SHRINK_THREADS", 1)))
+    source = "jobs"
+    jobs = _merged(args, config, source, None, int)
+    if jobs is None:
+        source = "GEB_SHRINK_THREADS"
+        jobs = _parse(source, os.environ.get(source, "1"), int)
     if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+        raise ValueError(f"{source} must be at least 1, got {jobs}")
     return jobs
 
 
@@ -155,8 +171,8 @@ def _parse_atoms(text):
         if "=" not in piece:
             raise ValueError(f"atom {piece!r} must look like location=weight")
         u, w = piece.split("=", 1)
-        locations.append(float(u))
-        weights.append(float(w))
+        locations.append(_parse("atom location", u, float))
+        weights.append(_parse("atom weight", w, float))
     return from_atoms(locations, weights)
 
 
@@ -170,7 +186,7 @@ def _parse_bool(key, text):
 def _parse_epsilons(text):
     if text is None or str(text).strip() in ("", "auto"):
         return ()
-    return tuple(float(x) for x in str(text).split(","))
+    return tuple(_parse("epsilon", x, float) for x in str(text).split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +197,7 @@ def _cmd_denoise(args):
     config = _read_config(args.config, _DENOISE_KEYS) if args.config else {}
     cfg = _tuning_from(args, config)
     values, truth, _ = gio.read_signal_csv(args.input)
-    basis = wavelet_basis(str(_merged(args, config, "wavelet", "s8")))
+    basis = wavelet_basis(_merged(args, config, "wavelet", "s8"))
     estimate, report = denoise_equispaced(values, basis, cfg, sigma=args.sigma)
     gio.write_signal_csv(args.output, values, truth=truth, estimate=estimate)
     print(f"sigma_hat = {gio.format_float(report.sigma_hat)}")
@@ -224,15 +240,14 @@ def _cmd_simulate(args):
         raise ValueError(f"{args.spec}: missing 'estimator'")
     if "truth" not in config:
         raise ValueError(f"{args.spec}: missing 'truth'")
-    seed = int(_merged(args, config, "seed", 0))
     spec = ExperimentSpec(
         estimator=config["estimator"],
         truth=_parse_truth(config["truth"]),
         epsilons=_parse_epsilons(config.get("epsilon")),
-        replicates=int(config.get("replicates", 1)),
-        seed=seed,
+        replicates=_merged(args, config, "replicates", 1, int),
+        seed=_merged(args, config, "seed", 0, int),
         cfg=cfg,
-        bound_p=float(config.get("bound_p", 2.0)),
+        bound_p=_merged(args, config, "bound_p", 2.0, float),
         compute_ideal=_parse_bool("compute_ideal", config.get("compute_ideal", "true")),
     )
     report = _write_report(spec, args, config)
@@ -262,7 +277,7 @@ def _cmd_risk(args):
         truth=_parse_truth(args.truth),
         epsilons=_parse_epsilons(args.epsilon),
         replicates=args.replicates,
-        seed=int(_merged(args, config, "seed", 0)),
+        seed=_merged(args, config, "seed", 0, int),
         cfg=cfg,
         compute_ideal=not args.no_ideal,
     )

@@ -1,10 +1,10 @@
-"""CSV interchange for signals, coefficient tables, and plot data.
+"""CSV interchange: signal tables in and out, coefficient tables in.
 
 All floats are written with 17 significant digits, which round-trips
-IEEE doubles exactly.  Writers emit ``csv.writer``'s default dialect
-(comma-separated, CRLF-terminated, no cell quoted: numeric cells never
-need it) with one ``%``-format per row, built and written a bounded chunk
-of rows at a time.
+IEEE doubles exactly.  The signal writer emits ``csv.writer``'s default
+dialect (comma-separated, CRLF-terminated, no cell quoted: numeric cells
+never need it) with one ``%``-format per row, built and written a bounded
+chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ def read_signal_csv(path):
     the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header")
         cols = {name: i for i, name in enumerate(header)}
         if "value" not in cols:
             raise ValueError(f"{path}: missing 'value' column")
@@ -95,27 +97,6 @@ def read_signal_csv(path):
         raise _short_row(path, len(header)) from None
 
 
-def write_coefficients_csv(path, levels, deltas=None):
-    """Write rows (j, k, value, delta) with 1-based k within each level."""
-    levels = {int(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
-    blocks = []
-    for j in sorted(levels):
-        vals = levels[j]
-        if deltas is None:
-            marks = np.ones(vals.size, dtype=int)
-        else:
-            marks = np.asarray(dict(deltas)[j]).astype(int).ravel()
-            if marks.size != vals.size:
-                raise ValueError(f"delta length mismatch at level {j}")
-        blocks.append((j, vals, marks))
-    cells = (
-        (j, k, v, d)
-        for j, vals, marks in blocks
-        for k, v, d in _cells(range(1, vals.size + 1), vals, marks)
-    )
-    _write_rows(path, ["j", "k", "value", "delta"], ("%d,%d,%.17g,%d\r\n" % c for c in cells))
-
-
 def read_coefficients_csv(path):
     """Read a coefficient CSV; returns (levels, deltas) as {j: array} dicts.
 
@@ -124,7 +105,9 @@ def read_coefficients_csv(path):
     deltas: dict[int, list] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header")
         if header[:4] != ["j", "k", "value", "delta"]:
             raise ValueError(f"{path}: expected header j,k,value,delta")
         try:
@@ -139,19 +122,4 @@ def read_coefficients_csv(path):
     return (
         {j: np.array(v) for j, v in sorted(levels.items())},
         {j: np.array(v, dtype=int) for j, v in sorted(deltas.items())},
-    )
-
-
-def write_plot_triples(path, signal, noisy, reconstruction):
-    """Write (index, signal, noisy, reconstruction) rows for external plotting."""
-    signal = np.asarray(signal, dtype=float).ravel()
-    noisy = np.asarray(noisy, dtype=float).ravel()
-    recon = np.asarray(reconstruction, dtype=float).ravel()
-    if not (signal.size == noisy.size == recon.size):
-        raise ValueError("signal, noisy and reconstruction must have equal length")
-    rows = _cells(range(1, signal.size + 1), signal, noisy, recon)
-    _write_rows(
-        path,
-        ["index", "signal", "noisy", "reconstruction"],
-        ("%d,%.17g,%.17g,%.17g\r\n" % cells for cells in rows),
     )

@@ -8,10 +8,10 @@ through X ~ N(theta, 1) yields the marginal density
 whose score determines the posterior-mean (Tweedie) rule
 t*(x) = x + phi_G'(x) / phi_G(x).  This module computes that rule, the
 risk of any separable rule against G, the corresponding Bayes risk, the
-signal-mass functionals used by the hybrid branch decision, and the
-oracle-approximation bound suite.  Everything here is deterministic
-quadrature-grade arithmetic; it serves as the reference oracle for the
-estimation code.
+signal-mass functionals used by the hybrid branch decision, the risk lost
+to flooring the density, and the regret-rate bounds.  Everything here is
+deterministic quadrature-grade arithmetic; it serves as the reference
+oracle for the estimation code.
 
 The posterior-mean rule, the integrands of :func:`bayes_risk`,
 :func:`rule_risk` and :func:`density_floor_loss`, and the floor-crossing
@@ -48,8 +48,7 @@ class MixingDistribution:
 
     Atoms are sorted by location, duplicates merged, weights nonnegative
     and summing to one within 1e-12.  Instances are immutable; build them
-    through :func:`from_atoms`, :func:`point_mass` or
-    :func:`empirical_mixing`.
+    through :func:`from_atoms` or :func:`empirical_mixing`.
     """
 
     locations: np.ndarray
@@ -97,10 +96,6 @@ def from_atoms(locations, weights) -> MixingDistribution:
     return MixingDistribution(uniq, merged)
 
 
-def point_mass(location) -> MixingDistribution:
-    return MixingDistribution(np.array([float(location)]), np.array([1.0]))
-
-
 def empirical_mixing(values, scale) -> MixingDistribution:
     """Empirical distribution of ``values / scale``.
 
@@ -118,17 +113,6 @@ def empirical_mixing(values, scale) -> MixingDistribution:
     return from_atoms(vals / scale, np.full(vals.size, 1.0 / vals.size))
 
 
-def mix(first: MixingDistribution, second: MixingDistribution, weight_first: float) -> MixingDistribution:
-    """Convex combination of two mixing distributions."""
-    w = float(weight_first)
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("mixing weight must lie in [0, 1]")
-    return from_atoms(
-        np.concatenate([first.locations, second.locations]),
-        np.concatenate([w * first.weights, (1.0 - w) * second.weights]),
-    )
-
-
 def gaussian_grid_prior(tau=1.0, atoms=201, span=6.0) -> MixingDistribution:
     """Grid discretization of N(0, tau^2) on [-span*tau, span*tau]."""
     if atoms < 2:
@@ -136,16 +120,6 @@ def gaussian_grid_prior(tau=1.0, atoms=201, span=6.0) -> MixingDistribution:
     u = np.linspace(-span * tau, span * tau, atoms)
     w = np.exp(-0.5 * (u / tau) ** 2)
     return from_atoms(u, w / w.sum())
-
-
-def uniform_grid_prior(lo, hi, atoms) -> MixingDistribution:
-    """Equal-weight grid on [lo, hi]."""
-    if atoms < 2:
-        raise ValueError("need at least 2 grid atoms")
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    u = np.linspace(lo, hi, atoms)
-    return from_atoms(u, np.full(atoms, 1.0 / atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +240,6 @@ class ScalarRule:
 class IdentityRule(ScalarRule):
     def __call__(self, x):
         return self._wrap(x, self._flat(x).copy())
-
-
-@dataclass(frozen=True)
-class ZeroRule(ScalarRule):
-    def __call__(self, x):
-        return self._wrap(x, np.zeros_like(self._flat(x)))
 
 
 @dataclass(frozen=True)
@@ -439,16 +407,7 @@ def mixture_summaries(prior: MixingDistribution, p, x) -> MixtureSummary:
 
 
 # ---------------------------------------------------------------------------
-# oracle-approximation bounds
-
-
-def _check_floor(rho) -> float:
-    rho = float(rho)
-    if not 0.0 < rho < DENSITY_FLOOR_LIMIT:
-        raise ValueError(
-            f"density floor must lie in (0, {DENSITY_FLOOR_LIMIT:.6f}), got {rho}"
-        )
-    return rho
+# density-floor loss and regret-rate bounds
 
 
 def _check_size(n) -> int:
@@ -466,7 +425,11 @@ def density_floor_loss(rho, prior: MixingDistribution, *, tol=1e-8) -> float:
     those crossings are located by scan-and-bisect and passed to the
     quadrature as panel edges.
     """
-    rho = _check_floor(rho)
+    rho = float(rho)
+    if not 0.0 < rho < DENSITY_FLOOR_LIMIT:
+        raise ValueError(
+            f"density floor must lie in (0, {DENSITY_FLOOR_LIMIT:.6f}), got {rho}"
+        )
     lo, hi = prior.support_window()
 
     def factor(x):
@@ -497,18 +460,6 @@ def _floor_crossings(prior, rho, lo, hi, scan=4096):
         same = (fa < 0) == (fm < 0)
         a, fa, b = np.where(same, m, a), np.where(same, fm, fa), np.where(same, b, m)
     return tuple((0.5 * (a + b)).tolist())
-
-
-def kernel_estimation_loss(n, rho) -> float:
-    """Closed-form bound on the risk of estimating the score from n draws.
-
-    {sqrt((2/3) log n) + sqrt(-log rho^2)}^2 sqrt(2 log n) / (pi rho n)
-    """
-    n = _check_size(n)
-    rho = _check_floor(rho)
-    log_n = math.log(n)
-    bracket = math.sqrt(2.0 / 3.0 * log_n) + math.sqrt(-math.log(rho * rho))
-    return bracket * bracket * math.sqrt(2.0 * log_n) / (math.pi * rho * n)
 
 
 def sparse_rate_bound(n, magnitude, p) -> float:
@@ -552,35 +503,3 @@ def signal_rate_bound(n, prior: MixingDistribution) -> float:
     tail_mass = np.array([float(w[u > x].sum()) for x in candidates])
     sparse = float(np.min(tail_mass + candidates * drift))
     return min(1.0, mass_integral, log_n**2 / math.sqrt(n) + sparse)
-
-
-@dataclass(frozen=True)
-class OracleBounds:
-    delta: float
-    delta_star: float
-    r_p: float
-    r0: float
-
-
-def oracle_bound_suite(n, rho, prior: MixingDistribution, p, magnitude) -> OracleBounds:
-    """All four oracle-approximation bound functionals in one record."""
-    return OracleBounds(
-        delta=density_floor_loss(rho, prior),
-        delta_star=kernel_estimation_loss(n, rho),
-        r_p=sparse_rate_bound(n, magnitude, p),
-        r0=signal_rate_bound(n, prior),
-    )
-
-
-def kl_bernoulli(p1, p2) -> float:
-    """Kullback-Leibler divergence K(p1, p2) between Bernoulli laws.
-
-    Both arguments must lie strictly inside (0, 1).  Always at least
-    2 (p1 - p2)^2.
-    """
-    p1 = float(p1)
-    p2 = float(p2)
-    for name, value in (("p1", p1), ("p2", p2)):
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
-    return p1 * math.log(p1 / p2) + (1.0 - p1) * math.log((1.0 - p1) / (1.0 - p2))

@@ -41,38 +41,6 @@ _TRUTH_KINDS = ("explicit", "zero", "besov", "signal", "gaussian-prior", "atom-p
 
 
 # ---------------------------------------------------------------------------
-# Besov norms
-
-
-def besov_norm(levels, alpha, p, q) -> float:
-    """Sequence-space Besov norm of dyadically organized coefficients.
-
-    [| beta_{-1,1} |^q + sum_j (2^{j (alpha + 1/2 - 1/p)} ||beta_j||_p)^q]^(1/q)
-    with the usual supremum modifications when p or q is infinite.
-    """
-    p = float(p)
-    q = float(q)
-    if not p > 0 or not q > 0:
-        raise ValueError("p and q must be positive (possibly inf)")
-    table = {int(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
-    terms = []
-    for j in sorted(table):
-        block = table[j]
-        if j == -1:
-            terms.append(abs(float(block[0])))
-            continue
-        if math.isinf(p):
-            level_norm = float(np.abs(block).max()) if block.size else 0.0
-        else:
-            level_norm = float(np.sum(np.abs(block) ** p) ** (1.0 / p))
-        terms.append(2.0 ** (j * (alpha + 0.5 - (0.0 if math.isinf(p) else 1.0 / p))) * level_norm)
-    arr = np.array(terms)
-    if math.isinf(q):
-        return float(arr.max()) if arr.size else 0.0
-    return float(np.sum(arr**q) ** (1.0 / q))
-
-
-# ---------------------------------------------------------------------------
 # truth sources
 
 

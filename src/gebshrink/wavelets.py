@@ -220,34 +220,17 @@ def denoise_equispaced(observations, basis: WaveletBasis, cfg: TuningConfig = Tu
 
 
 # ---------------------------------------------------------------------------
-# Haar analysis of piecewise-constant functions and random-design regression
-
-
-def haar_coefficients(cell_values, j_max=None):
-    """Haar coefficients of a function constant on 2^(J+1) dyadic cells.
-
-    beta_{j,k} = (mean over left child - mean over right child) / 2^(j/2+1)
-    for j >= 0, and beta_{-1,1} is the global mean.  Returns {j: array}.
-    """
-    cells = np.asarray(cell_values, dtype=float).ravel()
-    j_from_len = _check_dyadic_length(cells.size)
-    if j_max is not None and int(j_max) != j_from_len:
-        raise ValueError(
-            f"cell count {cells.size} encodes resolution {j_from_len}, not {j_max}"
-        )
-    levels = {}
-    current = cells
-    for j in range(j_from_len, -1, -1):
-        left = current[0::2]
-        right = current[1::2]
-        levels[j] = (left - right) / 2.0 ** (0.5 * j + 1.0)
-        current = 0.5 * (left + right)
-    levels[-1] = current.copy()
-    return dict(sorted(levels.items()))
+# Haar synthesis and random-design regression
 
 
 def haar_reconstruct(levels):
-    """Inverse of :func:`haar_coefficients`: cell values on the finest grid."""
+    """Cell values on the finest of 2^(J+1) dyadic cells from Haar
+    coefficients {j: array}, j = -1 .. J.
+
+    beta_{-1,1} is the mean over all cells and, for j >= 0,
+    beta_{j,k} = (mean over left child - mean over right child) / 2^(j/2+1),
+    which is :func:`dwt`'s Haar convention for equispaced samples.
+    """
     levels = {int(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
     js = sorted(levels)
     if js[0] != -1 or levels[-1].size != 1:

@@ -12,7 +12,6 @@ from scipy.special import ndtr
 
 from gebshrink.blocks import (
     BLOCK_ESTIMATORS,
-    RHO0_BALANCED,
     TuningConfig,
     fit_block,
     geb_rule,
@@ -46,12 +45,6 @@ def test_tuning_formulas_at_2048():
     assert t.rho == pytest.approx(0.4 * math.sqrt(2.0 * log_n / 2048.0), rel=1e-15)
     assert t.b == pytest.approx(2.0 * log_n / math.sqrt(2048.0), rel=1e-15)
     assert t.lam == pytest.approx(math.sqrt(2.0 * log_n), rel=1e-15)
-
-
-def test_tuning_balanced_preset():
-    t = tuning(1024, TuningConfig(rho0=RHO0_BALANCED))
-    assert RHO0_BALANCED == 0.6094
-    assert t.rho == pytest.approx(0.6094 * math.sqrt(2.0 * math.log(1024.0) / 1024.0), rel=1e-15)
 
 
 def test_tuning_threshold_inflation():

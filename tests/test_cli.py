@@ -144,6 +144,17 @@ def test_denoise_short_row_is_one_error_line(tmp_path):
     assert out.getvalue() == ""
 
 
+def test_denoise_empty_input_is_one_error_line(tmp_path):
+    src = tmp_path / "empty.csv"
+    src.write_text("")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["denoise", "--input", str(src), "--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert err.getvalue().splitlines() == [f"error: {src}: empty file, expected a header"]
+    assert out.getvalue() == ""
+
+
 def test_denoise_missing_input_file(tmp_path):
     proc = run_cli(
         "denoise", "--input", tmp_path / "nope.csv", "--output", tmp_path / "o.csv"
@@ -183,6 +194,9 @@ def test_oracle_malformed_atoms():
     proc = run_cli("oracle", "--atoms", "0.5")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+    proc = run_cli("oracle", "--atoms", "x=1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: atom location: expected a number, got 'x'\n"
 
 
 def test_oracle_weight_sum_error_prints_plain_number():
@@ -356,11 +370,13 @@ def test_threads_env_var_is_jobs_fallback(tmp_path):
 def test_bad_env_thread_count(tmp_path):
     spec = tmp_path / "exp.cfg"
     write_spec(spec, estimator="mle", truth="zero:2", epsilon="0.5", replicates=2)
-    proc = run_cli(
-        "simulate", "--spec", spec, env_extra={"GEB_SHRINK_THREADS": "0"}
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
+    for value in ("0", "abc"):
+        proc = run_cli(
+            "simulate", "--spec", spec, env_extra={"GEB_SHRINK_THREADS": value}
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: GEB_SHRINK_THREADS"), proc.stderr
 
 
 # --------------------------------------------------------------------- risk
@@ -402,6 +418,18 @@ def test_risk_bad_truth_spec():
     )
     assert proc.returncode == 2
     assert "bad --truth" in proc.stderr
+
+
+def test_risk_empty_csv_truth_is_one_error_line(tmp_path):
+    src = tmp_path / "empty.csv"
+    src.write_text("")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["risk", "--estimator", "mle", "--truth", f"csv:{src}", "--epsilon", "0.5"])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].endswith(f"{src}: empty file, expected a header"), lines
+    assert out.getvalue() == ""
 
 
 def test_risk_unknown_signal_fails_when_the_truth_is_parsed():
@@ -505,8 +533,11 @@ _BAD_INT = st.one_of(_BAD_NUMBER, st.sampled_from(["2.5", "1e3", "0x10", "8.0"])
 
 
 def _spec_with(keys, values):
-    """The valid spec with one key (from ``keys``) set to a value from ``values``."""
-    return st.builds(lambda key, value: {**_VALID_SPEC, key: value}, st.sampled_from(keys), values)
+    """``(key, spec)``: the valid spec with one key (from ``keys``) set to a
+    value from ``values``."""
+    return st.builds(
+        lambda key, value: (key, {**_VALID_SPEC, key: value}), st.sampled_from(keys), values
+    )
 
 
 _BAD_TRUTHS = st.one_of(
@@ -534,7 +565,7 @@ _BAD_TRUTHS = st.one_of(
 _MALFORMED_SPECS = st.one_of(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
     .filter(lambda key: key not in cli._SPEC_KEYS)
-    .map(lambda key: {**_VALID_SPEC, key: "1"}),
+    .map(lambda key: (key, {**_VALID_SPEC, key: "1"})),
     _spec_with(("epsilon", "bound_p", "rho0", "b0", "a0"), _BAD_NUMBER),
     _spec_with(("replicates", "seed", "nstar", "jobs"), _BAD_INT),
     _spec_with(
@@ -548,8 +579,9 @@ _MALFORMED_SPECS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(spec=_MALFORMED_SPECS)
-def test_malformed_spec_is_one_error_line(spec):
+@given(case=_MALFORMED_SPECS)
+def test_malformed_spec_is_one_error_line(case):
+    key, spec = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "exp.cfg")
         write_spec(path, **spec)
@@ -559,6 +591,7 @@ def test_malformed_spec_is_one_error_line(spec):
     lines = err.getvalue().splitlines()
     assert code == 2, (spec, err.getvalue())
     assert len(lines) == 1 and lines[0].startswith("error:"), (spec, err.getvalue())
+    assert key in lines[0], (spec, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert out.getvalue() == ""
 

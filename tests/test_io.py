@@ -11,8 +11,6 @@ from gebshrink.io import (
     format_float,
     read_coefficients_csv,
     read_signal_csv,
-    write_coefficients_csv,
-    write_plot_triples,
     write_signal_csv,
 )
 
@@ -67,23 +65,20 @@ def test_signal_csv_missing_value_column(tmp_path):
 
 
 def test_coefficients_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    levels = {-1: rng.standard_normal(1), 0: rng.standard_normal(1), 1: rng.standard_normal(2)}
-    deltas = {-1: [1], 0: [0], 1: [1, 0]}
     path = tmp_path / "coef.csv"
-    write_coefficients_csv(path, levels, deltas=deltas)
-    got_levels, got_deltas = read_coefficients_csv(path)
-    assert sorted(got_levels) == [-1, 0, 1]
-    for j in levels:
-        assert np.array_equal(got_levels[j], levels[j])
-        assert np.array_equal(got_deltas[j], np.asarray(deltas[j]))
-
-
-def test_coefficients_csv_default_deltas_are_one(tmp_path):
-    path = tmp_path / "coef.csv"
-    write_coefficients_csv(path, {-1: [2.0], 0: [0.5]})
-    _, deltas = read_coefficients_csv(path)
-    assert all(np.all(d == 1) for d in deltas.values())
+    path.write_text(
+        "j,k,value,delta\n"
+        "-1,1,0.34558419453963012,1\n"
+        "0,1,0.82161401933493062,0\n"
+        "1,1,0.33043707618338714,1\n"
+        "1,2,-1.303157231604361,0\n"
+    )
+    levels, deltas = read_coefficients_csv(path)
+    assert sorted(levels) == [-1, 0, 1]
+    assert levels[-1].tolist() == [0.34558419453963012]
+    assert levels[0].tolist() == [0.82161401933493062]
+    assert levels[1].tolist() == [0.33043707618338714, -1.303157231604361]
+    assert {j: d.tolist() for j, d in deltas.items()} == {-1: [1], 0: [0], 1: [1, 0]}
 
 
 def test_coefficients_csv_bad_header(tmp_path):
@@ -93,19 +88,8 @@ def test_coefficients_csv_bad_header(tmp_path):
         read_coefficients_csv(path)
 
 
-def test_plot_triples(tmp_path):
-    path = tmp_path / "plot.csv"
-    write_plot_triples(path, [1.0, 2.0], [1.1, 2.1], [0.9, 1.9])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,signal,noisy,reconstruction"
-    assert len(lines) == 3
-    with pytest.raises(ValueError):
-        write_plot_triples(path, [1.0], [1.0, 2.0], [1.0])
-
-
-
-# the writers' former form, one csv.writer row of cells per line, is the
-# byte reference for the formatted writers
+# the signal writer's former form, one csv.writer row of cells per line, is
+# the byte reference for the formatted writer
 
 
 def _csv_writer_bytes(path, header, rows):
@@ -151,28 +135,6 @@ def test_signal_writer_bytes_match_csv_writer(tmp_path, float_columns):
     assert (tmp_path / "float.csv").read_text().splitlines()[1].startswith("0.0,")
 
 
-def test_plot_and_coefficient_writer_bytes_match_csv_writer(tmp_path):
-    signal, noisy, recon = _edge_columns(3)
-    write_plot_triples(tmp_path / "plot.csv", signal, noisy, recon)
-    want = _csv_writer_bytes(
-        tmp_path / "plot-ref.csv",
-        ["index", "signal", "noisy", "reconstruction"],
-        _float_rows(range(1, signal.size + 1), [signal, noisy, recon]),
-    )
-    assert (tmp_path / "plot.csv").read_bytes() == want
-
-    levels = {2: signal[:8], -1: noisy[:1], 0: recon[:1], 1: signal[8:10]}
-    deltas = {2: np.arange(8) % 2, -1: [1], 0: [0], 1: [True, False]}
-    write_coefficients_csv(tmp_path / "coef.csv", levels, deltas=deltas)
-    rows = [
-        [j, k, format_float(v), int(d)]
-        for j in sorted(levels)
-        for k, (v, d) in enumerate(zip(levels[j], deltas[j]), start=1)
-    ]
-    want = _csv_writer_bytes(tmp_path / "coef-ref.csv", ["j", "k", "value", "delta"], rows)
-    assert (tmp_path / "coef.csv").read_bytes() == want
-
-
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_writer_bytes_match_csv_writer_across_chunks(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(gio, "_CHUNK_ROWS", chunk)
@@ -185,24 +147,6 @@ def test_writer_bytes_match_csv_writer_across_chunks(tmp_path, monkeypatch, chun
         _float_rows(float_index, [values, truth, estimate]),
     )
     assert (tmp_path / "sig.csv").read_bytes() == want
-
-    write_plot_triples(tmp_path / "plot.csv", values, truth, estimate)
-    want = _csv_writer_bytes(
-        tmp_path / "plot-ref.csv",
-        ["index", "signal", "noisy", "reconstruction"],
-        _float_rows(range(1, values.size + 1), [values, truth, estimate]),
-    )
-    assert (tmp_path / "plot.csv").read_bytes() == want
-
-    levels = {3: values[:16], 0: truth[:1], 1: estimate[:2], 2: values[16:20]}
-    write_coefficients_csv(tmp_path / "coef.csv", levels)
-    rows = [
-        [j, k, format_float(v), 1]
-        for j in sorted(levels)
-        for k, v in enumerate(levels[j], start=1)
-    ]
-    want = _csv_writer_bytes(tmp_path / "coef-ref.csv", ["j", "k", "value", "delta"], rows)
-    assert (tmp_path / "coef.csv").read_bytes() == want
 
     write_signal_csv(tmp_path / "empty.csv", np.array([]))
     assert (tmp_path / "empty.csv").read_bytes() == b"index,value\r\n"

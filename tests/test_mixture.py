@@ -25,24 +25,17 @@ from gebshrink.mixture import (
     MixingDistribution,
     OracleRule,
     SoftThresholdRule,
-    ZeroRule,
     bayes_risk,
     density_floor_loss,
     empirical_mixing,
     from_atoms,
     gaussian_grid_prior,
-    kernel_estimation_loss,
-    kl_bernoulli,
-    mix,
     mixture_density,
     mixture_summaries,
-    oracle_bound_suite,
     oracle_rule,
-    point_mass,
     rule_risk,
     signal_rate_bound,
     sparse_rate_bound,
-    uniform_grid_prior,
 )
 from gebshrink.quadrature import integrate
 
@@ -107,24 +100,18 @@ def test_mixing_distribution_is_immutable_and_sorted():
         g.locations[0] = 0.0
 
 
-def test_mix_combines_distributions():
-    g = mix(point_mass(-3.0), point_mass(3.0), 0.5)
-    assert g.locations.tolist() == [-3.0, 3.0]
-    assert g.weights.tolist() == [0.5, 0.5]
-
-
 # ---------------------------------------------------------------- density
 
 
 def test_density_point_mass_at_origin():
-    v, d = mixture_density(point_mass(0.0), 0.0)
+    v, d = mixture_density(from_atoms([0.0], [1.0]), 0.0)
     assert v == pytest.approx(PHI0, abs=1e-15)
     assert d == 0.0
 
 
 def test_density_single_atom_closed_form():
     mu, x = 1.7, 0.4
-    v, d = mixture_density(point_mass(mu), x)
+    v, d = mixture_density(from_atoms([mu], [1.0]), x)
     assert v == pytest.approx(normal_pdf(x - mu), rel=1e-14)
     assert d == pytest.approx(-(x - mu) * normal_pdf(x - mu), rel=1e-14)
 
@@ -140,7 +127,7 @@ def test_density_symmetric_pair():
 
 
 def test_oracle_rule_point_mass_is_constant():
-    rule = oracle_rule(point_mass(2.5))
+    rule = oracle_rule(from_atoms([2.5], [1.0]))
     for x in (-40.0, -3.0, 0.0, 1.0, 55.0):
         assert rule(x) == pytest.approx(2.5, abs=1e-9)
 
@@ -158,7 +145,7 @@ def test_oracle_rule_gaussian_grid_matches_linear_shrinkage():
 
 
 def test_oracle_rule_far_tail_stays_finite():
-    rule = oracle_rule(point_mass(0.0))
+    rule = oracle_rule(from_atoms([0.0], [1.0]))
     assert rule(40.0) == pytest.approx(0.0, abs=1e-9)
     assert np.isfinite(rule(300.0))
 
@@ -183,11 +170,11 @@ def test_identity_rule_risk_is_one():
 
 
 def test_zero_rule_risk_is_second_moment():
-    assert rule_risk(ZeroRule(), point_mass(2.0)) == pytest.approx(4.0, abs=1e-8)
+    assert rule_risk(LinearShrinkRule(0.0), from_atoms([2.0], [1.0])) == pytest.approx(4.0, abs=1e-8)
 
 
 def test_bayes_risk_point_mass_is_exactly_zero():
-    assert bayes_risk(point_mass(3.3)) == 0.0
+    assert bayes_risk(from_atoms([3.3], [1.0])) == 0.0
 
 
 def test_bayes_risk_gaussian_grid():
@@ -197,7 +184,7 @@ def test_bayes_risk_gaussian_grid():
 
 def test_bayes_risk_uniform_grid_frozen_value():
     # frozen by the quadrature integrator before this assertion was written
-    g = uniform_grid_prior(-1.0, 1.0, 401)
+    g = from_atoms(np.linspace(-1.0, 1.0, 401), np.full(401, 1.0 / 401))
     v = bayes_risk(g)
     assert 0.0 < v < 1.0
     assert v == pytest.approx(0.2501091173252702, abs=1e-9)
@@ -237,7 +224,7 @@ def test_rule_risk_propagates_quadrature_failure():
             return 1.0 / np.abs(x - 0.123456)
 
     with pytest.raises(QuadratureError):
-        rule_risk(Spiky(), point_mass(0.0))
+        rule_risk(Spiky(), from_atoms([0.0], [1.0]))
 
 
 # ---------------------------------------------------------------- invariants
@@ -260,7 +247,7 @@ def test_no_rule_beats_bayes_risk():
     for _ in range(50):
         g = random_mixing(rng, max_atoms=5, span=4.0)
         base = bayes_risk(g)
-        rules = [IdentityRule(), ZeroRule()]
+        rules = [IdentityRule(), LinearShrinkRule(0.0)]
         rules += [SoftThresholdRule(float(rng.uniform(0, 4))) for _ in range(4)]
         rules += [HardThresholdRule(float(rng.uniform(0, 4))) for _ in range(4)]
         rules += [LinearShrinkRule(float(rng.uniform(0, 1))) for _ in range(4)]
@@ -277,7 +264,10 @@ def test_bayes_risk_is_concave_in_the_mixing_distribution():
         g1 = random_mixing(rng, max_atoms=4)
         g2 = random_mixing(rng, max_atoms=4)
         w = float(rng.uniform(0.05, 0.95))
-        blend = mix(g1, g2, w)
+        blend = from_atoms(
+            np.concatenate([g1.locations, g2.locations]),
+            np.concatenate([w * g1.weights, (1.0 - w) * g2.weights]),
+        )
         assert bayes_risk(blend) >= w * bayes_risk(g1) + (1 - w) * bayes_risk(g2) - 1e-6
 
 
@@ -285,12 +275,12 @@ def test_bayes_risk_is_concave_in_the_mixing_distribution():
 
 
 def test_summaries_point_mass_origin():
-    s = mixture_summaries(point_mass(0.0), 2.0, 1.0)
+    s = mixture_summaries(from_atoms([0.0], [1.0]), 2.0, 1.0)
     assert (s.kappa, s.kappa_tilde, s.tail_at_x, s.mu_p) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_summaries_point_mass_two():
-    s = mixture_summaries(point_mass(2.0), 2.0, 1.0)
+    s = mixture_summaries(from_atoms([2.0], [1.0]), 2.0, 1.0)
     assert s.kappa == 1.0
     assert s.kappa_tilde == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
     assert s.tail_at_x == 1.0
@@ -298,7 +288,7 @@ def test_summaries_point_mass_two():
 
 
 def test_summaries_half_atom():
-    s = mixture_summaries(point_mass(0.5), 1.0, 1.0)
+    s = mixture_summaries(from_atoms([0.5], [1.0]), 1.0, 1.0)
     assert s.kappa == pytest.approx(0.25, rel=1e-15)
     assert s.kappa_tilde == pytest.approx(1.0 - math.exp(-1.0 / 16.0), rel=1e-14)
     assert s.tail_at_x == 0.0
@@ -312,9 +302,9 @@ def test_summaries_tail_is_strict():
 
 def test_summaries_validate_arguments():
     with pytest.raises(ValueError):
-        mixture_summaries(point_mass(0.0), 0.0, 1.0)
+        mixture_summaries(from_atoms([0.0], [1.0]), 0.0, 1.0)
     with pytest.raises(ValueError):
-        mixture_summaries(point_mass(0.0), 2.0, -1.0)
+        mixture_summaries(from_atoms([0.0], [1.0]), 2.0, -1.0)
 
 
 def test_signal_mass_sandwich_exact():
@@ -337,16 +327,6 @@ def test_tail_below_kappa_for_unit_or_larger_x():
 # ---------------------------------------------------------------- bounds
 
 
-def test_kernel_estimation_loss_arithmetic():
-    n, rho = 1024, 0.05
-    expected = (
-        (math.sqrt((2.0 / 3.0) * math.log(n)) + math.sqrt(-math.log(rho * rho))) ** 2
-        * math.sqrt(2.0 * math.log(n))
-        / (math.pi * rho * n)
-    )
-    assert kernel_estimation_loss(n, rho) == pytest.approx(expected, rel=1e-15)
-
-
 def test_sparse_rate_bound_zero_magnitude():
     for p in (0.5, 1.0, 2.0):
         assert sparse_rate_bound(4096, 0.0, p) == 0.0
@@ -361,16 +341,16 @@ def test_density_floor_loss_small_signal_bound():
     rho = 0.1
     ltil = math.sqrt(-math.log(2.0 * math.pi * rho * rho))
     cap = 2.0 * rho * math.sqrt(ltil * ltil + 2.0)
-    loss = density_floor_loss(rho, point_mass(0.0))
+    loss = density_floor_loss(rho, from_atoms([0.0], [1.0]))
     assert loss == pytest.approx(0.16664619272476705, rel=1e-6)
     assert loss <= cap
 
 
 def test_density_floor_loss_validates_floor():
     with pytest.raises(ValueError):
-        density_floor_loss(DENSITY_FLOOR_LIMIT, point_mass(0.0))
+        density_floor_loss(DENSITY_FLOOR_LIMIT, from_atoms([0.0], [1.0]))
     with pytest.raises(ValueError):
-        density_floor_loss(0.0, point_mass(0.0))
+        density_floor_loss(0.0, from_atoms([0.0], [1.0]))
 
 
 def test_signal_rate_bound_respects_sparse_bound():
@@ -384,48 +364,6 @@ def test_signal_rate_bound_respects_sparse_bound():
         rp = sparse_rate_bound(n, s.mu_p, p)
         assert np.isfinite(r0) and r0 >= 0.0
         assert r0 <= 3.0 * rp + 1e-12
-
-
-def test_oracle_bound_suite_fields():
-    g = from_atoms([0.0, 2.0], [0.7, 0.3])
-    b = oracle_bound_suite(512, 0.1, g, 2.0, 1.5)
-    assert b.delta >= 0.0
-    assert b.delta_star == pytest.approx(kernel_estimation_loss(512, 0.1), rel=1e-15)
-    assert b.r_p == pytest.approx(sparse_rate_bound(512, 1.5, 2.0), rel=1e-15)
-    assert b.r0 == pytest.approx(signal_rate_bound(512, g), rel=1e-15)
-
-
-# ---------------------------------------------------------------- KL
-
-
-def test_kl_same_arguments_is_zero():
-    assert kl_bernoulli(0.37, 0.37) == 0.0
-
-
-def test_kl_half_quarter():
-    expected = 0.5 * math.log(2.0) + 0.5 * math.log(0.5 / 0.75)
-    assert kl_bernoulli(0.5, 0.25) == pytest.approx(expected, rel=1e-15)
-    assert expected == pytest.approx(0.14384103622589042, rel=1e-15)
-
-
-def test_kl_point_three_point_one():
-    expected = 0.3 * math.log(3.0) + 0.7 * math.log(0.7 / 0.9)
-    assert kl_bernoulli(0.3, 0.1) == pytest.approx(expected, rel=1e-15)
-    assert expected == pytest.approx(0.15366358680379852, rel=1e-15)
-
-
-def test_kl_dominates_twice_squared_distance():
-    rng = np.random.default_rng(29)
-    for _ in range(1000):
-        p1 = float(rng.uniform(1e-6, 1 - 1e-6))
-        p2 = float(rng.uniform(1e-6, 1 - 1e-6))
-        assert kl_bernoulli(p1, p2) >= 2.0 * (p1 - p2) ** 2 - 1e-12
-
-
-def test_kl_rejects_boundary():
-    for bad in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
-        with pytest.raises(ValueError):
-            kl_bernoulli(*bad)
 
 
 # ---------------------------------------------------------------- one-pass integrands
@@ -516,7 +454,7 @@ REFERENCE_PRIORS = {
     "empirical-4096": (_empirical_4096, 2),
     "sparse-12": (lambda: from_atoms([0.0, -12.0, 12.0], [0.9, 0.05, 0.05]), 2),
     "pair-5": (lambda: from_atoms([-5.0, 5.0], [0.5, 0.5]), 4),
-    "point-mass": (lambda: point_mass(0.0), 2),
+    "point-mass": (lambda: from_atoms([0.0], [1.0]), 2),
     "pair-40": (lambda: from_atoms([-40.0, 40.0], [0.5, 0.5]), 4),
 }
 

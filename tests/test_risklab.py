@@ -1,4 +1,4 @@
-"""Monte Carlo risk laboratory: norms, experiment specs, reports, rates."""
+"""Monte Carlo risk laboratory: experiment specs, reports, rates."""
 
 import json
 import math
@@ -20,7 +20,6 @@ from gebshrink.risklab import (
     ESTIMATORS,
     ExperimentSpec,
     TruthSource,
-    besov_norm,
     monte_carlo_risk,
     rate_fit,
     replicate_rng,
@@ -29,40 +28,6 @@ from gebshrink.risklab import (
     report_to_json,
 )
 from gebshrink.signals import SIGNAL_NAMES
-
-# ---------------------------------------------------------------- besov norm
-
-
-def test_besov_norm_coarse_only():
-    assert besov_norm({-1: [3.5]}, 1.0, 2.0, 2.0) == pytest.approx(3.5, rel=1e-14)
-
-
-def test_besov_norm_single_fine_coefficient():
-    alpha, p = 1.5, 3.0
-    levels = {-1: [0.0], 0: [0.0], 1: [0.0, 0.0], 2: [0.7, 0.0, 0.0, 0.0]}
-    want = 2.0 ** (2 * (alpha + 0.5 - 1.0 / p)) * 0.7
-    assert besov_norm(levels, alpha, p, 2.0) == pytest.approx(want, rel=1e-13)
-
-
-def test_besov_norm_sup_over_levels():
-    levels = {-1: [0.2], 0: [1.0], 1: [0.5, 0.5]}
-    a = 2.0 ** (0 * 1.0) * 1.0
-    b = 2.0 ** (1 * (0.5 + 0.5 - 0.5)) * math.sqrt(0.5)
-    assert besov_norm(levels, 0.5, 2.0, math.inf) == pytest.approx(
-        max(0.2, a, b), rel=1e-13
-    )
-
-
-def test_besov_norm_infinite_p_uses_level_max():
-    levels = {-1: [0.0], 0: [2.0], 1: [1.0, -3.0]}
-    want = (2.0**1 + (2.0 ** (1 * 1.0) * 3.0) ** 1) ** 1.0
-    assert besov_norm(levels, 0.5, math.inf, 1.0) == pytest.approx(want, rel=1e-13)
-
-
-def test_besov_norm_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        besov_norm({-1: [1.0]}, 1.0, 0.0, 2.0)
-
 
 # ---------------------------------------------------------------- validation
 

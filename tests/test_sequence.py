@@ -1,4 +1,4 @@
-"""Blocked sequence estimation, ideal risk, and schedule checks."""
+"""Blocked sequence estimation and the blockwise ideal risk."""
 
 import math
 
@@ -10,21 +10,23 @@ from gebshrink.errors import NumericFailure
 from gebshrink.mixture import bayes_risk, from_atoms
 from gebshrink.sequence import (
     BlockedSequence,
-    check_blocks,
+    block_ideal_risk,
     dyadic_sequence,
     estimate_sequence,
-    ideal_risk,
 )
 
 
-def make_dyadic(rng, j_max, epsilon, scale=1.0, truth=False):
+def make_dyadic(rng, j_max, epsilon, scale=1.0):
     blocks = {}
-    truths = {}
     for j in range(-1, j_max + 1):
         n = 2 ** max(j, 0)
-        truths[j] = rng.standard_normal(n) * scale
-        blocks[j] = truths[j] + rng.standard_normal(n) * epsilon
-    return dyadic_sequence(epsilon, blocks, truth=truths if truth else None)
+        blocks[j] = rng.standard_normal(n) * scale + rng.standard_normal(n) * epsilon
+    return dyadic_sequence(epsilon, blocks)
+
+
+def ideal_risk(epsilon, truth):
+    """R*: the blocks' ideal risks summed over the {j: beta_j} truth."""
+    return sum(block_ideal_risk(np.asarray(beta, dtype=float), epsilon) for beta in truth.values())
 
 
 # ---------------------------------------------------------------- structure
@@ -59,11 +61,6 @@ def test_overflowing_standardization_is_numeric_failure():
     seq = BlockedSequence(epsilon=1e-320, blocks=((3, np.zeros(4)), (5, np.full(4, 1e-3))))
     with pytest.raises(NumericFailure, match="block 5 overflows"):
         estimate_sequence(seq)
-
-
-def test_truth_shape_must_match():
-    with pytest.raises(ValueError):
-        dyadic_sequence(0.1, {-1: np.zeros(1)}, truth={-1: np.zeros(2)})
 
 
 # ---------------------------------------------------------------- estimation
@@ -175,62 +172,24 @@ def test_fit_determinism_repeated_runs():
 
 def test_ideal_risk_zero_truth():
     blocks = {j: np.zeros(2 ** max(j, 0)) for j in range(-1, 6)}
-    seq = dyadic_sequence(0.2, blocks, truth=blocks)
-    assert ideal_risk(seq) == 0.0
+    assert ideal_risk(0.2, blocks) == 0.0
 
 
 def test_ideal_risk_constant_block_is_zero():
     vals = {-1: np.array([4.0]), 0: np.array([4.0]), 1: np.array([4.0, 4.0])}
-    seq = dyadic_sequence(1.0, vals, truth=vals)
-    assert ideal_risk(seq) == 0.0
+    assert ideal_risk(1.0, vals) == 0.0
 
 
 def test_ideal_risk_two_point_block():
     truth = {-1: np.array([0.0]), 0: np.array([0.0]), 1: np.array([-3.0, 3.0])}
-    seq = dyadic_sequence(1.0, truth, truth=truth)
     expected = 2.0 * bayes_risk(from_atoms([-3.0, 3.0], [0.5, 0.5]))
-    assert ideal_risk(seq) == pytest.approx(expected, rel=1e-9)
+    assert ideal_risk(1.0, truth) == pytest.approx(expected, rel=1e-9)
 
 
 def test_ideal_risk_scales_with_epsilon_squared_and_adds():
     truth = {-1: np.array([1.0]), 0: np.array([-2.0]), 1: np.array([0.5, 3.0])}
-    r1 = ideal_risk(dyadic_sequence(1.0, truth, truth=truth))
+    r1 = ideal_risk(1.0, truth)
     half = {j: 0.5 * v for j, v in truth.items()}
-    r2 = ideal_risk(dyadic_sequence(0.5, half, truth=half))
+    r2 = ideal_risk(0.5, half)
     # same standardized atoms, quarter the scale
     assert r2 == pytest.approx(0.25 * r1, rel=1e-9)
-
-
-def test_ideal_risk_requires_truth():
-    seq = dyadic_sequence(0.1, {-1: np.zeros(1)})
-    with pytest.raises(ValueError):
-        ideal_risk(seq)
-
-
-# ---------------------------------------------------------------- schedules
-
-
-def test_dyadic_preset_recognized():
-    rep = check_blocks([1, 1, 2, 4, 8, 16])
-    assert rep.preset == "dyadic"
-    assert rep.warnings == ()
-    assert rep.nondecreasing
-
-
-def test_geometric_partial_sum_matches_hand_computation():
-    sizes = [2**j for j in range(0, 11)]
-    rep = check_blocks(sizes)
-    hand = sum((1.0 + j * math.log(2.0)) ** -1.5 for j in range(0, 11))
-    assert rep.tail_weight_sum == pytest.approx(hand, rel=1e-12)
-    assert rep.preset == "geometric"
-
-
-def test_constant_sizes_warn_but_do_not_fail():
-    rep = check_blocks([7, 7, 7])
-    assert rep.preset is None
-    assert len(rep.warnings) >= 1
-
-
-def test_check_blocks_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        check_blocks([4, 0, 2])

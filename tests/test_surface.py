@@ -1,0 +1,75 @@
+"""The package exports only names that a command, a benchmark workload or an
+acceptance criterion reaches."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gebshrink"
+
+# exported for the unit tests, which compare against them as references
+TEST_REFERENCES = {
+    "james_stein": "the small-block policy and the james-stein estimator are checked against it",
+    "mixture_density": "the one-pass density and shift are checked against its raw Gaussian sums",
+}
+
+
+def _loaded(node):
+    """Names read anywhere under ``node``, as a Name or an Attribute."""
+    seen = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            seen.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            seen.add(sub.attr)
+    return seen
+
+
+def _defined(stmt):
+    """Top-level names a module statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _reached_names():
+    """Names reached from the command line, the benchmark harness and the
+    acceptance criteria, following the package's top-level definitions: a
+    name used only inside an unreached definition is not reached."""
+    roots = [PACKAGE / "cli.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    roots.append(ROOT / "tests" / "test_acceptance.py")
+    reached = set().union(*(_loaded(ast.parse(p.read_text())) for p in roots))
+    uses = {}  # top-level package name -> names its definition reads
+    for path in PACKAGE.glob("*.py"):
+        if path.name in ("__init__.py", "cli.py"):
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = _defined(stmt)
+            if names:
+                for name in names:
+                    uses.setdefault(name, set()).update(_loaded(stmt))
+            else:  # imports and other statements run on import
+                reached |= _loaded(stmt)
+    frontier = set(reached)
+    while frontier:
+        frontier = set().union(*(uses.get(n, set()) for n in frontier)) - reached
+        reached |= frontier
+    return reached
+
+
+def _exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_every_export_is_reached_outside_the_unit_tests():
+    exported = _exported_names()
+    assert set(TEST_REFERENCES) <= exported
+    unreached = sorted(exported - _reached_names() - set(TEST_REFERENCES))
+    assert unreached == [], f"exported but reached only from unit tests: {unreached}"

@@ -16,7 +16,6 @@ from gebshrink.wavelets import (
     Z_THREE_QUARTERS,
     denoise_equispaced,
     dwt,
-    haar_coefficients,
     haar_reconstruct,
     idwt,
     mad_sigma,
@@ -227,45 +226,26 @@ def test_denoise_rejects_negative_sigma():
 
 
 def test_haar_step_function_single_detail():
-    cells = np.array([1.0] * 8 + [-1.0] * 8)
-    levels = haar_coefficients(cells)
-    assert levels[-1][0] == 0.0
-    assert levels[0][0] == pytest.approx(1.0, abs=1e-14)
-    for j in range(1, 4):
-        assert np.max(np.abs(levels[j])) < 1e-14
+    # +1 on the left half, -1 on the right: one level-0 detail of 1
+    levels = {j: np.zeros(2 ** max(j, 0)) for j in range(-1, 4)}
+    levels[0][0] = 1.0
+    assert np.array_equal(haar_reconstruct(levels), np.array([1.0] * 8 + [-1.0] * 8))
 
 
 def test_haar_constant_is_coarse_only():
-    levels = haar_coefficients(np.full(32, -2.5))
-    assert levels[-1][0] == -2.5
-    for j in range(0, 5):
-        assert np.all(levels[j] == 0.0)
+    levels = {j: np.zeros(2 ** max(j, 0)) for j in range(-1, 5)}
+    levels[-1][0] = -2.5
+    assert np.array_equal(haar_reconstruct(levels), np.full(32, -2.5))
 
 
 def test_haar_roundtrip():
+    # haar_reconstruct inverts dwt's Haar analysis of equispaced cell values
     rng = np.random.default_rng(31)
     for _ in range(25):
         n = 2 ** int(rng.integers(1, 10))
         v = rng.standard_normal(n) * 3.0
-        back = haar_reconstruct(haar_coefficients(v))
+        back = haar_reconstruct(dwt(v, wavelet_basis("haar")))
         assert float(np.max(np.abs(back - v))) < 1e-12
-
-
-def test_haar_coefficients_match_sampled_transform():
-    # a function constant on dyadic cells has cell values equal to its
-    # equispaced samples, and its analytic coefficients equal the discrete ones
-    rng = np.random.default_rng(32)
-    v = rng.standard_normal(128)
-    analytic = haar_coefficients(v)
-    discrete = dwt(v, wavelet_basis("haar"))
-    assert sorted(analytic) == sorted(discrete)
-    for j in analytic:
-        assert float(np.max(np.abs(analytic[j] - discrete[j]))) < 1e-12
-
-
-def test_haar_resolution_mismatch_rejected():
-    with pytest.raises(ValueError):
-        haar_coefficients(np.zeros(16), j_max=5)
 
 
 # ---------------------------------------------------------- random design
