@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 
 from . import io as gio
 from .blocks import TuningConfig
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except NumericFailure as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 1
-    except BrokenProcessPool as err:
+    except BrokenExecutor as err:  # a pool worker died (BrokenProcessPool)
         print(f"error: worker process died: {err}", file=sys.stderr)
         return 1
 

@@ -5,11 +5,24 @@ IEEE doubles exactly.  The signal writer emits ``csv.writer``'s default
 dialect (comma-separated, CRLF-terminated, no cell quoted: numeric cells
 never need it) with one ``%``-format per row, built and written a bounded
 chunk of rows at a time.
+
+The readers take the header with ``csv``.  The signal reader then parses
+the body in one ``np.loadtxt`` call, numpy's C text reader, over just the
+value, truth and estimate columns; other columns, ``index`` included, are
+never parsed.  A number cell is what ``float`` accepts once surrounding
+whitespace is stripped, restricted to ASCII and without digit-group
+underscores: ``repr`` and ``%g`` forms, integers, ``inf``, ``nan``, all
+optionally quoted ``"..."``.  Lines end in LF or CRLF; blank lines are
+skipped and ``#`` is an ordinary character (so ``#1`` is not a number).
+The coefficient reader parses its ``value`` cells by the same rule.  A
+short row or a cell that is not a number raises ValueError naming the
+path and the line.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -61,46 +74,70 @@ def write_signal_csv(path, values, truth=None, estimate=None, index=None):
     _write_rows(path, header, (row % cells for cells in _cells(idx, *columns)))
 
 
-def _short_row(path, width):
-    """ValueError naming the first data line of ``path`` with fewer than
-    ``width`` cells; read again only once a row has turned out short."""
+def _number(cell, path, line, name) -> float:
+    """The ``name`` cell on ``line`` as a float, by the module's number rule
+    (numpy's text reader's: ``float`` less non-ASCII text and underscores);
+    ValueError naming the line otherwise."""
+    text = cell.strip()
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{path}:{line}: {name} cell {cell!r} is not a number")
+
+
+def _bad_row(path, width, used):
+    """ValueError naming the first data line of ``path`` that lacks a
+    ``used`` column (``{name: index}``) or holds one that is not a number;
+    read again only once the body has failed to parse."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            if row and len(row) < width:
-                break
-    return ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's {width} cells")
+            if not row:
+                continue
+            if len(row) <= max(used.values()):
+                return ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's {width} cells")
+            for name, i in used.items():
+                try:
+                    _number(row[i], path, reader.line_num, name)
+                except ValueError as err:
+                    return err
+    return None
 
 
 def read_signal_csv(path):
     """Read a signal CSV; returns (values, truth or None, estimate or None).
 
-    A row with fewer cells than a column it needs raises ValueError naming
-    the line."""
+    A row with fewer cells than a column it needs, or a needed cell that is
+    not a number, raises ValueError naming the line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header")
         cols = {name: i for i, name in enumerate(header)}
         if "value" not in cols:
             raise ValueError(f"{path}: missing 'value' column")
-        rows = [row for row in reader if row]
-    def column(name):
-        if name not in cols:
-            return None
-        return np.array([float(row[cols[name]]) for row in rows])
-    try:
-        return column("value"), column("truth"), column("estimate")
-    except IndexError:
-        raise _short_row(path, len(header)) from None
+        used = {name: cols[name] for name in ("value", "truth", "estimate") if name in cols}
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is zero rows; the length check downstream reports it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2, usecols=list(used.values())
+                )
+        except ValueError as err:
+            raise _bad_row(path, len(header), used) or ValueError(f"{path}: {err}") from None
+    columns = dict(zip(used, np.ascontiguousarray(table.T)))
+    return columns["value"], columns.get("truth"), columns.get("estimate")
 
 
 def read_coefficients_csv(path):
     """Read a coefficient CSV; returns (levels, deltas) as {j: array} dicts.
 
-    A row with fewer than the four cells raises ValueError naming the line."""
+    A row with fewer than the four cells, or a ``value`` cell that is not a
+    number, raises ValueError naming the line."""
     levels: dict[int, list] = {}
     deltas: dict[int, list] = {}
     with open(path, newline="") as fh:
@@ -110,15 +147,14 @@ def read_coefficients_csv(path):
             raise ValueError(f"{path}: empty file, expected a header")
         if header[:4] != ["j", "k", "value", "delta"]:
             raise ValueError(f"{path}: expected header j,k,value,delta")
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                j = int(row[0])
-                levels.setdefault(j, []).append(float(row[2]))
-                deltas.setdefault(j, []).append(int(row[3]))
-        except IndexError:
-            raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's 4 cells") from None
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 4:
+                raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's 4 cells")
+            j = int(row[0])
+            levels.setdefault(j, []).append(_number(row[2], path, reader.line_num, "value"))
+            deltas.setdefault(j, []).append(int(row[3]))
     return (
         {j: np.array(v) for j, v in sorted(levels.items())},
         {j: np.array(v, dtype=int) for j, v in sorted(deltas.items())},

@@ -10,17 +10,16 @@ order.  Parallel replicates run on one warm worker pool per process.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io as _io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .blocks import BLOCK_ESTIMATORS, TuningConfig
 from .errors import NumericFailure
@@ -205,10 +204,14 @@ class ExperimentSpec:
             raise ValueError(f"unknown kde mode {self.kde_mode!r}")
 
 
-def replicate_rng(seed, r) -> Generator:
-    """Counter-based stream for replicate r of an experiment."""
+def replicate_rng(seed, r) -> np.random.Generator:
+    """Counter-based stream for replicate r of an experiment.
+
+    The attribute access loads ``numpy.random`` (lazily, on numpy 2), so a
+    process that draws nothing never imports it.
+    """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(r)], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +355,24 @@ def _close_pool():
     _pool = None
 
 
-def _worker_pool(workers) -> ProcessPoolExecutor:
-    """The process's pool of ``workers`` workers, started on first use.
+# concurrent.futures.process loads after this module, so interpreter teardown
+# clears it first; a pool still cached then dies in a callback that needs it
+atexit.register(_close_pool)
+
+
+def _worker_pool(workers):
+    """The process's ``ProcessPoolExecutor`` of ``workers`` workers, started
+    on first use.
 
     Keyed by pid, so a forked child never reuses its parent's executor.
     A pool of another size is shut down before the new one forks its
     workers: forking while its manager thread runs can deadlock (cpython
-    issue 90622).
+    issue 90622).  The executor class is looked up here, on
+    ``concurrent.futures``, so that a serial process never imports
+    ``multiprocessing``.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     global _pool
     key = (os.getpid(), workers)
     if _pool is None or _pool[0] != key:
@@ -378,12 +391,12 @@ def _pooled_replicates(workers, args, chunk):
     """
     try:
         chunks = _worker_pool(workers).map(_run_replicate, *args, chunksize=chunk)
-    except BrokenProcessPool:
+    except BrokenExecutor:
         _close_pool()
         chunks = _worker_pool(workers).map(_run_replicate, *args, chunksize=chunk)
     try:
         return list(chunks)
-    except BrokenProcessPool:
+    except BrokenExecutor:
         _close_pool()
         raise
 

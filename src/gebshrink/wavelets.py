@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
 from .blocks import TuningConfig, fit_block
 from .sequence import check_epsilon, dyadic_sequence, estimate_sequence, standardize
 
-#: upper quartile of the standard normal, for MAD noise calibration
-Z_THREE_QUARTERS = NormalDist().inv_cdf(0.75)
+#: upper quartile of the standard normal, for MAD noise calibration; the
+#: double statistics.NormalDist().inv_cdf(0.75) returns, written out so that
+#: importing the package does not import statistics
+Z_THREE_QUARTERS = 0.6744897501960817
 
 _SQRT_3 = math.sqrt(3.0)
 _SQRT_2 = math.sqrt(2.0)
@@ -175,7 +176,24 @@ def mad_sigma(finest, n_signal) -> float:
     n_signal = int(n_signal)
     if n_signal < 1:
         raise ValueError("signal length must be positive")
-    return math.sqrt(n_signal) * float(np.median(np.abs(y))) / Z_THREE_QUARTERS
+    return math.sqrt(n_signal) * float(_median(np.abs(y))) / Z_THREE_QUARTERS
+
+
+def _median(a):
+    """``np.median`` of a nonempty 1-D float array, bit for bit.
+
+    The same partition and mean of the central one or two order statistics,
+    with the last position partitioned too: a NaN sorts there, and the
+    median is then that NaN.  ``np.median`` makes that check through
+    ``numpy.ma``, whose import would cost a cold process more than the
+    median itself.
+    """
+    half = a.size // 2
+    central = [half - 1, half] if a.size % 2 == 0 else [half]
+    part = np.partition(a, central + [-1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return np.mean(part[central[0] : half + 1])
 
 
 @dataclass(frozen=True)

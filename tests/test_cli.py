@@ -146,13 +146,39 @@ def test_denoise_short_row_is_one_error_line(tmp_path):
 
 def test_denoise_empty_input_is_one_error_line(tmp_path):
     src = tmp_path / "empty.csv"
-    src.write_text("")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["denoise", "--input", str(src), "--output", str(tmp_path / "o.csv")])
-    assert code == 2
-    assert err.getvalue().splitlines() == [f"error: {src}: empty file, expected a header"]
-    assert out.getvalue() == ""
+    cases = [
+        ("", f"{src}: empty file, expected a header"),
+        ("index,value\n", "signal length must be a power of two of at least 2, got 0"),
+        ("index,value\r\n", "signal length must be a power of two of at least 2, got 0"),
+        ("index,value\n1,0.5\n2,x\n", f"{src}:3: value cell 'x' is not a number"),
+    ]
+    for text, message in cases:
+        src.write_bytes(text.encode())
+        out, err = io.StringIO(), io.StringIO()
+        # a warning would print a line of its own: fail on one instead
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["denoise", "--input", str(src), "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert err.getvalue().splitlines() == [f"error: {message}"]
+        assert out.getvalue() == ""
+
+
+def test_denoise_imports_only_what_it_runs(tmp_path):
+    # a cold denoise process loads neither the process pool, numpy.random,
+    # numpy.ma (np.median's NaN check) nor statistics
+    unused = ["concurrent.futures.process", "multiprocessing", "numpy.random", "numpy.ma", "statistics"]
+    script = (
+        "import sys\n"
+        "from gebshrink import cli\n"
+        f"code = cli.main(['denoise', '--input', {str(DATA / 'doppler_2048.csv')!r}, "
+        f"'--output', {str(tmp_path / 'o.csv')!r}])\n"
+        f"print(code, [name for name in {unused!r} if name in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_denoise_missing_input_file(tmp_path):

@@ -1,10 +1,13 @@
 """CSV round trips at full double precision."""
 
 import csv
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gebshrink import io as gio
 from gebshrink.io import (
@@ -167,22 +170,117 @@ def test_signal_writer_memory_is_bounded_by_the_chunk(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, line, cells",
+    "text, line, message",
     [
-        ("index,value\n1,0.5\n2\n", 3, 1),
-        ("index,value,truth\n1,0.5,0.4\n\n2,0.1\n3,0.2,0.3\n", 4, 2),
+        ("index,value\n1,0.5\n2\n", 3, "row has 1 of the header's"),
+        ("index,value,truth\n1,0.5,0.4\n\n2,0.1\n3,0.2,0.3\n", 4, "row has 2 of the header's"),
+        ("index,value,truth\n1,0.5,0.4\n\n2,0.1,1_0\n3,0.2,x\n", 4, "truth cell '1_0' is not a number"),
     ],
-    ids=["value-missing", "truth-missing-after-blank-line"],
+    ids=["value-missing", "truth-missing-after-blank-line", "truth-not-a-number-after-blank-line"],
 )
-def test_short_signal_row_names_the_line(tmp_path, text, line, cells):
+def test_short_signal_row_names_the_line(tmp_path, text, line, message):
     path = tmp_path / "short.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=rf"short\.csv:{line}: row has {cells} of the header's"):
+    with pytest.raises(ValueError, match=rf"short\.csv:{line}: {message}"):
         read_signal_csv(path)
 
 
 def test_short_coefficient_row_names_the_line(tmp_path):
     path = tmp_path / "short.csv"
-    path.write_text("j,k,value,delta\n0,1,0.5,1\n1,1,0.25\n")
-    with pytest.raises(ValueError, match=r"short\.csv:3: row has 3 of the header's 4 cells"):
-        read_coefficients_csv(path)
+    for row, message in [
+        ("1,1,0.25", "row has 3 of the header's 4 cells"),
+        ("1,1,1_0,1", "value cell '1_0' is not a number"),
+        ("1,1,#,1", "value cell '#' is not a number"),
+    ]:
+        path.write_text(f"j,k,value,delta\n0,1,0.5,1\n{row}\n")
+        with pytest.raises(ValueError, match=rf"short\.csv:3: {message}"):
+            read_coefficients_csv(path)
+
+
+def test_one_data_row_keeps_its_shape(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("index,value,truth\n1,0.5,0.25\n")
+    values, truth, estimate = read_signal_csv(path)
+    assert values.shape == truth.shape == (1,)
+    assert values.tolist() == [0.5] and truth.tolist() == [0.25] and estimate is None
+
+
+# ------------------------------------------------------ the number grammar
+
+# a double written in each form a signal CSV may hold it in
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+_CELL_TEXT = st.one_of(
+    _DOUBLES.map(repr),
+    _DOUBLES.map(lambda x: "%.17g" % x),
+    _DOUBLES.map(lambda x: "%.6e" % x),
+    _DOUBLES.map(lambda x: "%g" % x),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "+inf", "Infinity", "NaN", "0", "-0", "-0.0", "1e999", "-1e-400"]),
+)
+
+
+@st.composite
+def _cells(draw):
+    """(csv text of the cell, the text float() sees)."""
+    text = draw(_CELL_TEXT)
+    pad = draw(st.sampled_from(["", " ", "  ", "\t"]))
+    text = pad + text + draw(st.sampled_from(["", " ", "\t"]))
+    return (f'"{text}"' if draw(st.booleans()) else text), text
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    columns=st.sampled_from([("value",), ("value", "truth"), ("value", "estimate", "truth")]),
+    rows=st.lists(st.lists(_cells(), min_size=3, max_size=3), min_size=1, max_size=20),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blanks=st.sets(st.integers(0, 20)),
+)
+def test_signal_reader_parses_each_cell_as_float_does(tmp_path, columns, rows, newline, blanks):
+    lines = [",".join(("index",) + columns)]
+    for i, row in enumerate(rows):
+        if i in blanks:
+            lines.append("")
+        lines.append(",".join([str(i + 1)] + [cell for cell, _ in row[: len(columns)]]))
+    path = tmp_path / "cells.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    got = dict(zip(("value", "truth", "estimate"), read_signal_csv(path)))
+    for k, name in enumerate(columns):
+        assert _bits(got[name]) == _bits([float(row[k][1]) for row in rows])
+    for name in set(got) - set(columns):
+        assert got[name] is None
+
+
+@pytest.mark.parametrize(
+    "cell, want",
+    [
+        # '#' starts no comment; digit-group underscores and non-ASCII
+        # digits, which float() takes, are outside the grammar
+        ("#1", None),
+        ("1#2", None),
+        ("1_0", None),
+        ("\u0661", None),
+        ("0x10", None),
+        ("", None),
+        ("in f", None),
+        (' "1"', None),
+        ("\xa00.5 ", 0.5),
+        (" 2 ", 2.0),
+        ('"-3"', -3.0),
+        ("1e999", math.inf),
+        ("-nan", -math.nan),
+    ],
+)
+def test_both_readers_share_one_number_grammar(tmp_path, cell, want):
+    signal, coefficients = tmp_path / "signal.csv", tmp_path / "coef.csv"
+    signal.write_text(f"index,value\n1,{cell}\n", encoding="utf-8")
+    coefficients.write_text(f"j,k,value,delta\n-1,1,{cell},1\n", encoding="utf-8")
+    if want is None:
+        for read, path in ((read_signal_csv, signal), (read_coefficients_csv, coefficients)):
+            with pytest.raises(ValueError, match=r"\.csv:2: value cell .* is not a number"):
+                read(path)
+    else:
+        assert _bits(read_signal_csv(signal)[0]) == _bits(read_coefficients_csv(coefficients)[0][-1]) == _bits([want])

@@ -1,5 +1,6 @@
 """Monte Carlo risk laboratory: experiment specs, reports, rates."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -296,7 +297,8 @@ def started_pools(monkeypatch):
             super().shutdown(*args, **kwargs)
 
     risklab._close_pool()
-    monkeypatch.setattr(risklab, "ProcessPoolExecutor", CountingPool)
+    # risklab looks the executor up on concurrent.futures when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     yield started
     risklab._close_pool()

@@ -1,6 +1,7 @@
 """Filter banks, noise calibration, and the two regression front ends."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gebshrink.signals import SIGNAL_NAMES
 from gebshrink.signals import test_signal as make_signal
 from gebshrink.wavelets import (
     Z_THREE_QUARTERS,
+    _median,
     denoise_equispaced,
     dwt,
     haar_reconstruct,
@@ -125,6 +127,30 @@ def test_mad_single_and_even_count():
     # even count: midpoint of the two central magnitudes
     got = mad_sigma([1.0, -3.0, 2.0, 4.0], 1)
     assert got == pytest.approx(2.5 / Z_THREE_QUARTERS, rel=1e-12)
+
+
+def test_upper_quartile_is_the_statistics_double():
+    assert Z_THREE_QUARTERS == statistics.NormalDist().inv_cdf(0.75)
+
+
+# ties, zeros of both signs, and magnitudes up to the largest double
+_MEDIAN_INPUT = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324]),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_MEDIAN_INPUT, nan=st.booleans())
+def test_median_is_np_median_bit_for_bit(values, nan):
+    a = np.array(values + [math.nan] * nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # the two central values may sum past the largest double
+        got, want = _median(a.copy()), np.median(a)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 def test_mad_all_zero_is_zero():
