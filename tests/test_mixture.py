@@ -481,6 +481,95 @@ def test_floor_crossings_none_when_floor_is_never_reached():
     assert mixture._floor_crossings(g, DENSITY_FLOOR_LIMIT * 0.999, lo, hi) == ()
 
 
+def _dense_floor_crossings(prior, rho, lo, hi, scan=4096):
+    """Every grid point evaluated, then 60 joint halvings: the reference
+    the coarse-to-fine scan and its early stop must reproduce bit for bit."""
+    grid = np.linspace(lo, hi, scan)
+    below = mixture._density_values(prior, grid) - rho < 0
+    flips = np.flatnonzero(below[:-1] != below[1:])
+    if flips.size == 0:
+        return ()
+    a, b = grid[flips], grid[flips + 1]
+    fa = mixture._density_values(prior, a) - rho
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        fm = mixture._density_values(prior, m) - rho
+        same = (fa < 0) == (fm < 0)
+        a, fa, b = np.where(same, m, a), np.where(same, fm, fa), np.where(same, b, m)
+    return tuple((0.5 * (a + b)).tolist())
+
+
+def test_a_grid_value_equal_to_the_floor_is_not_a_root():
+    # np.sign gave 0 at grid[2300] and so two flips there, one converging to
+    # -0.98266, where phi_G - rho = 9.4e-4
+    g = from_atoms([0.0], [1.0])
+    lo, hi = g.support_window()
+    grid = np.linspace(lo, hi, 4096)
+    rho = mixture._density_values(g, grid[2300:2301])[0]
+    roots = mixture._floor_crossings(g, rho, lo, hi)
+    assert len(roots) == 2
+    assert roots[0] == -roots[1]
+    value, _ = mixture_density(g, np.array(roots))
+    assert np.all(np.abs(value - rho) <= 1e-15)
+
+
+def _assert_scan_matches_dense(g, rho):
+    lo, hi = g.support_window()
+    assert mixture._floor_crossings(g, rho, lo, hi) == _dense_floor_crossings(g, rho, lo, hi)
+
+
+def _density_at(g, x):
+    return float(mixture._density_values(g, np.array([x]))[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    atoms=st.integers(1, 300),
+    spread=st.floats(0.0, 80.0),
+    seed=st.integers(0, 2**32 - 1),
+    log_rho=st.floats(math.log(1e-300), math.log(0.999 * DENSITY_FLOOR_LIMIT)),
+)
+def test_floor_crossings_match_the_dense_scan(atoms, spread, seed, log_rho):
+    rng = np.random.default_rng(seed)
+    g = from_atoms(spread * rng.uniform(-0.5, 0.5, atoms), rng.dirichlet(np.ones(atoms)))
+    _assert_scan_matches_dense(g, math.exp(log_rho))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.floats(2.0, 4.0), offset=st.sampled_from([-1e-6, -1e-9, 1e-9, 1e-6]))
+def test_floor_crossings_match_the_dense_scan_near_a_dip(d, offset):
+    # phi_G - rho stays within 1e-6 of zero across the coarse cells at the dip
+    g = from_atoms([-d, d], [0.5, 0.5])
+    _assert_scan_matches_dense(g, _density_at(g, 0.0) + offset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(-1.0, 1.0), offset=st.sampled_from([1e-4, 1e-6]))
+def test_floor_crossings_match_the_dense_scan_near_a_peak(s, offset):
+    # the atom at 70 widens the coarse cells to 0.34, so the hump's top can
+    # poke above rho inside one cell whose ends both lie below it: only the
+    # slope bound keeps that cell from being certified
+    g = from_atoms([s, 70.0], [0.5, 0.5])
+    _assert_scan_matches_dense(g, _density_at(g, s) - offset)
+
+
+def test_floor_scan_evaluates_a_fraction_of_the_grid(monkeypatch):
+    # the dense scan evaluated all 4096 grid points plus the bisection: 4,218
+    g = _empirical_4096()
+    lo, hi = g.support_window()
+    density_values = mixture._density_values
+    points = []
+
+    def counted(prior, x):
+        points.append(x.size)
+        return density_values(prior, x)
+
+    monkeypatch.setattr(mixture, "_density_values", counted)
+    roots = mixture._floor_crossings(g, RHO_4096, lo, hi)
+    assert len(roots) == 2
+    assert sum(points) <= 1024
+
+
 def test_oracle_rule_keeps_the_two_pass_shift_bit_for_bit():
     g = _empirical_4096()
     x = np.linspace(-90.0, 90.0, 1001)  # many blocks of the 4096-atom prior
