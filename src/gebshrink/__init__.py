@@ -14,76 +14,90 @@ The package is organized bottom-up:
   cli         the gebshrink command
 """
 
-from .blocks import (
-    FittedBlockRule,
-    TuningConfig,
-    TuningValues,
-    fit_block,
-    geb_rule,
-    hybrid_fit,
-    james_stein,
-    kappa_hat,
-    tuning,
-)
-from .errors import InvalidConfigError, NumericFailure, QuadratureError
-from .kde import KernelDensityEstimate, kde_eval, kde_fit
-from .mixture import (
-    GebRule,
-    HardThresholdRule,
-    IdentityRule,
-    LinearShrinkRule,
-    MixingDistribution,
-    MixtureSummary,
-    OracleRule,
-    ScalarRule,
-    SoftThresholdRule,
-    bayes_risk,
-    density_floor_loss,
-    empirical_mixing,
-    from_atoms,
-    gaussian_grid_prior,
-    mixture_density,
-    mixture_summaries,
-    oracle_rule,
-    rule_risk,
-    signal_rate_bound,
-    sparse_rate_bound,
-)
-from .risklab import (
-    ESTIMATORS,
-    BlockReport,
-    ExperimentSpec,
-    RateFit,
-    RiskReport,
-    TruthSource,
-    monte_carlo_risk,
-    rate_fit,
-    report_to_csv,
-    report_to_dict,
-    report_to_json,
-    replicate_rng,
-)
-from .sequence import (
-    BlockedSequence,
-    dyadic_sequence,
-    estimate_sequence,
-)
-from .signals import SIGNAL_NAMES, test_signal
-from .thresholds import soft_threshold_risk, threshold
-from .wavelets import (
-    EquispacedReport,
-    RandomDesignData,
-    RandomDesignReport,
-    WaveletBasis,
-    Z_THREE_QUARTERS,
-    denoise_equispaced,
-    dwt,
-    haar_reconstruct,
-    idwt,
-    mad_sigma,
-    random_design_estimate,
-    random_design_transform,
-    wavelet_basis,
-)
+import importlib
 
+# module -> the public names it defines.  A name loads its module on first
+# access (PEP 562), so ``import gebshrink`` runs no submodule.
+_MODULES = {
+    "blocks": (
+        "ESTIMATORS",
+        "FittedBlockRule",
+        "TuningConfig",
+        "TuningValues",
+        "fit_block",
+        "geb_rule",
+        "hybrid_fit",
+        "james_stein",
+        "kappa_hat",
+        "tuning",
+    ),
+    "errors": ("InvalidConfigError", "NumericFailure", "QuadratureError", "WorkerDied"),
+    "kde": ("KernelDensityEstimate", "kde_eval", "kde_fit"),
+    "mixture": (
+        "GebRule",
+        "HardThresholdRule",
+        "IdentityRule",
+        "LinearShrinkRule",
+        "MixingDistribution",
+        "MixtureSummary",
+        "OracleRule",
+        "ScalarRule",
+        "SoftThresholdRule",
+        "bayes_risk",
+        "density_floor_loss",
+        "empirical_mixing",
+        "from_atoms",
+        "gaussian_grid_prior",
+        "mixture_density",
+        "mixture_summaries",
+        "oracle_rule",
+        "rule_risk",
+        "signal_rate_bound",
+        "sparse_rate_bound",
+    ),
+    "risklab": (
+        "BlockReport",
+        "ExperimentSpec",
+        "RateFit",
+        "RiskReport",
+        "TruthSource",
+        "monte_carlo_risk",
+        "rate_fit",
+        "report_to_csv",
+        "report_to_dict",
+        "report_to_json",
+        "replicate_rng",
+    ),
+    "sequence": ("BlockedSequence", "dyadic_sequence", "estimate_sequence"),
+    "signals": ("SIGNAL_NAMES", "test_signal"),
+    "thresholds": ("soft_threshold_risk", "threshold"),
+    "wavelets": (
+        "EquispacedReport",
+        "RandomDesignData",
+        "RandomDesignReport",
+        "WaveletBasis",
+        "Z_THREE_QUARTERS",
+        "denoise_equispaced",
+        "dwt",
+        "haar_reconstruct",
+        "idwt",
+        "mad_sigma",
+        "random_design_estimate",
+        "random_design_transform",
+        "wavelet_basis",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The export ``name``, read from its module on every access, so that a
+    later rebinding there (a tracing wrapper, a test's patch) is what
+    callers get."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

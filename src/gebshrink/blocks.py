@@ -34,6 +34,9 @@ from .mixture import (
 
 #: estimators that fit each block on its own; see :func:`fit_block`
 BLOCK_ESTIMATORS = ("geb-hybrid", "soft-universal", "hard-universal", "james-stein", "mle")
+#: every estimator a risk experiment can name: the block estimators, and
+#: oracle-truth, which ``risklab`` answers with the true means themselves
+ESTIMATORS = (*BLOCK_ESTIMATORS, "oracle-truth")
 
 _POLICIES = ("mle", "james_stein")
 

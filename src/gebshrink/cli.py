@@ -9,9 +9,10 @@ Four commands:
 
 Exit codes: 0 success, 1 numeric failure or a worker process that died
 (one ``error:`` line), 2 invalid arguments or config.
-Flags override spec/config files; GEB_SHRINK_THREADS supplies the worker
-count when --jobs is absent.  --seed pins every stochastic output bit for
-bit.
+Flags override spec/config files; GEB_SHRINK_THREADS supplies --jobs (the
+processes that run replicates, this one included) when the flag is absent.
+--seed pins every stochastic output bit for bit.  The ``risklab`` commands
+import it when they run, so a ``denoise`` never loads it.
 """
 
 from __future__ import annotations
@@ -19,21 +20,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 from . import io as gio
-from .blocks import TuningConfig
-from .errors import InvalidConfigError, NumericFailure
+from .blocks import ESTIMATORS, TuningConfig
+from .errors import InvalidConfigError, NumericFailure, WorkerDied
 from .mixture import bayes_risk, from_atoms, mixture_summaries
-from .risklab import (
-    ESTIMATORS,
-    ExperimentSpec,
-    TruthSource,
-    monte_carlo_risk,
-    rate_fit,
-    report_to_csv,
-    report_to_json,
-)
 from .wavelets import denoise_equispaced, wavelet_basis
 
 # flag or config key -> (TuningConfig field, parser)
@@ -45,7 +36,10 @@ _TUNING_FIELDS = {
     "small_block": ("small_block_policy", str),
 }
 _CONFIG_KEYS = frozenset(_TUNING_FIELDS) | {"seed", "jobs", "format"}
-_JOBS_HELP = "worker processes, capped at the usable CPUs; reports do not depend on it"
+_JOBS_HELP = (
+    "processes that run replicates, this one included, capped at the usable CPUs; "
+    "reports do not depend on it"
+)
 _DENOISE_KEYS = frozenset(_TUNING_FIELDS) | {"wavelet"}
 _SPEC_KEYS = _CONFIG_KEYS | {
     "estimator",
@@ -133,6 +127,8 @@ def _jobs_from(args, config):
 
 
 def _parse_truth(text):
+    from .risklab import TruthSource
+
     parts = str(text).split(":")
     kind = parts[0]
     try:
@@ -216,6 +212,8 @@ def _cmd_denoise(args):
 
 def _write_report(spec, args, config):
     """Run spec, then write the report in --format to --output or print it."""
+    from .risklab import monte_carlo_risk, report_to_csv, report_to_json
+
     fmt = _merged(args, config, "format", "json")
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
@@ -231,6 +229,8 @@ def _write_report(spec, args, config):
 
 
 def _cmd_simulate(args):
+    from .risklab import ExperimentSpec
+
     config = _read_config(args.spec, _SPEC_KEYS)
     if args.config:
         # spec entries win over --config entries; flags win over both
@@ -270,6 +270,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_risk(args):
+    from .risklab import ExperimentSpec, rate_fit
+
     config = _read_config(args.config, _CONFIG_KEYS) if args.config else {}
     cfg = _tuning_from(args, config)
     spec = ExperimentSpec(
@@ -351,7 +353,7 @@ def main(argv=None) -> int:
     except NumericFailure as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 1
-    except BrokenExecutor as err:  # a pool worker died (BrokenProcessPool)
+    except WorkerDied as err:
         print(f"error: worker process died: {err}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` covers malformed arguments (bad shapes, out-of-range
-scalars).  The classes below mark the two failure modes callers may want to
-distinguish: a tuning configuration that cannot be satisfied, and a numeric
-routine that failed to converge.
+scalars).  The classes below mark the failure modes callers may want to
+distinguish: a tuning configuration that cannot be satisfied, a numeric
+routine that failed to converge, and a worker process that died during a
+parallel run.
 """
 
 
@@ -13,6 +14,10 @@ class InvalidConfigError(ValueError):
 
 class NumericFailure(RuntimeError):
     """A numeric routine could not reach its accuracy target."""
+
+
+class WorkerDied(RuntimeError):
+    """A worker process of a parallel Monte Carlo run exited mid-run."""
 
 
 class QuadratureError(NumericFailure):

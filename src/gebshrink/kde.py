@@ -272,8 +272,8 @@ def _eval_fused(kde):
 
     def fused(p, columns, cur):
         coef = np.conj(cur[:, :n].sum(axis=1)) * scale[p]
-        # one product per _EVAL_CHUNK points, so that BLAS starts no threads: in the
-        # pool's workers they contend for the cores and slow the walk down
+        # one product per _EVAL_CHUNK points, so that BLAS starts no threads: in a
+        # parallel run's processes they contend for the cores and slow the walk down
         for start in range(0, points.size, _EVAL_CHUNK):
             part = slice(start, start + _EVAL_CHUNK)
             acc[:, part] += coef @ cur[:, part]

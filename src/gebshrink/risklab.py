@@ -2,10 +2,12 @@
 
 Replicate r of an experiment draws from a counter-based generator keyed
 by (master seed, r), so results are bit-identical no matter how many
-worker processes share the replicates, and two experiments that differ
-only in the estimator see exactly the same truths and noise (paired
+processes share the replicates, and two experiments that differ only in
+the estimator see exactly the same truths and noise (paired
 comparisons).  Per-replicate results are always reduced in replicate
-order.  Parallel replicates run on one warm worker pool per process.
+order.  A parallel run cuts the replicates into one contiguous share per
+process: the calling process runs the first share itself, and each other
+share goes to one worker of a warm crew of forked workers, one pipe each.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import io as _io
 import json
 import math
 import os
-from concurrent.futures import BrokenExecutor
+import signal
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .blocks import BLOCK_ESTIMATORS, TuningConfig
-from .errors import NumericFailure
+from .blocks import ESTIMATORS, TuningConfig
+from .errors import NumericFailure, WorkerDied
 from .mixture import (
     MixingDistribution,
     empirical_mixing,
@@ -33,8 +35,6 @@ from .mixture import (
 from .sequence import BlockedSequence, block_ideal_risk, estimate_sequence
 from .signals import test_signal
 from .wavelets import dwt, wavelet_basis
-
-ESTIMATORS = (*BLOCK_ESTIMATORS, "oracle-truth")
 
 _TRUTH_KINDS = ("explicit", "zero", "besov", "signal", "gaussian-prior", "atom-prior")
 
@@ -333,11 +333,11 @@ def _bounds_for_blocks(spec, epsilon, ids_sizes):
 
 
 # ---------------------------------------------------------------------------
-# the worker pool
+# the worker crew
 
 
-# ((pid, workers), executor) of the process's one live pool, or None
-_pool = None
+# (pid, [(process, caller end), ...]) of the process's one live crew, or None
+_crew = None
 
 
 def _usable_cpus() -> int:
@@ -347,82 +347,156 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _close_pool():
-    """Shut the cached pool down and wait for it; a forked child only forgets it."""
-    global _pool
-    if _pool is not None and _pool[0][0] == os.getpid():
-        _pool[1].shutdown(wait=True)
-    _pool = None
-
-
-# concurrent.futures.process loads after this module, so interpreter teardown
-# clears it first; a pool still cached then dies in a callback that needs it
-atexit.register(_close_pool)
-
-
-def _worker_pool(workers):
-    """The process's ``ProcessPoolExecutor`` of ``workers`` workers, started
-    on first use.
-
-    Keyed by pid, so a forked child never reuses its parent's executor.
-    A pool of another size is shut down before the new one forks its
-    workers: forking while its manager thread runs can deadlock (cpython
-    issue 90622).  The executor class is looked up here, on
-    ``concurrent.futures``, so that a serial process never imports
-    ``multiprocessing``.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _pool
-    key = (os.getpid(), workers)
-    if _pool is None or _pool[0] != key:
-        _close_pool()
-        _pool = (key, ProcessPoolExecutor(max_workers=workers))
-    return _pool[1]
-
-
-def _pooled_replicates(workers, args, chunk):
-    """_run_replicate over args on the warm pool, in replicate order.
-
-    ``map`` submits every chunk before it returns, so a pool that broke
-    before this call (a worker died) fails there, before any work, and is
-    replaced once.  A pool that breaks during the run is dropped and the
-    error raised; the next call starts a fresh one.
-    """
+def _run_share(spec, epsilon, share):
+    """_run_replicate over ``share`` in order, or the first exception one raises."""
     try:
-        chunks = _worker_pool(workers).map(_run_replicate, *args, chunksize=chunk)
-    except BrokenExecutor:
-        _close_pool()
-        chunks = _worker_pool(workers).map(_run_replicate, *args, chunksize=chunk)
+        return [_run_replicate(spec, epsilon, r) for r in share]
+    except Exception as err:
+        return err
+
+
+def _serve(conn, inherited):
+    """A worker: answer each ``(spec, epsilon, share)`` with ``_run_share``,
+    until it receives None or the caller's end closes.
+
+    ``inherited`` holds the caller ends this fork copied, its own and those
+    of the workers forked before it.  Closing them leaves the caller the
+    only holder, so every worker sees EOF once the caller is gone.  SIGINT
+    is ignored: the caller handles an interrupt and kills its crew.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        if task is None:
+            return
+        try:
+            conn.send(_run_share(*task))
+        except OSError:
+            return
+
+
+def _close_crew(kill=False):
+    """Stop the cached crew and reap it; a forked child only forgets it.
+
+    Idle workers are sent None.  ``kill`` is for a crew that may be mid-share
+    (a dead worker or an interrupt during a run): its workers are killed, so
+    no stale reply is ever read.
+    """
+    global _crew
+    crew, _crew = _crew, None
+    if crew is None or crew[0] != os.getpid():
+        return
+    for proc, conn in crew[1]:
+        if kill:
+            proc.kill()
+        else:
+            try:
+                conn.send(None)
+            except OSError:  # that worker is already gone
+                pass
+        conn.close()
+    for proc, _ in crew[1]:
+        proc.join()
+
+
+def _worker_crew(workers):
+    """The process's crew of ``workers`` forked workers, each on its own pipe,
+    started on first use; [] where fork is unavailable.
+
+    Keyed by pid, so a forked child never reuses its parent's crew.  A crew
+    of another size, or one with a worker that died while idle, is replaced
+    before any work.  ``multiprocessing`` is imported here, so that a serial
+    process never loads it.
+    """
+    import multiprocessing
+
+    global _crew
+    if _crew is not None and _crew[0] == os.getpid() and len(_crew[1]) == workers:
+        if all(proc.is_alive() for proc, _ in _crew[1]):
+            return _crew[1]
+    _close_crew()
     try:
-        return list(chunks)
-    except BrokenExecutor:
-        _close_pool()
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return []
+    # cached before the first fork, so a fork that fails leaves a short crew
+    # that the next call replaces
+    members = []
+    _crew = (os.getpid(), members)
+    # multiprocessing's own exit hook joins its children; registered after
+    # it, this one runs first and lets the workers exit on None
+    atexit.unregister(_close_crew)
+    atexit.register(_close_crew)
+    for _ in range(workers):
+        caller_end, worker_end = context.Pipe()
+        inherited = [end for _, end in members] + [caller_end]
+        proc = context.Process(target=_serve, args=(worker_end, inherited), daemon=True)
+        proc.start()
+        worker_end.close()
+        members.append((proc, caller_end))
+    return members
+
+
+def _replicates(crew, spec, epsilon, reps):
+    """_run_replicate over range(reps), in replicate order.
+
+    The replicates are cut into up to len(crew) + 1 contiguous shares.  Each
+    worker gets one share; the caller runs share 0 itself, then reads every
+    worker's reply.  A replicate that raises raises here as it would in a
+    serial loop: the first failing replicate, in replicate order, wins.
+    """
+    shares = min(len(crew) + 1, reps)
+    cuts = [k * reps // shares for k in range(shares + 1)]
+    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    busy = crew[: shares - 1]
+    try:
+        for member, share in zip(busy, ranges[1:]):
+            member[1].send((spec, epsilon, share))
+        replies = [_run_share(spec, epsilon, ranges[0])]
+        for member in busy:
+            replies.append(member[1].recv())
+    except (EOFError, OSError) as err:
+        _close_crew(kill=True)
+        proc = member[0]
+        raise WorkerDied(f"pid {proc.pid}, exit code {proc.exitcode}") from err
+    except BaseException:
+        if busy:
+            _close_crew(kill=True)
         raise
+    results = []
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+        results += reply
+    return results
 
 
 def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
     """Replicate-averaged risk of the configured estimator.
 
-    Deterministic function of (spec, nothing else): the worker count only
-    changes wall time, never a bit of the report.  ``jobs`` is capped at
-    the CPUs this process may use.  The first parallel call starts one
-    pool of that many workers and later calls with the same count reuse
-    it; workers are forked when the pool starts, so a monkeypatch applied
-    after that does not reach them.
+    Deterministic function of (spec, nothing else): ``jobs`` only changes
+    wall time, never a bit of the report.  ``jobs`` counts the processes
+    that run replicates, this one included, and is capped at the CPUs this
+    process may use.  The first parallel call forks a crew of jobs - 1
+    workers and later calls with the same count reuse it; workers are
+    forked when the crew starts, so a monkeypatch applied after that does
+    not reach them.  A worker that dies during the call raises
+    ``WorkerDied``, and the next call starts a fresh crew.  Where fork is
+    unavailable every replicate runs in this process.
     """
     epsilon = _resolve_epsilon(spec)
     ids_sizes = spec.truth.block_ids_and_sizes()
     reps = spec.replicates
     jobs = max(1, int(jobs))
-
-    args = ([spec] * reps, [epsilon] * reps, range(reps))
     if jobs > 1 and reps > 1:
         jobs = min(jobs, _usable_cpus())
-    if jobs == 1 or reps == 1:
-        results = list(map(_run_replicate, *args))
-    else:
-        results = _pooled_replicates(jobs, args, max(1, reps // (4 * jobs)))
+    crew = _worker_crew(jobs - 1) if jobs > 1 and reps > 1 else []
+    results = _replicates(crew, spec, epsilon, reps)
 
     n_blocks = len(ids_sizes)
     sq_matrix = np.zeros((reps, n_blocks))

@@ -9,15 +9,15 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gebshrink import cli
+from gebshrink import cli, risklab
 from gebshrink.blocks import TuningConfig
+from gebshrink.errors import WorkerDied
 from gebshrink.io import read_signal_csv, write_signal_csv
 from gebshrink.mixture import bayes_risk, from_atoms
 from gebshrink.wavelets import denoise_equispaced, wavelet_basis
@@ -165,9 +165,16 @@ def test_denoise_empty_input_is_one_error_line(tmp_path):
 
 
 def test_denoise_imports_only_what_it_runs(tmp_path):
-    # a cold denoise process loads neither the process pool, numpy.random,
-    # numpy.ma (np.median's NaN check) nor statistics
-    unused = ["concurrent.futures.process", "multiprocessing", "numpy.random", "numpy.ma", "statistics"]
+    # a cold denoise process loads neither the risk laboratory, its worker
+    # processes, numpy.random, numpy.ma (np.median's NaN check) nor statistics
+    unused = [
+        "gebshrink.risklab",
+        "concurrent.futures",
+        "multiprocessing",
+        "numpy.random",
+        "numpy.ma",
+        "statistics",
+    ]
     script = (
         "import sys\n"
         "from gebshrink import cli\n"
@@ -524,10 +531,11 @@ def test_risk_overflow_reports_only_the_numeric_failure(epsilon):
 
 
 def test_dead_worker_is_one_error_line(monkeypatch, capsys):
-    def dead_pool(spec, jobs=1):
-        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+    def dead_worker(spec, jobs=1):
+        raise WorkerDied("pid 4321, exit code -9")
 
-    monkeypatch.setattr(cli, "monte_carlo_risk", dead_pool)
+    # the risk command imports monte_carlo_risk from risklab when it runs
+    monkeypatch.setattr(risklab, "monte_carlo_risk", dead_worker)
     argv = ["risk", "--estimator", "mle", "--truth", "zero:3", "--epsilon", "0.5", "--jobs", "2", "--no-ideal"]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()

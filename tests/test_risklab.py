@@ -1,12 +1,14 @@
 """Monte Carlo risk laboratory: experiment specs, reports, rates."""
 
-import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
+import pathlib
+import signal
+import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from gebshrink import risklab
 from gebshrink.blocks import TuningConfig
-from gebshrink.errors import NumericFailure
+from gebshrink.errors import NumericFailure, WorkerDied
 from gebshrink.mixture import from_atoms
 from gebshrink.risklab import (
     ESTIMATORS,
@@ -264,44 +266,65 @@ def test_deterministic_truth_blocks_are_read_only():
     assert truths[1].blocks[3][1][0] == 2.0 ** (-2 * 1.5)
 
 
-# ----------------------------------------------------------- the worker pool
+# ----------------------------------------------------------- the worker crew
 
 _TEST_PID = os.getpid()
+_REAL_ESTIMATE = risklab.estimate_sequence
+_REAL_REPLICATE = risklab._run_replicate
 
 
 def _exit_worker(*args, **kwargs):
-    """Stands in for estimate_sequence: kills the pool worker calling it (never this process)."""
+    """Stands in for estimate_sequence: kills the crew worker calling it.
+
+    The calling process runs share 0 itself, so there it runs the real
+    estimate_sequence; it never kills this process.
+    """
     if os.getpid() == _TEST_PID:
-        raise RuntimeError("a worker-killing stand-in ran in the test process")
+        return _REAL_ESTIMATE(*args, **kwargs)
     os._exit(1)
 
 
-@pytest.fixture
-def started_pools(monkeypatch):
-    """Pools started during the test, on a host that reports three usable CPUs.
+def _failing_replicate(spec, epsilon, r):
+    """Stands in for _run_replicate: every replicate from number ``spec.seed`` on fails."""
+    if r >= spec.seed:
+        raise NumericFailure(f"replicate {r} failed")
+    return _REAL_REPLICATE(spec, epsilon, r)
 
-    No pool is cached when the test starts, and the test's pools are shut
-    down when it ends.
+
+def _interrupted_replicate(spec, epsilon, r):
+    """Stands in for _run_replicate: an interrupt in this process, the real replicate in a worker."""
+    if os.getpid() == _TEST_PID:
+        raise KeyboardInterrupt
+    return _REAL_REPLICATE(spec, epsilon, r)
+
+
+def _closed(crew):
+    """Every pipe of the crew closed and every worker reaped."""
+    return all(conn.closed and proc.exitcode is not None for proc, conn in crew)
+
+
+@pytest.fixture
+def started_crews(monkeypatch):
+    """Crews started during the test, on a host that reports three usable CPUs.
+
+    Each crew is its list of (process, caller end) members.  No crew is
+    cached when the test starts, and the test's crews are stopped when it
+    ends.
     """
     started = []
+    start_or_reuse = risklab._worker_crew
 
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.workers = max_workers
-            self.closed = False
-            started.append(self)
+    def recording(workers):
+        crew = start_or_reuse(workers)
+        if not any(crew is seen for seen in started):
+            started.append(crew)
+        return crew
 
-        def shutdown(self, *args, **kwargs):
-            self.closed = True
-            super().shutdown(*args, **kwargs)
-
-    risklab._close_pool()
-    # risklab looks the executor up on concurrent.futures when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    risklab._close_crew()
+    monkeypatch.setattr(risklab, "_worker_crew", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     yield started
-    risklab._close_pool()
+    risklab._close_crew()
 
 
 def _small_spec(**changes):
@@ -316,7 +339,7 @@ def _small_spec(**changes):
     return ExperimentSpec(**fields)
 
 
-def test_one_pool_serves_every_call(started_pools):
+def test_one_crew_serves_every_call(started_crews):
     spec = ExperimentSpec(
         estimator="mle",
         truth=TruthSource.explicit({2: [0.3, -1.0, 2.0, 0.0]}),
@@ -327,48 +350,144 @@ def test_one_pool_serves_every_call(started_pools):
     rate_fit(spec, jobs=2)
     for seed in (1, 2, 3):
         monte_carlo_risk(_small_spec(seed=seed), jobs=2)
-    assert len(started_pools) == 1
-    assert started_pools[0].workers == 2
-    assert not started_pools[0].closed
+    # jobs counts the calling process: two jobs are one worker and the caller
+    assert [len(crew) for crew in started_crews] == [1]
+    assert not _closed(started_crews[0])
 
 
-def test_a_new_worker_count_replaces_the_pool(started_pools):
+def test_a_new_worker_count_replaces_the_crew(started_crews):
     spec = _small_spec()
     serial = report_to_json(monte_carlo_risk(spec, jobs=1))
     for jobs in (2, 3, 3):
         assert report_to_json(monte_carlo_risk(spec, jobs=jobs)) == serial
-    assert [pool.workers for pool in started_pools] == [2, 3]
-    assert [pool.closed for pool in started_pools] == [True, False]
+    assert [len(crew) for crew in started_crews] == [1, 2]
+    assert [_closed(crew) for crew in started_crews] == [True, False]
 
 
-def test_a_broken_pool_is_replaced(started_pools, monkeypatch):
+def test_a_dead_worker_is_replaced(started_crews, monkeypatch):
     spec = _small_spec()
     serial = report_to_json(monte_carlo_risk(spec, jobs=1))
     monte_carlo_risk(spec, jobs=2)
-    with pytest.raises(BrokenProcessPool):
-        started_pools[0].submit(os._exit, 1).result()
-    # found broken before any work: replaced, and the call succeeds
+    (proc, _), = started_crews[0]
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(10)
+    assert proc.exitcode == -signal.SIGKILL
+    # found dead before any work: replaced, and the call succeeds
     assert report_to_json(monte_carlo_risk(spec, jobs=2)) == serial
-    assert len(started_pools) == 2 and started_pools[0].closed
-    # broken during the run: the call fails and the next one starts afresh.
-    # Workers fork when a pool starts, so only a pool started under the
+    assert len(started_crews) == 2 and _closed(started_crews[0])
+    # dead during the run: the call fails and the next one starts afresh.
+    # Workers fork when a crew starts, so only a crew started under the
     # patch runs the stand-in.
     with monkeypatch.context() as patch:
-        risklab._close_pool()
+        risklab._close_crew()
         patch.setattr(risklab, "estimate_sequence", _exit_worker)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(WorkerDied, match="exit code 1"):
             monte_carlo_risk(spec, jobs=2)
-    assert len(started_pools) == 3 and started_pools[1].closed and started_pools[2].closed
+    assert len(started_crews) == 3 and _closed(started_crews[1]) and _closed(started_crews[2])
     assert report_to_json(monte_carlo_risk(spec, jobs=2)) == serial
-    assert len(started_pools) == 4 and not started_pools[3].closed
+    assert len(started_crews) == 4 and not _closed(started_crews[3])
 
 
-def test_jobs_are_capped_at_the_usable_cpus(started_pools):
+@pytest.mark.parametrize("first_failure", [1, 2])
+def test_a_failing_replicate_raises_as_in_a_serial_run(started_crews, monkeypatch, first_failure):
+    # four replicates at jobs = 2: the caller runs 0-1 and the worker 2-3,
+    # so the first failure is in the caller's share or in the worker's only
+    monkeypatch.setattr(risklab, "_run_replicate", _failing_replicate)
+    spec = _small_spec(seed=first_failure)
+    with pytest.raises(NumericFailure) as serial:
+        monte_carlo_risk(spec, jobs=1)
+    with pytest.raises(NumericFailure) as parallel:
+        monte_carlo_risk(spec, jobs=2)
+    assert type(parallel.value) is type(serial.value)
+    assert parallel.value.args == serial.value.args == (f"replicate {first_failure} failed",)
+    # every reply was read: the same crew serves the next call correctly
+    good = _small_spec()
+    assert report_to_json(monte_carlo_risk(good, jobs=2)) == report_to_json(monte_carlo_risk(good, jobs=1))
+    assert len(started_crews) == 1 and not _closed(started_crews[0])
+
+
+def test_an_interrupt_discards_the_crew(started_crews, monkeypatch):
+    spec = _small_spec()
+    serial = report_to_json(monte_carlo_risk(spec, jobs=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(risklab, "_run_replicate", _interrupted_replicate)
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo_risk(spec, jobs=2)
+    # the worker's share was left unread, so its crew is gone
+    assert len(started_crews) == 1 and _closed(started_crews[0])
+    assert report_to_json(monte_carlo_risk(spec, jobs=2)) == serial
+    assert len(started_crews) == 2 and not _closed(started_crews[1])
+
+
+def test_without_fork_every_replicate_runs_here(started_crews, monkeypatch):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    spec = _small_spec()
+    serial = report_to_json(monte_carlo_risk(spec, jobs=1))
+    assert report_to_json(monte_carlo_risk(spec, jobs=2)) == serial
+    assert started_crews == [[]]
+
+
+def test_jobs_are_capped_at_the_usable_cpus(started_crews):
     ncpu = len(os.sched_getaffinity(0))
     spec = _small_spec()
     serial = report_to_json(monte_carlo_risk(spec, jobs=1))
     assert report_to_json(monte_carlo_risk(spec, jobs=ncpu + 1)) == serial
-    assert [pool.workers for pool in started_pools] == [ncpu]
+    assert [len(crew) for crew in started_crews] == [ncpu - 1]
+
+
+def _running(pid):
+    """Whether pid is a live process (a zombie no longer runs)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+_CREW_SCRIPT = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+from gebshrink import risklab
+spec = risklab.ExperimentSpec(
+    estimator="mle", truth=risklab.TruthSource.zero(3), epsilons=(0.5,), replicates=6
+)
+risklab.monte_carlo_risk(spec, jobs=3)
+print(*[proc.pid for proc, _ in risklab._crew[1]], flush=True)
+sys.stdin.readline()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+@pytest.mark.parametrize("ending", ["exit", "sigkill"])
+def test_no_worker_outlives_its_caller(ending):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-c", _CREW_SCRIPT],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    ) as caller:
+        try:
+            pids = [int(pid) for pid in caller.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            if ending == "sigkill":
+                caller.kill()
+            else:
+                caller.stdin.close()
+            caller.wait(10)
+        finally:
+            caller.kill()
+    deadline = time.monotonic() + 10.0
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphans = [pid for pid in pids if _running(pid)]
+    for pid in orphans:  # leave no process behind, even when failing
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans
 
 
 def test_gaussian_signal_compound_risk_near_oracle():

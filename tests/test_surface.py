@@ -2,6 +2,7 @@
 acceptance criterion reaches."""
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,13 +60,25 @@ def _reached_names():
 
 
 def _exported_names():
+    """The names in the package's lazy export table, read from the source."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
+    (table,) = [
+        node.value
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_MODULES" for t in node.targets)
+    ]
+    return {name for names in ast.literal_eval(table).values() for name in names}
+
+
+def test_every_export_resolves_to_its_module():
+    import gebshrink
+
+    for module, names in gebshrink._MODULES.items():
+        source = importlib.import_module(f"gebshrink.{module}")
+        for name in names:
+            assert getattr(gebshrink, name) is getattr(source, name), name
+    assert sorted(gebshrink.__all__) == sorted(_exported_names())
 
 
 def test_every_export_is_reached_outside_the_unit_tests():
