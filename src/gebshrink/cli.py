@@ -7,8 +7,8 @@ Four commands:
   oracle     print posterior-mean risk and signal-mass summaries of a prior
   risk       quick risk run / rate fit configured entirely by flags
 
-Exit codes: 0 success, 1 numeric failure or a worker process that died
-(one ``error:`` line), 2 invalid arguments or config.
+Exit codes: 0 success, 1 numeric failure, a worker process that died or
+a run out of memory (one ``error:`` line), 2 invalid arguments or config.
 Flags override spec/config files; GEB_SHRINK_THREADS supplies --jobs (the
 processes that run replicates, this one included) when the flag is absent.
 --seed pins every stochastic output bit for bit.  The ``risklab`` commands
@@ -355,6 +355,9 @@ def main(argv=None) -> int:
         return 1
     except WorkerDied as err:
         print(f"error: worker process died: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

@@ -14,9 +14,10 @@ whitespace is stripped, restricted to ASCII and without digit-group
 underscores: ``repr`` and ``%g`` forms, integers, ``inf``, ``nan``, all
 optionally quoted ``"..."``.  Lines end in LF or CRLF; blank lines are
 skipped and ``#`` is an ordinary character (so ``#1`` is not a number).
-The coefficient reader parses its ``value`` cells by the same rule.  A
-short row or a cell that is not a number raises ValueError naming the
-path and the line.
+The coefficient reader parses its ``value`` cells by the same rule, and
+its ``j`` and ``delta`` cells by the same rule for integers.  A short row
+or a cell that is not a number raises ValueError naming the path, the
+line and the column.
 """
 
 from __future__ import annotations
@@ -74,17 +75,20 @@ def write_signal_csv(path, values, truth=None, estimate=None, index=None):
     _write_rows(path, header, (row % cells for cells in _cells(idx, *columns)))
 
 
-def _number(cell, path, line, name) -> float:
-    """The ``name`` cell on ``line`` as a float, by the module's number rule
-    (numpy's text reader's: ``float`` less non-ASCII text and underscores);
-    ValueError naming the line otherwise."""
+_KINDS = {float: "a number", int: "an integer"}
+
+
+def _number(cell, path, line, name, kind=float):
+    """The ``name`` cell on ``line`` as ``kind``, float or int, by the module's
+    number rule (numpy's text reader's: ``kind`` less non-ASCII text and
+    underscores); ValueError naming the path, the line and the column otherwise."""
     text = cell.strip()
     if text.isascii() and "_" not in text:
         try:
-            return float(text)
+            return kind(text)
         except ValueError:
             pass
-    raise ValueError(f"{path}:{line}: {name} cell {cell!r} is not a number")
+    raise ValueError(f"{path}:{line}: {name} cell {cell!r} is not {_KINDS[kind]}")
 
 
 def _bad_row(path, width, used):
@@ -136,8 +140,9 @@ def read_signal_csv(path):
 def read_coefficients_csv(path):
     """Read a coefficient CSV; returns (levels, deltas) as {j: array} dicts.
 
-    A row with fewer than the four cells, or a ``value`` cell that is not a
-    number, raises ValueError naming the line."""
+    A row with fewer than the four cells, a ``j`` or ``delta`` cell that is
+    not an integer, or a ``value`` cell that is not a number, raises
+    ValueError naming the line."""
     levels: dict[int, list] = {}
     deltas: dict[int, list] = {}
     with open(path, newline="") as fh:
@@ -152,9 +157,10 @@ def read_coefficients_csv(path):
                 continue
             if len(row) < 4:
                 raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's 4 cells")
-            j = int(row[0])
-            levels.setdefault(j, []).append(_number(row[2], path, reader.line_num, "value"))
-            deltas.setdefault(j, []).append(int(row[3]))
+            line = reader.line_num
+            j = _number(row[0], path, line, "j", int)
+            levels.setdefault(j, []).append(_number(row[2], path, line, "value"))
+            deltas.setdefault(j, []).append(_number(row[3], path, line, "delta", int))
     return (
         {j: np.array(v) for j, v in sorted(levels.items())},
         {j: np.array(v, dtype=int) for j, v in sorted(deltas.items())},

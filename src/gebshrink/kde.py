@@ -21,32 +21,32 @@ u = c_i + 2 p h with c_i = h (1 + nu_i), so
 
     exp(i u X) = exp(i c_i X) * z^p,    z = exp(2 i h X).
 
-One walk over the P/2 panels (``_walk``) serves every use.  Per chunk of
-points it builds the 16 phases exp(i c_i x) from 9 exponentials, each one
-cos and one sin: s = exp(i h x) and the 8 exp(i h nu_i x) with nu_i < 0,
-whose conjugates give the mirrored nodes (nu_{15-i} = -nu_i).  The step is
-z = s^2.  Each panel then costs one complex product per node and point.
-The empirical spectrum sums the phases over the samples.  Evaluation at
-other points is its transpose: since Re(conj(c) conj(e)) = Re(c e), the
-inversion sum at x is Re of the conjugated coefficients times the same +i
-phases, one (2, 16) @ (16, m) product per panel.  At the samples
-themselves both reductions share one walk (the fused pass, for at most
-``_FUSED_SAMPLES`` samples): panel p's spectrum is the sum of its phases,
-so its coefficients are known before the walk leaves the panel.  A fit
-evaluated at its own samples thus takes 9 exponentials per sample, where
-the separate spectrum and Horner evaluation took 17 each, 34 in all.
+One evaluator, ``_eval_fourier``, walks the P/2 panels (``_walk``).  Per
+chunk of points it builds the 16 phases exp(i c_i x) from 9 exponentials,
+each one cos and one sin: s = exp(i h x) and the 8 exp(i h nu_i x) with
+nu_i < 0, whose conjugates give the mirrored nodes (nu_{15-i} = -nu_i).
+The step is z = s^2.  Each panel then costs one complex product per node
+and point.  Evaluation is the spectrum's transpose: since
+Re(conj(c) conj(e)) = Re(c e), the inversion sum at x is Re of the
+conjugated spectrum times one (2, 16) coefficient table per panel, for
+value and derivative, times the same +i phases: one (2, 16) @ (16, m)
+product per panel.  The conjugated spectrum has one of two sources.  At the
+samples themselves (at most ``_FUSED_SAMPLES`` of them) panel p's spectrum
+is the sum of its phases, known before the walk leaves the panel, so one
+walk does both (the fused pass): 9 exponentials per sample.  Elsewhere a
+chunked walk over the samples sums the spectrum, then a chunked walk over
+the points evaluates it.
 
 Whatever the node count, the chunked walks hold 16 complex phases per
 point of a chunk, plus a value and a derivative accumulator per
 evaluation point; the fused pass holds 16 complex phases per sample,
-about 3 MB at its cap of 8192 samples.  Above the cap the spectrum and
-the evaluation at the samples run as two chunked walks.  The points are
-padded to whole blocks of ``_LANES``, so a point's bits depend on the
-rest of its batch in two ways only: through the rule, whose node count
-the batch's span sets, and through the fused pass, which a batch that
-holds exactly the samples, in any order, takes, and whose bits differ
-from the chunked walks' in the last places.  The routes agree to 1e-8 (a
-test contract); ``kde_fit`` picks the cheaper at its n samples.
+about 3 MB at its cap.  The points are padded to whole blocks of
+``_LANES``, so a point's bits depend on the rest of its batch in two ways
+only: through the rule, whose node count the batch's span sets, and
+through the fused pass, which a batch that holds exactly the samples, in
+any order, takes, and whose bits differ from the chunked walks' in the
+last places.  The routes agree to 1e-8 (a test contract); ``kde_fit``
+picks the cheaper at its n samples.
 """
 
 from __future__ import annotations
@@ -191,29 +191,6 @@ def _walk(x, h, panels, chunk, reduce):
             reduce(p, columns, cur)
 
 
-def _frequency_rule(kde, reach):
-    """The positive half of a Gauss-Legendre rule on [-a, a], plus the
-    empirical spectrum there.
-
-    ``reach`` bounds max |x - X_k| over the points to be evaluated; the
-    node count scales with a * reach / pi (oscillations of the integrand)
-    and stays above the 4*a*reach/pi + 64 floor of the accuracy contract.
-    The P panels are mirror-symmetric about 0 and psi(-u) = conj psi(u),
-    so only the P/2 panels on (0, a] are kept.  Returns ``(u, w, psi)``,
-    each of shape (P/2, 16): nodes, weights and (1/n) sum_k exp(i u X_k).
-    """
-    u, h = _positive_nodes(kde.bandwidth, reach)
-    w = np.broadcast_to(h * _WEIGHTS16, u.shape)
-    psi = np.zeros(u.shape, dtype=complex)
-
-    def spectrum(p, columns, cur):
-        psi[p] += cur.sum(axis=1)
-
-    _walk(kde.samples, h, u.shape[0], _SAMPLE_CHUNK, spectrum)
-    psi /= kde.n
-    return u, w, psi
-
-
 def _eval_direct(kde, x):
     """The kernel sums, over chunks of at most ``_DIRECT_PAIRS`` pairs (or one
     point); rows are independent, so the chunking does not change a bit."""
@@ -238,53 +215,55 @@ def _padded(x):
     return out
 
 
-def _eval_fourier(kde, x):
-    """The spectrum, then its transpose at the points: with the +i phases of
-    the points, Re(conj(c) conj(e)) = Re(c e) gives the inversion sum."""
-    reach = float(x.max(initial=kde.samples[-1]) - x.min(initial=kde.samples[0]))
-    u, w, psi = _frequency_rule(kde, reach)
-    wpsi = np.conj(w * psi)
-    # value and derivative coefficients, (P/2, 2, 16): conj of w psi and w psi (-i u)
-    coef = np.stack([wpsi, wpsi * (1j * u)], axis=1)
-    points = _padded(x)
-    acc = np.zeros((2, points.size), dtype=complex)
+def _eval_fourier(kde, x=None):
+    """Value and derivative at the points ``x``, or at the sorted samples when
+    ``x`` is None, from one coefficient table on the P/2 positive panels.
 
-    def transposed(p, columns, cur):
-        acc[:, columns] += coef[p] @ cur
-
+    The node count follows the reach max |x - X_k| (see ``_panel_count``).
+    Panel p's coefficients are conj(n psi_p) * scale[p], with
+    scale[p] = (h w / n, h w / n * i u) and n psi_p = sum_k exp(i u X_k); with
+    the +i phases of a point, Re(conj(c) conj(e)) = Re(c e) gives the inversion
+    sum.  At the samples, n psi_p is the sum of panel p's phases there, so one
+    walk yields each panel's spectrum and its evaluation (the fused pass);
+    elsewhere a chunked walk over the samples sums the spectrum first.
+    """
+    samples, n = kde.samples, kde.n
+    at = samples if x is None else x
+    reach = float(at.max(initial=samples[-1]) - at.min(initial=samples[0]))
+    u, h = _positive_nodes(kde.bandwidth, reach)
     half = u.shape[0]
-    _walk(points, kde.bandwidth / (2 * half), half, _EVAL_CHUNK, transposed)
-    # the negative half is the conjugate of the positive: 2 Re over u > 0
-    return acc[0, : x.size].real / np.pi, acc[1, : x.size].real / np.pi
-
-
-def _eval_fused(kde):
-    """Value and derivative at the sorted samples, in one walk of at most
-    ``_FUSED_SAMPLES`` samples: panel p's spectrum is the sum of its phases at
-    the samples, so its coefficients are ready before the walk moves on."""
-    a, n = kde.bandwidth, kde.n
-    u, h = _positive_nodes(a, float(kde.samples[-1] - kde.samples[0]))
-    scale = np.empty((u.shape[0], 2, 16), dtype=complex)
+    scale = np.empty((half, 2, 16), dtype=complex)
     scale[:, 0] = h * _WEIGHTS16 / n
     scale[:, 1] = scale[:, 0] * (1j * u)
-    points = _padded(kde.samples)
+    if x is None:  # the samples are the first n points of the one walk
+        psi = None
+    else:
+        psi = np.zeros(u.shape, dtype=complex)
+
+        def spectrum(p, columns, cur):
+            psi[p] += cur.sum(axis=1)
+
+        _walk(samples, h, half, _SAMPLE_CHUNK, spectrum)
+    points = _padded(at)
     acc = np.zeros((2, points.size), dtype=complex)
 
-    def fused(p, columns, cur):
-        coef = np.conj(cur[:, :n].sum(axis=1)) * scale[p]
+    def evaluate(p, columns, cur):
+        coef = np.conj(cur[:, :n].sum(axis=1) if psi is None else psi[p]) * scale[p]
         # one product per _EVAL_CHUNK points, so that BLAS starts no threads: in a
         # parallel run's processes they contend for the cores and slow the walk down
-        for start in range(0, points.size, _EVAL_CHUNK):
+        out = acc[:, columns]
+        for start in range(0, cur.shape[1], _EVAL_CHUNK):
             part = slice(start, start + _EVAL_CHUNK)
-            acc[:, part] += coef @ cur[:, part]
+            out[:, part] += coef @ cur[:, part]
 
-    _walk(points, h, u.shape[0], points.size, fused)
-    return acc[0, :n].real / np.pi, acc[1, :n].real / np.pi
+    _walk(points, h, half, points.size if psi is None else _EVAL_CHUNK, evaluate)
+    # the negative half is the conjugate of the positive: 2 Re over u > 0
+    return acc[0, : at.size].real / np.pi, acc[1, : at.size].real / np.pi
 
 
 def _sample_order(kde, x):
     """The permutation that sorts ``x`` when ``x`` holds exactly the samples
-    and the fused walk takes them, else None."""
+    and the fused pass takes them, else None."""
     if x.size != kde.n or kde.n > _FUSED_SAMPLES:
         return None
     order = np.argsort(x)
@@ -309,7 +288,7 @@ def kde_eval(kde, points):
     order = None if mode == "direct" else _sample_order(kde, flat)
     if order is not None:  # the points are the samples: one fused walk, then scatter back
         value, deriv = np.empty_like(flat), np.empty_like(flat)
-        value[order], deriv[order] = _eval_fused(kde)
+        value[order], deriv[order] = _eval_fourier(kde)
     else:
         value, deriv = (_eval_direct if mode == "direct" else _eval_fourier)(kde, flat)
     if scalar:

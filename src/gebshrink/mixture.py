@@ -190,18 +190,21 @@ def _shift_and_density(prior: MixingDistribution, x):
     """
     shift = np.empty(x.size)
     value = np.empty(x.size)
-    for block, d, e in _atom_blocks(prior, x, 2):
-        np.multiply(d, d, out=e)
-        e *= 0.5
-        e_min = e.min(axis=1)
-        e -= e_min[:, None]
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        e *= prior.weights  # w exp(-(e - e_min)), in place: temporaries cost more than flops
-        den = e.sum(axis=1)
-        d *= e
-        shift[block] = -d.sum(axis=1) / den
-        value[block] = _INV_SQRT_2PI * np.exp(-e_min) * den
+    # atoms about 1e154 apart overflow d^2 and make inf - inf: the quadrature
+    # reports the non-finite values once, so numpy does not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, d, e in _atom_blocks(prior, x, 2):
+            np.multiply(d, d, out=e)
+            e *= 0.5
+            e_min = e.min(axis=1)
+            e -= e_min[:, None]
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            e *= prior.weights  # w exp(-(e - e_min)), in place: temporaries cost more than flops
+            den = e.sum(axis=1)
+            d *= e
+            shift[block] = -d.sum(axis=1) / den
+            value[block] = _INV_SQRT_2PI * np.exp(-e_min) * den
     return shift, value
 
 
@@ -405,13 +408,14 @@ def mixture_summaries(prior: MixingDistribution, p, x) -> MixtureSummary:
         raise ValueError(f"tail point must be nonnegative, got {x}")
     u = prior.locations
     w = prior.weights
-    kappa = float(w @ np.minimum(u * u, 1.0))
-    kappa_tilde = float(1.0 - w @ np.exp(-0.25 * u * u))
+    with np.errstate(over="ignore", invalid="ignore"):  # u^2 and |u|^p of far atoms overflow to inf
+        kappa = float(w @ np.minimum(u * u, 1.0))
+        kappa_tilde = float(1.0 - w @ np.exp(-0.25 * u * u))
+        if math.isinf(p):
+            mu_p = float(np.abs(u[w > 0]).max())
+        else:
+            mu_p = float((w @ np.abs(u) ** p) ** (1.0 / p))
     tail = float(w[np.abs(u) > x].sum())
-    if math.isinf(p):
-        mu_p = float(np.abs(u[w > 0]).max())
-    else:
-        mu_p = float((w @ np.abs(u) ** p) ** (1.0 / p))
     return MixtureSummary(kappa=kappa, kappa_tilde=kappa_tilde, tail_at_x=tail, mu_p=mu_p)
 
 

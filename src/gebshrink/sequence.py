@@ -24,22 +24,6 @@ from .errors import NumericFailure
 from .mixture import IdentityRule, bayes_risk, empirical_mixing
 
 
-def check_epsilon(epsilon):
-    """Raise ValueError unless 0 < epsilon < inf."""
-    if not 0 < float(epsilon) < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-
-
-def standardize(values, epsilon, name):
-    """values / epsilon; an overflow is reported once, as NumericFailure
-    naming ``name``, not as numpy warnings."""
-    with np.errstate(over="ignore"):
-        x = values / epsilon
-    if not np.all(np.isfinite(x)):
-        raise NumericFailure(f"{name} overflows when standardized by epsilon {epsilon:g}")
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class BlockedSequence:
     """Noise scale and ordered (level, values) blocks."""
@@ -48,7 +32,8 @@ class BlockedSequence:
     blocks: tuple
 
     def __post_init__(self):
-        check_epsilon(self.epsilon)
+        if not 0 < float(self.epsilon) < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if len(self.blocks) == 0:
             raise ValueError("need at least one block")
         cleaned = []
@@ -102,7 +87,10 @@ def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), 
     estimates = []
     fits = []
     for level, values in seq.blocks:
-        x = standardize(values, eps, f"block {level}")
+        with np.errstate(over="ignore"):  # reported once, not as numpy warnings
+            x = values / eps
+        if not np.all(np.isfinite(x)):
+            raise NumericFailure(f"block {level} overflows when standardized by epsilon {eps:g}")
         fit = fit_block(x, cfg, estimator)
         if isinstance(fit.rule, IdentityRule):
             # exact passthrough, not eps * (values / eps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import TuningConfig, fit_block
-from .sequence import check_epsilon, dyadic_sequence, estimate_sequence, standardize
+from .sequence import BlockedSequence, dyadic_sequence, estimate_sequence
 
 #: upper quartile of the standard normal, for MAD noise calibration; the
 #: double statistics.NormalDist().inv_cdf(0.75) returns, written out so that
@@ -370,44 +370,33 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
     """Estimate the regression function from standardized Haar contrasts.
 
     Where the usability indicator is zero the coefficient estimate is
-    zero.  Each level's usable coefficients, standardized, are fitted as
-    one block by :func:`blocks.fit_block` with the hybrid estimator.
-    ``sigma = 0`` short-circuits to the identity on the raw contrasts.  A
-    level that overflows when standardized raises NumericFailure.  Returns
+    zero.  Each level's usable coefficients form one block of a
+    :class:`sequence.BlockedSequence`, estimated by
+    :func:`sequence.estimate_sequence` with the hybrid estimator; levels
+    with none are skipped and report no fit.  ``sigma = 0`` short-circuits
+    to the identity on the raw contrasts.  A block that overflows when
+    standardized raises NumericFailure.  Returns
     ``(cell_values, report)`` where ``cell_values`` is the estimated
     function on the 2^(J+1) finest dyadic cells.
     """
     sigma = float(sigma)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    estimates = {}
-    fits = []
     levels = sorted(data.coefficients)
+    effective = tuple(data.effective[j] for j in levels)
     if sigma == 0.0:
-        estimates = {j: data.coefficients[j].copy() for j in levels}
-        cells = haar_reconstruct(estimates)
-        return cells, RandomDesignReport(
-            epsilon=0.0, levels=tuple(levels), fits=(), effective=tuple(data.effective[j] for j in levels)
-        )
+        cells = haar_reconstruct(data.coefficients)
+        return cells, RandomDesignReport(epsilon=0.0, levels=tuple(levels), fits=(), effective=effective)
     epsilon = sigma / math.sqrt(data.n_points)
-    check_epsilon(epsilon)  # a subnormal sigma can round sigma / sqrt(n) to 0
-    for j in levels:
-        coef = data.coefficients[j]
-        mask = data.deltas[j] == 1
-        beta_hat = np.zeros(coef.size)
-        active = coef[mask]
-        if active.size:
-            x = standardize(active, epsilon, f"level {j}")
-            fit = fit_block(x, cfg)
-            beta_hat[mask] = epsilon * np.asarray(fit.rule(x), dtype=float)
-            fits.append(fit)
-        else:
-            fits.append(None)
-        estimates[j] = beta_hat
-    cells = haar_reconstruct(estimates)
-    return cells, RandomDesignReport(
-        epsilon=epsilon,
-        levels=tuple(levels),
-        fits=tuple(fits),
-        effective=tuple(data.effective[j] for j in levels),
+    masks = {j: data.deltas[j] == 1 for j in levels}
+    used = [j for j in levels if masks[j].any()]
+    # BlockedSequence also rejects a subnormal sigma that rounds sigma / sqrt(n) to 0
+    seq = BlockedSequence(epsilon, tuple((j, data.coefficients[j][masks[j]]) for j in used))
+    shrunk, block_fits = estimate_sequence(seq, cfg)
+    estimates = {j: np.zeros(data.coefficients[j].size) for j in levels}
+    for j, beta_hat in zip(used, shrunk):
+        estimates[j][masks[j]] = beta_hat
+    fits = dict(zip(used, block_fits))
+    return haar_reconstruct(estimates), RandomDesignReport(
+        epsilon=epsilon, levels=tuple(levels), fits=tuple(fits.get(j) for j in levels), effective=effective
     )

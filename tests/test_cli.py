@@ -238,6 +238,16 @@ def test_oracle_weight_sum_error_prints_plain_number():
     assert "weights sum to 0.4" in proc.stderr
 
 
+def test_oracle_far_apart_atoms_fail_in_one_line(capsys, recwarn):
+    # (1e200)^2 overflows: the quadrature's one failure line, no numpy warnings
+    assert cli.main(["oracle", "--atoms=1e200=0.5,-1e200=0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure:"), err
+    assert [str(w.message) for w in recwarn] == []
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -465,6 +475,18 @@ def test_risk_empty_csv_truth_is_one_error_line(tmp_path):
     assert out.getvalue() == ""
 
 
+def test_risk_csv_truth_with_a_bad_level_cell_is_one_error_line(tmp_path):
+    src = tmp_path / "coef.csv"
+    src.write_text("j,k,value,delta\n-1,1,0.5,1\nx,1,0.25,1\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["risk", "--estimator", "mle", "--truth", f"csv:{src}", "--epsilon", "0.5"])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].endswith(f"{src}:3: j cell 'x' is not an integer"), lines
+    assert out.getvalue() == ""
+
+
 def test_risk_unknown_signal_fails_when_the_truth_is_parsed():
     proc = run_cli("risk", "--estimator", "mle", "--truth", "signal:nosuch:256:7")
     assert proc.returncode == 2
@@ -542,6 +564,20 @@ def test_dead_worker_is_one_error_line(monkeypatch, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: worker process died"), err
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    def oversized(j_max):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array with shape (1073741824,)")
+
+    # the truth is built when the risk command parses it; no real allocation is made
+    monkeypatch.setattr(risklab.TruthSource, "zero", staticmethod(oversized))
+    argv = ["risk", "--estimator", "mle", "--truth", "zero:40", "--epsilon", "1", "--replicates", "1"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines == ["error: out of memory: Unable to allocate 8.00 GiB for an array with shape (1073741824,)"], err
 
 
 # ------------------------------------------------------------ spec fuzzing

@@ -191,6 +191,10 @@ def test_short_coefficient_row_names_the_line(tmp_path):
         ("1,1,0.25", "row has 3 of the header's 4 cells"),
         ("1,1,1_0,1", "value cell '1_0' is not a number"),
         ("1,1,#,1", "value cell '#' is not a number"),
+        ("x,1,0.25,1", "j cell 'x' is not an integer"),
+        ("0.0,1,0.25,1", r"j cell '0\.0' is not an integer"),
+        ("1,1,0.25,x", "delta cell 'x' is not an integer"),
+        ("1,1,0.25,0.0", r"delta cell '0\.0' is not an integer"),
     ]:
         path.write_text(f"j,k,value,delta\n0,1,0.5,1\n{row}\n")
         with pytest.raises(ValueError, match=rf"short\.csv:3: {message}"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gebshrink import kde as kde_module
-from gebshrink.kde import _eval_direct, _eval_fourier, _eval_fused, _frequency_rule, kde_eval, kde_fit
+from gebshrink.kde import _eval_direct, _eval_fourier, _positive_nodes, kde_eval, kde_fit
 
 
 def test_bandwidth_is_tied_to_sample_count():
@@ -113,7 +113,7 @@ def _literal_rule(kde, u, w, points):
     phase = np.exp(-1j * points[:, None] * u[None, :])
     value = (phase @ (w * psi)).real / (2.0 * np.pi)
     deriv = (phase @ (w * psi * (-1j * u))).real / (2.0 * np.pi)
-    return psi, value, deriv
+    return value, deriv
 
 
 def _normal_block(n):
@@ -133,8 +133,21 @@ def _outlier_block(n):
 
 
 def _reach(k, points):
-    """The reach ``_eval_fourier`` asks its frequency rule for."""
+    """The reach ``_eval_fourier`` builds its nodes for."""
     return float(points.max(initial=k.samples[-1]) - points.min(initial=k.samples[0]))
+
+
+def _counted_walks(monkeypatch):
+    """The panel half-width h of every ``_walk`` call from now on."""
+    calls = []
+    walk = kde_module._walk
+
+    def counted(x, h, panels, chunk, reduce):
+        calls.append(h)
+        return walk(x, h, panels, chunk, reduce)
+
+    monkeypatch.setattr(kde_module, "_walk", counted)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -146,7 +159,8 @@ def test_fourier_route_matches_literal_definition(values):
     k = kde_fit(values)
     points = np.concatenate([k.samples, np.linspace(k.samples[0] - 1.0, k.samples[-1] + 1.0, 97)])
     value, deriv = _eval_fourier(k, points)
-    u, w, psi = _frequency_rule(k, _reach(k, points))
+    u, h = _positive_nodes(k.bandwidth, _reach(k, points))
+    w = np.broadcast_to(h * kde_module._WEIGHTS16, u.shape)
 
     # the stored rule is the positive half of 16 Gauss-Legendre nodes on
     # each of an even number P of equal panels
@@ -156,7 +170,7 @@ def test_fourier_route_matches_literal_definition(values):
     edges = np.linspace(-k.bandwidth, k.bandwidth, panels + 1)
     width = 0.5 * (edges[1:] - edges[:-1])[:, None]
     layout = 0.5 * (edges[:-1] + edges[1:])[:, None] + width * nodes16[None, :]
-    assert u.shape == w.shape == psi.shape == (half, 16)
+    assert u.shape == (half, 16)
     assert float(np.max(np.abs(u - layout[half:]))) < 1e-13
     assert float(np.max(np.abs(w - width[half:] * weights16[None, :]))) < 1e-15
 
@@ -164,8 +178,7 @@ def test_fourier_route_matches_literal_definition(values):
     u_full = np.concatenate([-u[::-1, ::-1], u])
     w_full = np.concatenate([w[::-1, ::-1], w])
     assert float(np.max(np.abs(u_full - layout))) < 1e-13
-    psi_ref, value_ref, deriv_ref = _literal_rule(k, u_full, w_full, points)
-    assert float(np.max(np.abs(psi.ravel() - psi_ref[half * 16 :]))) < 1e-12
+    value_ref, deriv_ref = _literal_rule(k, u_full, w_full, points)
     assert float(np.max(np.abs(value - value_ref))) < 1e-12
     assert float(np.max(np.abs(deriv - deriv_ref))) < 1e-12
 
@@ -226,7 +239,7 @@ def test_fourier_memory_does_not_grow_with_node_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    u, _, _ = _frequency_rule(k, _reach(k, k.samples))
+    u, _ = _positive_nodes(k.bandwidth, _reach(k, k.samples))
     assert 2 * u.size > 6000  # the stored half rule stands for twice its nodes
     assert peak < 4 * 2**20
 
@@ -286,19 +299,14 @@ def test_far_points_are_priced_again(monkeypatch):
     # would need millions of nodes, so that call goes direct
     k = kde_fit(_normal_block(128))
     assert k.mode == "fourier"
-    reaches = []
-
-    def counted(kde, reach):
-        reaches.append(reach)
-        return _frequency_rule(kde, reach)
-
-    monkeypatch.setattr(kde_module, "_frequency_rule", counted)
+    walks = _counted_walks(monkeypatch)
     points = np.array([-1e6, 0.0, 1e6])
     got, want = kde_eval(k, points), _eval_direct(k, points)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert reaches == []
-    kde_eval(k, k.samples[::2])  # within the span the fit's route holds
-    assert reaches == [float(k.samples[-1] - k.samples[0])]
+    assert walks == []
+    kde_eval(k, k.samples[::2])  # within the span the fit's route holds: spectrum, then points
+    _, h = _positive_nodes(k.bandwidth, float(k.samples[-1] - k.samples[0]))
+    assert walks == [h, h]
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,7 +339,7 @@ def test_fused_pass_matches_direct_and_two_walks(n, spread, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + spread * rng.uniform(-0.5, 0.5, n)
     k = kde_fit(x)
-    value, deriv = _eval_fused(k)
+    value, deriv = _eval_fourier(k)
     vd, dd = _eval_direct(k, k.samples)
     assert float(np.max(np.abs(value - vd))) < 1e-8
     assert float(np.max(np.abs(deriv - dd))) < 1e-8
@@ -345,13 +353,13 @@ def test_fused_pass_matches_direct_and_two_walks(n, spread, seed):
 def test_samples_in_any_order_take_the_fused_pass(n, monkeypatch):
     x = np.random.default_rng(n).standard_normal(n)
     k = kde_fit(x)
-    value, deriv = _eval_fused(k)
-    spectra = []
-    monkeypatch.setattr(kde_module, "_frequency_rule", lambda *args: spectra.append(args))
-    for perm in (np.arange(n), np.argsort(x), np.random.default_rng(1).permutation(n)):
+    value, deriv = _eval_fourier(k)
+    walks = _counted_walks(monkeypatch)
+    perms = (np.arange(n), np.argsort(x), np.random.default_rng(1).permutation(n))
+    for perm in perms:
         got = kde_eval(k, k.samples[perm])
         assert np.array_equal(got[0], value[perm]) and np.array_equal(got[1], deriv[perm])
-    assert spectra == []  # one fused walk per call, no separate spectrum
+    assert len(walks) == len(perms)  # one fused walk per call, no separate spectrum
     monkeypatch.undo()
     moved = k.samples[perm] + 1e-3  # as many points as samples, but not the samples
     got, want = kde_eval(k, moved), _eval_fourier(k, moved)
@@ -362,16 +370,10 @@ def test_samples_above_the_cap_take_two_walks(monkeypatch):
     n = kde_module._FUSED_SAMPLES + 1
     k = kde_fit(_normal_block(n))
     want = _eval_fourier(k, k.samples)
-    reaches = []
-
-    def counted(kde, reach):
-        reaches.append(reach)
-        return _frequency_rule(kde, reach)
-
-    monkeypatch.setattr(kde_module, "_frequency_rule", counted)
+    walks = _counted_walks(monkeypatch)
     got = kde_eval(k, k.samples[::-1])
     assert np.array_equal(got[0], want[0][::-1]) and np.array_equal(got[1], want[1][::-1])
-    assert reaches == [float(k.samples[-1] - k.samples[0])]
+    assert len(walks) == 2  # the spectrum over the samples, then the points
 
 
 def test_a_points_bits_do_not_depend_on_its_neighbours():

@@ -407,7 +407,7 @@ _SIGMAS = {
     math.nan: (ValueError, "sigma must be nonnegative and finite"),
     -1.0: (ValueError, "sigma must be nonnegative and finite"),
     5e-324: (ValueError, "epsilon must be positive and finite, got 0.0"),  # 5e-324 / 16 rounds to 0
-    1e-320: (NumericFailure, r"level -?\d+ overflows when standardized by epsilon"),
+    1e-320: (NumericFailure, r"block -?\d+ overflows when standardized by epsilon"),
     0.0: None,
     1e308: None,
 }
