@@ -17,7 +17,14 @@ The posterior-mean rule, the integrands of :func:`bayes_risk`,
 :func:`rule_risk` and :func:`density_floor_loss`, and the floor-crossing
 scan evaluate one exponential per (point, atom) pair and walk the points
 in blocks of at most ``_BLOCK_PAIRS`` pairs, so their temporaries stay
-bounded whatever the atom count.
+bounded whatever the atom count.  The oracle rule's risk reuses the
+exponentials of its own shift.
+
+:func:`bayes_risks` prices a batch of priors in one lockstep quadrature
+(:func:`quadrature.integrate_batch`): one integrand call per round for the
+whole batch.  Priors with equal atom counts share one (point, atom) sweep,
+each point reading its own prior's row of a stacked table, so each risk is
+bit-identical to :func:`bayes_risk` of that prior alone, whatever the batch.
 
 The floor-crossing scan is coarse to fine: because |phi_G'| <= 1/sqrt(2 pi e)
 < 0.25 for every G, a coarse cell whose end values sit on one side of rho,
@@ -31,11 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .kde import KernelDensityEstimate, kde_eval
-from .quadrature import integrate
+from .quadrature import integrate, integrate_batch
 from .thresholds import soft_threshold_risk, threshold
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -153,10 +161,20 @@ def mixture_density(prior: MixingDistribution, points):
     return value.reshape(pts.shape), deriv.reshape(pts.shape)
 
 
-def _atom_blocks(prior: MixingDistribution, x, buffers):
+class _AtomTable(NamedTuple):
+    """Equal-count priors stacked: row i of each (priors, atoms) array is one prior."""
+
+    locations: np.ndarray
+    weights: np.ndarray
+
+
+def _atom_blocks(prior, x, buffers, rows=None):
     """Yield ``(block, d, *rest)`` over the flat points ``x`` in blocks of at
     most ``_BLOCK_PAIRS`` (point, atom) pairs: d = x[block] - atom, and
     ``buffers - 1`` more (rows, atoms) scratch arrays.
+
+    ``prior`` is a :class:`MixingDistribution`, or with ``rows`` an
+    :class:`_AtomTable` whose row ``rows[i]`` holds point i's atoms.
 
     All of them are views into one workspace allocated per call, each
     starting on a 64-byte boundary.  Fresh temporaries per block would land
@@ -164,48 +182,71 @@ def _atom_blocks(prior: MixingDistribution, x, buffers):
     10-20% slower from a misaligned start (4096-atom blocks, AVX-512 Xeon),
     so their speed would depend on the process's heap layout.
     """
-    atoms = prior.atom_count
+    atoms = prior.locations.shape[-1]
     step = max(1, min(_BLOCK_PAIRS // atoms, x.size))
     stride = -(-step * atoms // 8) * 8  # whole 64-byte lines per buffer
     raw = np.empty(buffers * stride + 7)
     work = raw[(-raw.ctypes.data % 64) // 8 :]
     for start in range(0, x.size, step):
         block = slice(start, start + step)
-        rows = min(step, x.size - start)
+        points = min(step, x.size - start)
         views = [
-            work[k * stride : k * stride + rows * atoms].reshape(rows, atoms)
+            work[k * stride : k * stride + points * atoms].reshape(points, atoms)
             for k in range(buffers)
         ]
-        np.subtract(x[block, None], prior.locations[None, :], out=views[0])
+        if rows is None:
+            np.subtract(x[block, None], prior.locations[None, :], out=views[0])
+        else:
+            np.take(prior.locations, rows[block], axis=0, out=views[0])
+            np.subtract(x[block, None], views[0], out=views[0])
         yield (block, *views)
 
 
-def _shift_and_density(prior: MixingDistribution, x):
-    """``(phi_G'(x)/phi_G(x), phi_G(x))`` at the flat points ``x``.
+def _shift_and_density(prior, x, rows=None, *, loss=False):
+    """``(phi_G'(x)/phi_G(x), phi_G(x))`` at the flat points ``x``; with
+    ``loss``, also the oracle rule's pointwise risk
+    sum_i w_i phi(x - u_i) (x + shift - u_i)^2 from the same exponentials.
 
-    One exponential per (point, atom).  The exponents are re-centered per
-    point before exponentiation, so the shift never degenerates to 0/0,
-    even where the raw density underflows; the density is rescaled by the
-    point's own factor exp(-e_min) and comes out 0 where that underflows.
+    ``prior`` and ``rows`` are as for :func:`_atom_blocks`.  One exponential
+    per (point, atom).  The exponents are re-centered per point before
+    exponentiation, so the shift never degenerates to 0/0, even where the
+    raw density underflows; the density is rescaled by the point's own
+    factor exp(-e_min) and comes out 0 where that underflows.
     """
     shift = np.empty(x.size)
     value = np.empty(x.size)
+    risk = np.empty(x.size) if loss else None
+    buffers = 2 + (rows is not None) + loss
     # atoms about 1e154 apart overflow d^2 and make inf - inf: the quadrature
     # reports the non-finite values once, so numpy does not warn of them
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, d, e in _atom_blocks(prior, x, 2):
+        for block, d, e, *spare in _atom_blocks(prior, x, buffers, rows):
+            weights = prior.weights
+            if rows is not None:
+                weights = np.take(weights, rows[block], axis=0, out=spare.pop())
             np.multiply(d, d, out=e)
             e *= 0.5
             e_min = e.min(axis=1)
             e -= e_min[:, None]
             np.negative(e, out=e)
             np.exp(e, out=e)
-            e *= prior.weights  # w exp(-(e - e_min)), in place: temporaries cost more than flops
+            e *= weights  # w exp(-(e - e_min)), in place: temporaries cost more than flops
             den = e.sum(axis=1)
-            d *= e
-            shift[block] = -d.sum(axis=1) / den
-            value[block] = _INV_SQRT_2PI * np.exp(-e_min) * den
-    return shift, value
+            scale = _INV_SQRT_2PI * np.exp(-e_min)
+            value[block] = scale * den
+            if loss:
+                (de,) = spare
+                np.multiply(d, e, out=de)
+                s = -de.sum(axis=1) / den
+                shift[block] = s
+                d += s[:, None]
+                d *= d
+                d *= e
+                risk[block] = scale * d.sum(axis=1)
+            else:
+                d *= e
+                shift[block] = -d.sum(axis=1) / den
+    return (shift, value, risk) if loss else (shift, value)
 
 
 def _density_values(prior: MixingDistribution, x):
@@ -329,7 +370,9 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution, *, tol=1e-8) -> float
 
     Soft-threshold rules use the exact per-atom risk formula; every other
     rule is integrated over the mass window [min atom - 8, max atom + 8]
-    with panel edges at the rule's breakpoints.
+    with panel edges at the rule's breakpoints.  The oracle rule of
+    ``prior`` itself takes its risk from the exponentials of its own shift,
+    one per (point, atom).
     """
     if isinstance(rule, SoftThresholdRule):
         return float(
@@ -339,20 +382,26 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution, *, tol=1e-8) -> float
             )
         )
     lo, hi = prior.support_window()
+    if isinstance(rule, OracleRule) and rule.prior is prior:
 
-    def integrand(x):
-        t = np.asarray(rule(x), dtype=float)
-        out = np.empty(x.size)
-        for block, d, err in _atom_blocks(prior, x, 2):
-            np.subtract(t[block, None], prior.locations[None, :], out=err)
-            d *= d
-            d *= -0.5
-            np.exp(d, out=d)
-            d *= _INV_SQRT_2PI
-            err *= err
-            err *= d
-            out[block] = err @ prior.weights
-        return out
+        def integrand(x):
+            return _shift_and_density(prior, x, loss=True)[2]
+
+    else:
+
+        def integrand(x):
+            t = np.asarray(rule(x), dtype=float)
+            out = np.empty(x.size)
+            for block, d, err in _atom_blocks(prior, x, 2):
+                np.subtract(t[block, None], prior.locations[None, :], out=err)
+                d *= d
+                d *= -0.5
+                np.exp(d, out=d)
+                d *= _INV_SQRT_2PI
+                err *= err
+                err *= d
+                out[block] = err @ prior.weights
+            return out
 
     return integrate(integrand, lo, hi, tol=tol, breakpoints=rule.breakpoints())
 
@@ -363,16 +412,59 @@ def bayes_risk(prior: MixingDistribution, *, tol=1e-8) -> float:
     Exactly zero for a point mass.  The quadrature result is clamped to
     [0, 1]; tiny negatives from roundoff are zeroed.
     """
-    if prior.atom_count == 1:
-        return 0.0
-    lo, hi = prior.support_window()
+    (risk,) = bayes_risks([prior], tol=tol)
+    return risk
 
-    def integrand(x):
-        shift, value = _shift_and_density(prior, x)
-        return shift * shift * value
 
-    fisher = integrate(integrand, lo, hi, tol=tol)
-    return min(max(1.0 - fisher, 0.0), 1.0)
+def bayes_risks(priors, *, tol=1e-8) -> list:
+    """:func:`bayes_risk` of each prior, bit for bit, priced in one lockstep
+    quadrature: one integrand call per round for the whole batch.
+
+    Priors with equal atom counts are stacked into one table and share one
+    (point, atom) sweep per round, in blocks of at most ``_BLOCK_PAIRS``
+    pairs; a count that only one prior has sweeps that prior directly.  A
+    failing integral raises the error the first failing prior, in order,
+    would raise alone.
+    """
+    priors = list(priors)
+    risks = [0.0] * len(priors)
+    pending = [k for k, prior in enumerate(priors) if prior.atom_count > 1]
+    if not pending:
+        return risks
+    by_count = {}
+    for i, k in enumerate(pending):
+        by_count.setdefault(priors[k].atom_count, []).append(i)
+    # one sweep per atom count: the prior itself, or the stacked table with
+    # each integral's row in it
+    sweeps = []
+    sweep_of = np.empty(len(pending), dtype=np.intp)
+    for s, members in enumerate(by_count.values()):
+        sweep_of[members] = s
+        group = [priors[pending[i]] for i in members]
+        if len(group) == 1:
+            sweeps.append((group[0], None))
+            continue
+        row = np.full(len(pending), -1)
+        row[members] = np.arange(len(members))
+        table = _AtomTable(
+            np.array([g.locations for g in group]), np.array([g.weights for g in group])
+        )
+        sweeps.append((table, row))
+
+    def integrand(x, which):
+        out = np.empty(x.size)
+        owner_sweep = sweep_of[which] if len(sweeps) > 1 else None
+        for s, (source, row) in enumerate(sweeps):
+            points = slice(None) if owner_sweep is None else np.flatnonzero(owner_sweep == s)
+            rows = None if row is None else row[which[points]]
+            shift, value = _shift_and_density(source, x[points], rows)
+            out[points] = shift * shift * value
+        return out
+
+    fishers = integrate_batch(integrand, [priors[k].support_window() for k in pending], tol=tol)
+    for k, fisher in zip(pending, fishers):
+        risks[k] = min(max(1.0 - fisher, 0.0), 1.0)
+    return risks
 
 
 # ---------------------------------------------------------------------------

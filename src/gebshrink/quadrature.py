@@ -1,10 +1,23 @@
-"""Adaptive composite Gauss-Legendre quadrature.
+"""Adaptive composite Gauss-Legendre quadrature, for one integral or a batch
+of integrals in lockstep.
 
 The risk functionals in this package integrate smooth Gaussian-mixture
 expressions over a finite window, occasionally with known kinks (threshold
 corners, density floors).  A panel-bisection Gauss-Legendre scheme with a
 10-versus-20-point error estimate handles both cases; callers pass kink
 locations as ``breakpoints`` so no panel straddles a non-smooth point.
+
+:func:`integrate_batch` runs many integrals in lockstep: each round
+evaluates every pending panel of every integral, at its low-order and
+high-order nodes together, in one integrand call, so the per-round cost of
+the scheme is paid once per batch instead of once per integral.  Each
+integral keeps its own panel tree, tolerance share, panel budget,
+``QuadratureError`` diagnostics and ascending-edge summation, and its panel
+sums come from a matrix-vector product over its own rows only (OpenBLAS's
+gemv rounds a row differently by its place in the matrix).  So as long as
+the integrand's value at a point does not depend on the other points of the
+call, an integral's result is bit-identical whatever batch it runs in.
+:func:`integrate` is a batch of one.
 
 Integrands must accept a 1-d ``numpy`` array and return an array of the
 same shape.  The algorithm is deterministic: identical inputs produce
@@ -24,25 +37,39 @@ _nodes_low, _weights_low = np.polynomial.legendre.leggauss(_LOW_ORDER)
 _nodes_high, _weights_high = np.polynomial.legendre.leggauss(_HIGH_ORDER)
 
 
-def _panel_pair(f, lo, hi):
-    """Low- and high-order estimates for a batch of panels.
+def _panel_pairs(f, lo, hi, owner, counts):
+    """Low- and high-order estimates for the panels of a batch, from one
+    integrand call.
 
-    ``lo`` and ``hi`` are equal-length arrays of panel edges.  Returns
-    ``(i_low, i_high)`` arrays of per-panel integral estimates.
+    ``lo``, ``hi`` and ``owner`` describe the panels, sorted by owner and
+    then by edge; ``counts[k]`` is the number of panels of integral k.
+    Returns ``(i_low, i_high)`` arrays of per-panel integral estimates.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x_low = mid[:, None] + half[:, None] * _nodes_low[None, :]
     x_high = mid[:, None] + half[:, None] * _nodes_high[None, :]
-    y_low = f(x_low.ravel()).reshape(x_low.shape)
-    y_high = f(x_high.ravel()).reshape(x_high.shape)
-    i_low = half * (y_low @ _weights_low)
-    i_high = half * (y_high @ _weights_high)
-    return i_low, i_high
+    y = f(
+        np.concatenate([x_low.ravel(), x_high.ravel()]),
+        np.concatenate([owner.repeat(_LOW_ORDER), owner.repeat(_HIGH_ORDER)]),
+    )
+    y_low = y[: x_low.size].reshape(x_low.shape)
+    y_high = y[x_low.size :].reshape(x_high.shape)
+    sum_low = np.empty(lo.size)
+    sum_high = np.empty(lo.size)
+    start = 0
+    for k in counts.nonzero()[0]:
+        rows = slice(start, start + counts[k])
+        sum_low[rows] = y_low[rows] @ _weights_low
+        sum_high[rows] = y_high[rows] @ _weights_high
+        start += counts[k]
+    return half * sum_low, half * sum_high
 
 
 def integrate(f, lo, hi, *, tol=1e-8, breakpoints=(), max_panels=1 << 17):
     """Integrate ``f`` over ``[lo, hi]`` to absolute tolerance ``tol``.
+
+    Makes one call to ``f`` per round of panel bisection.
 
     Parameters
     ----------
@@ -63,55 +90,129 @@ def integrate(f, lo, hi, *, tol=1e-8, breakpoints=(), max_panels=1 << 17):
         If the panel budget is exhausted or the integrand returns
         non-finite values.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("integration limits must be finite")
-    if hi <= lo:
-        raise ValueError(f"empty integration interval [{lo}, {hi}]")
+    (total,) = integrate_batch(
+        lambda x, which: f(x),
+        [(lo, hi)],
+        tol=tol,
+        breakpoints=[breakpoints],
+        max_panels=max_panels,
+    )
+    return total
 
-    cuts = sorted({float(b) for b in breakpoints if lo < float(b) < hi})
-    edges = np.array([lo, *cuts, hi])
-    width_total = hi - lo
-    min_width = width_total * 2.0 ** -48
 
-    active_lo = edges[:-1].copy()
-    active_hi = edges[1:].copy()
-    total = 0.0
-    processed = 0
-    worst = np.inf
+def integrate_batch(f, limits, *, tol=1e-8, breakpoints=None, max_panels=1 << 17):
+    """Integrate a batch of integrals in lockstep; returns a list of floats.
 
+    Parameters
+    ----------
+    f : callable
+        ``f(x, which)``: ``x`` is a flat float array of points and
+        ``which`` an integer array of the same length giving, for each
+        point, the index into ``limits`` of the integral it belongs to.
+        Returns the integrand values, an array of ``x``'s shape.  Called
+        once per round.
+    limits : sequence of (lo, hi)
+        Finite limits with ``lo < hi``, one pair per integral.
+    tol, max_panels : float, int
+        As for :func:`integrate`; each integral has its own.
+    breakpoints : sequence of iterables of float, optional
+        One iterable of interior panel edges per integral.
+
+    Raises
+    ------
+    QuadratureError
+        That of the first integral, in batch order, that fails: the
+        integrals after it stop there and those before it run to the end,
+        so it is the error a loop of :func:`integrate` calls would raise.
+    """
+    limits = [(float(lo), float(hi)) for lo, hi in limits]
+    if breakpoints is None:
+        breakpoints = [()] * len(limits)
+    if len(breakpoints) != len(limits):
+        raise ValueError("need one set of breakpoints per integral")
+    panel_lo, panel_hi, panel_owner = [], [], []
+    for k, ((lo, hi), cuts) in enumerate(zip(limits, breakpoints)):
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("integration limits must be finite")
+        if hi <= lo:
+            raise ValueError(f"empty integration interval [{lo}, {hi}]")
+        edges = [lo, *sorted({float(b) for b in cuts if lo < float(b) < hi}), hi]
+        panel_lo += edges[:-1]
+        panel_hi += edges[1:]
+        panel_owner += [k] * (len(edges) - 1)
+
+    count = len(limits)
+    width_total = np.array([hi - lo for lo, hi in limits])
+    min_width = width_total * 2.0**-48
+    totals = [0.0] * count
+    processed = np.zeros(count, dtype=np.int64)
+    worst = np.full(count, np.inf)
+    failure = None
+
+    active_lo = np.array(panel_lo)
+    active_hi = np.array(panel_hi)
+    owner = np.array(panel_owner, dtype=np.intp)
+
+    # a failing integral k raises at the end, unless one before it fails
+    # too: it and every integral after it stop at once
     while active_lo.size:
-        processed += active_lo.size
-        if processed > max_panels:
-            raise QuadratureError(
+        counts = np.bincount(owner, minlength=count)
+        processed += counts
+        over = ((counts > 0) & (processed > max_panels)).nonzero()[0]
+        if over.size:
+            k = over[0]
+            failure = QuadratureError(
                 "quadrature did not converge within the panel budget;",
-                interval=(lo, hi),
-                panels=processed,
-                worst_error=worst,
+                interval=limits[k],
+                panels=int(processed[k]),
+                worst_error=float(worst[k]),
             )
-        i_low, i_high = _panel_pair(f, active_lo, active_hi)
-        if not (np.all(np.isfinite(i_low)) and np.all(np.isfinite(i_high))):
-            raise QuadratureError(
+            keep = owner < k
+            active_lo, active_hi, owner = active_lo[keep], active_hi[keep], owner[keep]
+            counts[k:] = 0
+            if not owner.size:
+                break
+        i_low, i_high = _panel_pairs(f, active_lo, active_hi, owner, counts)
+        bad = ~(np.isfinite(i_low) & np.isfinite(i_high))
+        if bad.any():
+            k = owner[bad][0]
+            failure = QuadratureError(
                 "integrand returned non-finite values;",
-                interval=(lo, hi),
-                panels=processed,
+                interval=limits[k],
+                panels=int(processed[k]),
             )
+            keep = owner < k
+            active_lo, active_hi, owner = active_lo[keep], active_hi[keep], owner[keep]
+            i_low, i_high = i_low[keep], i_high[keep]
+            if not owner.size:
+                break
         err = np.abs(i_high - i_low)
         width = active_hi - active_lo
-        budget = tol * width / width_total
-        done = (err <= budget) | (width <= min_width)
-        if np.any(width <= min_width):
-            worst = min(worst, float(err[width <= min_width].max(initial=0.0)))
-        # accumulate accepted panels in ascending-edge order: deterministic
-        total += float(i_high[done].sum())
+        budget = tol * width / width_total[owner]
+        tiny = width <= min_width[owner]
+        done = (err <= budget) | tiny
+        if tiny.any():
+            for k in np.unique(owner[tiny]):
+                worst[k] = min(worst[k], float(err[tiny & (owner == k)].max(initial=0.0)))
+        # accumulate each integral's accepted panels in ascending-edge order:
+        # deterministic, and the same sum a single integral takes
+        accepted = i_high[done]
+        taken = np.bincount(owner[done], minlength=count)
+        start = 0
+        for k in taken.nonzero()[0]:
+            totals[k] += float(accepted[start : start + taken[k]].sum())
+            start += taken[k]
+        # each rejected panel is replaced by its two halves, in place, so
+        # the panels stay sorted by owner and edge.  (Halves that tie an
+        # edge come only from a panel one ulp wide, which splits into
+        # itself until its integral runs out of panels.)
         keep_lo = active_lo[~done]
         keep_hi = active_hi[~done]
         mid = 0.5 * (keep_lo + keep_hi)
-        active_lo = np.concatenate([keep_lo, mid])
-        active_hi = np.concatenate([mid, keep_hi])
-        order = np.argsort(active_lo, kind="stable")
-        active_lo = active_lo[order]
-        active_hi = active_hi[order]
+        active_lo = np.column_stack([keep_lo, mid]).ravel()
+        active_hi = np.column_stack([mid, keep_hi]).ravel()
+        owner = owner[~done].repeat(2)
 
-    return total
+    if failure is not None:
+        raise failure
+    return totals

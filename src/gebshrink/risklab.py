@@ -8,6 +8,13 @@ comparisons).  Per-replicate results are always reduced in replicate
 order.  A parallel run cuts the replicates into one contiguous share per
 process: the calling process runs the first share itself, and each other
 share goes to one worker of a warm crew of forked workers, one pipe each.
+
+The ideal risk of a random truth is priced per share, not per replicate:
+the share's replicates are estimated first, and their blocks' Bayes risks
+then go through one lockstep quadrature (``mixture.bayes_risks``) in
+batches of up to ``_IDEAL_BATCH`` coefficients.  Each risk is bit-identical
+to its own ``bayes_risk``, so the batching changes no report bit, and a
+failing replicate raises the error a serial run would meet first.
 """
 
 from __future__ import annotations
@@ -32,11 +39,14 @@ from .mixture import (
     signal_rate_bound,
     sparse_rate_bound,
 )
-from .sequence import BlockedSequence, block_ideal_risk, estimate_sequence
+from .sequence import BlockedSequence, block_ideal_risks, estimate_sequence
 from .signals import test_signal
 from .wavelets import dwt, wavelet_basis
 
 _TRUTH_KINDS = ("explicit", "zero", "besov", "signal", "gaussian-prior", "atom-prior")
+# coefficients whose ideal risks a share prices in one lockstep batch: a
+# bound on the batch's memory, far above the small blocks that gain from it
+_IDEAL_BATCH = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +176,8 @@ class ExperimentSpec:
     epsilons is the noise grid (exactly one entry for monte_carlo_risk,
     at least four for rate_fit); signal truths carry their own epsilon
     and take an empty grid.  compute_ideal toggles the per-replicate
-    posterior-mean benchmark for random truths (one quadrature each).
+    posterior-mean benchmark for random truths (one Bayes risk each,
+    priced per share in lockstep).
     kde_mode is validated but selects nothing: ``kde`` picks its route.
     No command sets it; it stays only for callers that still pass it.
     """
@@ -277,7 +288,8 @@ def _apply_estimator(spec: ExperimentSpec, epsilon, y_blocks, beta_blocks):
 
 
 def _run_replicate(spec: ExperimentSpec, epsilon, r):
-    """One replicate: returns (per-block sq errors, branches, per-block ideal)."""
+    """One replicate up to its ideal risk: returns (per-block sq errors,
+    branches, beta blocks)."""
     rng = replicate_rng(spec.seed, r)
     beta_blocks = spec.truth.draw_blocks(epsilon, rng)
     # overflow is reported once, as NumericFailure, not as numpy warnings
@@ -290,10 +302,7 @@ def _run_replicate(spec: ExperimentSpec, epsilon, r):
         sq = np.array(
             [float(np.sum((est - beta) ** 2)) for est, beta in zip(estimates, beta_blocks)]
         )
-    ideal = None
-    if spec.truth.is_random() and spec.compute_ideal:
-        ideal = np.array([block_ideal_risk(beta, epsilon) for beta in beta_blocks])
-    return sq, branches, ideal
+    return sq, branches, beta_blocks
 
 
 def _resolve_epsilon(spec: ExperimentSpec) -> float:
@@ -310,7 +319,7 @@ def _resolve_epsilon(spec: ExperimentSpec) -> float:
 def _deterministic_ideal(spec, epsilon):
     if not spec.truth.blocks:
         return None
-    return [block_ideal_risk(beta, epsilon) for _, beta in spec.truth.blocks]
+    return block_ideal_risks([beta for _, beta in spec.truth.blocks], epsilon)
 
 
 def _bounds_for_blocks(spec, epsilon, ids_sizes):
@@ -348,11 +357,41 @@ def _usable_cpus() -> int:
 
 
 def _run_share(spec, epsilon, share):
-    """_run_replicate over ``share`` in order, or the first exception one raises."""
+    """Per-replicate ``(sq errors, branches, ideal)`` over ``share`` in
+    order, or the first exception a serial run would raise.
+
+    The ideal risks (random truths with compute_ideal; each replicate draws
+    one block) are priced in lockstep batches of up to ``_IDEAL_BATCH``
+    coefficients.  A replicate that fails has the ideal risks of the
+    replicates before it priced first, since a serial run prices those
+    earlier: a failure there wins.
+    """
+    pricing = spec.truth.is_random() and spec.compute_ideal
+    runs, ideals, waiting = [], [], []
+
+    def price():
+        if waiting:
+            ideals.extend(block_ideal_risks(waiting, epsilon))
+            waiting.clear()
+
     try:
-        return [_run_replicate(spec, epsilon, r) for r in share]
+        for r in share:
+            try:
+                sq, branches, beta_blocks = _run_replicate(spec, epsilon, r)
+            except Exception:
+                price()
+                raise
+            runs.append((sq, branches))
+            if pricing:
+                waiting.extend(beta_blocks)
+                if sum(beta.size for beta in waiting) >= _IDEAL_BATCH:
+                    price()
+        price()
     except Exception as err:
         return err
+    if not pricing:
+        return [(sq, branches, None) for sq, branches in runs]
+    return [(sq, branches, np.array([ideal])) for (sq, branches), ideal in zip(runs, ideals)]
 
 
 def _serve(conn, inherited):

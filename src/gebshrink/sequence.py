@@ -8,8 +8,9 @@ distribution:
 
     R*(eps, beta) = eps^2 sum_j n_j bayes_risk(empirical_mixing(beta_j, eps)).
 
-Blocks are processed one at a time in block order, so results never depend
-on any parallel execution of callers.
+Blocks are estimated one at a time in block order, and each block's ideal
+risk is bit-identical whatever batch prices it, so results never depend on
+any parallel execution of callers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .blocks import TuningConfig, fit_block
 from .errors import NumericFailure
-from .mixture import IdentityRule, bayes_risk, empirical_mixing
+from .mixture import IdentityRule, bayes_risks, empirical_mixing
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +102,20 @@ def estimate_sequence(seq: BlockedSequence, cfg: TuningConfig = TuningConfig(), 
     return estimates, fits
 
 
-def block_ideal_risk(beta, epsilon) -> float:
-    """One block's term of R*: eps^2 n bayes_risk(empirical_mixing(beta, eps))."""
-    return epsilon * epsilon * beta.size * bayes_risk(empirical_mixing(beta, epsilon))
+def block_ideal_risks(blocks, epsilon) -> list:
+    """Each block's term of R*, eps^2 n bayes_risk(empirical_mixing(beta, eps)),
+    priced in one lockstep quadrature.
+
+    Raises what a loop over the blocks would raise first: a block whose
+    empirical prior cannot be built fails only after the blocks before it
+    are priced, and a failing quadrature of one of those wins.
+    """
+    priors = []
+    try:
+        for beta in blocks:
+            priors.append(empirical_mixing(beta, epsilon))
+    except ValueError:
+        bayes_risks(priors)
+        raise
+    risks = bayes_risks(priors)
+    return [epsilon * epsilon * beta.size * risk for beta, risk in zip(blocks, risks)]

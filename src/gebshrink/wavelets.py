@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import TuningConfig, fit_block
+from .errors import NumericFailure
 from .sequence import BlockedSequence, dyadic_sequence, estimate_sequence
 
 #: upper quartile of the standard normal, for MAD noise calibration; the
@@ -293,7 +294,11 @@ class RandomDesignData:
 
 
 def random_design_transform(t, y, j_max) -> RandomDesignData:
-    """Cell counts, indicators and standardized contrasts up to level ``j_max``."""
+    """Cell counts, indicators and standardized contrasts up to level ``j_max``.
+
+    Finite responses whose cell sums or contrasts overflow raise
+    NumericFailure naming the first such level.
+    """
     t = np.asarray(t, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if t.size == 0:
@@ -334,12 +339,20 @@ def random_design_transform(t, y, j_max) -> RandomDesignData:
         delta = usable.astype(int)
         coef = np.zeros(delta.size)
         if np.any(usable):
-            diff = means[j + 1][0::2][usable] - means[j + 1][1::2][usable]
+            # cell means that overflowed to inf, or whose difference
+            # overflows, are reported once below, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff = means[j + 1][0::2][usable] - means[j + 1][1::2][usable]
             spread = np.sqrt(1.0 / left_n[usable] + 1.0 / right_n[usable])
             coef[usable] = diff / (root_n * spread)
         deltas[j] = delta
         coefficients[j] = coef
         effective[j] = int(delta.sum())
+    for j, coef in coefficients.items():
+        if not np.all(np.isfinite(coef)):
+            raise NumericFailure(
+                f"level {j} overflows: the responses' cell sums or contrasts exceed the float range"
+            )
 
     t_ro = t.copy()
     y_ro = y.copy()

@@ -643,3 +643,96 @@ def test_shift_and_density_matches_two_pass(atoms, spread, seed, points):
     tiny = ref_value < np.finfo(float).tiny
     np.testing.assert_allclose(value[~tiny], ref_value[~tiny], rtol=1e-12, atol=0.0)
     assert np.all(np.abs(value[tiny] - ref_value[tiny]) <= 1e-300)
+
+
+# ---------------------------------------------------------------- lockstep bayes risks
+
+
+def _alone_bayes_risk(prior):
+    """bayes_risk as a single integral of shift^2 * density, as it was
+    written before batches."""
+    if prior.atom_count == 1:
+        return 0.0
+
+    def integrand(x):
+        shift, value = mixture._shift_and_density(prior, x)
+        return shift * shift * value
+
+    fisher = integrate(integrand, *prior.support_window(), tol=1e-8)
+    return min(max(1.0 - fisher, 0.0), 1.0)
+
+
+_BATCH_PRIOR = st.tuples(st.integers(1, 5), st.floats(0.0, 30.0), st.integers(0, 2**32 - 1))
+
+
+def _prior_from(atoms, spread, seed):
+    rng = np.random.default_rng(seed)
+    return from_atoms(spread * rng.uniform(-0.5, 0.5, atoms), rng.dirichlet(np.ones(atoms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(_BATCH_PRIOR, min_size=1, max_size=9), data=st.data())
+def test_batched_bayes_risks_are_bit_identical_in_any_batch_and_order(specs, data):
+    priors = [_prior_from(*spec) for spec in specs]
+    alone = [bayes_risk(g) for g in priors]
+    assert alone == [_alone_bayes_risk(g) for g in priors]
+    assert mixture.bayes_risks(priors) == alone
+    order = data.draw(st.permutations(range(len(priors))))
+    assert mixture.bayes_risks([priors[k] for k in order]) == [alone[k] for k in order]
+
+
+def test_a_batch_of_equal_count_priors_sweeps_once_per_round(monkeypatch):
+    calls = []
+    sweep = mixture._shift_and_density
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, "_shift_and_density", counted)
+    priors = [from_atoms([0.0, -s, s], [0.9, 0.05, 0.05]) for s in (1.0, 4.0, 12.0, 30.0)]
+    rounds = []
+    for g in priors:
+        calls.clear()
+        bayes_risk(g)
+        rounds.append(len(calls))
+    calls.clear()
+    mixture.bayes_risks(priors)
+    # one stacked table, swept once per round of the slowest prior
+    assert len(calls) == max(rounds) < sum(rounds)
+    assert all(isinstance(source, mixture._AtomTable) for source in calls)
+
+
+@pytest.mark.parametrize("atoms, count", [(3, 70_000), (4096, 1001)])
+def test_atom_table_sweeps_give_each_point_its_own_priors_bits(atoms, count):
+    rng = np.random.default_rng(atoms)
+    priors = [_prior_from(atoms, 10.0, seed) for seed in range(4)]
+    table = mixture._AtomTable(
+        np.array([g.locations for g in priors]), np.array([g.weights for g in priors])
+    )
+    x = np.linspace(-9.0, 9.0, count)
+    rows = rng.integers(0, 4, count)
+    covered = 0
+    for block, d, e, w in mixture._atom_blocks(table, x, 3, rows):
+        assert d.size <= max(mixture._BLOCK_PAIRS, atoms)
+        assert np.array_equal(d, x[block, None] - table.locations[rows[block]])
+        covered += d.shape[0]
+    assert covered == count
+    shift, value = mixture._shift_and_density(table, x, rows)
+    for k, g in enumerate(priors):
+        mine = rows == k
+        alone_shift, alone_value = mixture._shift_and_density(g, x[mine])
+        assert np.array_equal(shift[mine], alone_shift)
+        assert np.array_equal(value[mine], alone_value)
+
+
+def test_oracle_rule_risk_reuses_the_shift_exponentials(monkeypatch):
+    g = from_atoms([0.0, -3.0, 2.0], [0.5, 0.25, 0.25])
+    before = rule_risk(oracle_rule(g), g)
+
+    def unused(self, x):
+        raise AssertionError("the oracle rule's own risk evaluates no separate rule pass")
+
+    monkeypatch.setattr(OracleRule, "__call__", unused)
+    assert rule_risk(oracle_rule(g), g) == before
+    assert before == pytest.approx(bayes_risk(g), abs=1e-8)

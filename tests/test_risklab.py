@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from gebshrink import risklab
 from gebshrink.blocks import TuningConfig
-from gebshrink.errors import NumericFailure, WorkerDied
-from gebshrink.mixture import from_atoms
+from gebshrink.errors import NumericFailure, QuadratureError, WorkerDied
+from gebshrink.mixture import bayes_risk, empirical_mixing, from_atoms
 from gebshrink.risklab import (
     ESTIMATORS,
     ExperimentSpec,
@@ -404,6 +405,89 @@ def test_a_failing_replicate_raises_as_in_a_serial_run(started_crews, monkeypatc
     good = _small_spec()
     assert report_to_json(monte_carlo_risk(good, jobs=2)) == report_to_json(monte_carlo_risk(good, jobs=1))
     assert len(started_crews) == 1 and not _closed(started_crews[0])
+
+
+def _far_ideal_replicate(spec, epsilon, r):
+    """Stands in for _run_replicate: replicate ``spec.seed`` hands on a block
+    whose ideal risk fails in quadrature, and replicate ``spec.seed + 1``
+    fails in its estimate."""
+    if r == spec.seed + 1:
+        raise NumericFailure(f"replicate {r} failed")
+    sq, branches, beta_blocks = _REAL_REPLICATE(spec, epsilon, r)
+    if r == spec.seed:
+        beta_blocks = (np.array([0.0, 1e200]),)  # atoms 1e200 apart: non-finite integrand
+    return sq, branches, beta_blocks
+
+
+@pytest.mark.parametrize("first_failure", [0, 1, 2])
+def test_an_ideal_risk_failure_before_an_estimate_failure_wins(started_crews, monkeypatch, first_failure):
+    # four replicates at jobs = 2: shares 0-1 and 2-3.  The ideal risk of
+    # replicate first_failure fails, and the estimate of the next one: in a
+    # serial run the ideal risk comes first, whether the two replicates
+    # share a batch (0, 2) or not (1)
+    monkeypatch.setattr(risklab, "_run_replicate", _far_ideal_replicate)
+    spec = _small_spec(seed=first_failure, truth=TruthSource.atom_prior(from_atoms([0.0, 3.0], [0.5, 0.5]), 8))
+    with pytest.raises(QuadratureError) as serial:
+        monte_carlo_risk(spec, jobs=1)
+    with pytest.raises(QuadratureError) as parallel:
+        monte_carlo_risk(spec, jobs=2)
+    assert parallel.value.args == serial.value.args
+    assert serial.value.interval == (-8.0, 1e200 + 8.0)
+    # without ideal risks, the estimate failure is the first
+    with pytest.raises(NumericFailure, match=f"replicate {first_failure + 1} failed"):
+        monte_carlo_risk(replace(spec, compute_ideal=False), jobs=2)
+
+
+def _ideal_by_replicate(spec):
+    """Each replicate's ideal risk, priced alone with bayes_risk."""
+    epsilon = spec.epsilons[0]
+    betas = [spec.truth.draw_blocks(epsilon, replicate_rng(spec.seed, r))[0] for r in range(spec.replicates)]
+    priors = [empirical_mixing(beta, epsilon) for beta in betas]
+    return [epsilon * epsilon * beta.size * bayes_risk(g) for beta, g in zip(betas, priors)], priors
+
+
+@pytest.mark.parametrize(
+    "truth",
+    [
+        TruthSource.atom_prior(from_atoms([0.0, -3.0, 3.0], [0.6, 0.2, 0.2]), 4),
+        TruthSource.gaussian_prior(1.0, 48),
+    ],
+    ids=["atoms-n4", "gaussian-n48"],
+)
+def test_ideal_risks_priced_per_share_match_each_replicate_alone(started_crews, truth):
+    spec = ExperimentSpec(
+        estimator="geb-hybrid", truth=truth, epsilons=(0.5,), replicates=24, seed=5
+    )
+    alone, priors = _ideal_by_replicate(spec)
+    if truth.kind == "atom-prior":
+        # replicates draw 1, 2 or 3 distinct atoms: batches mix atom counts
+        assert len({g.atom_count for g in priors}) == 3
+    serial = monte_carlo_risk(spec, jobs=1)
+    (row,) = serial.per_block
+    assert row.ideal_risk == float(np.array(alone)[:, None].mean(axis=0)[0])
+    for jobs in (2, 3):
+        assert report_to_json(monte_carlo_risk(spec, jobs=jobs)) == report_to_json(serial)
+
+
+def test_ideal_batches_cut_mid_share_change_no_bit(started_crews, monkeypatch):
+    spec = ExperimentSpec(
+        estimator="mle", truth=TruthSource.gaussian_prior(1.0, 40), epsilons=(0.5,), replicates=8, seed=8
+    )
+    whole = report_to_json(monte_carlo_risk(spec, jobs=1))
+    batches = []
+    price = risklab.block_ideal_risks
+
+    def recorded(blocks, epsilon):
+        batches.append(len(blocks))
+        return price(blocks, epsilon)
+
+    # a batch fills after every 3 replicates of 40 coefficients
+    monkeypatch.setattr(risklab, "_IDEAL_BATCH", 120)
+    monkeypatch.setattr(risklab, "block_ideal_risks", recorded)
+    assert report_to_json(monte_carlo_risk(spec, jobs=1)) == whole
+    assert batches == [3, 3, 2]
+    risklab._close_crew()
+    assert report_to_json(monte_carlo_risk(spec, jobs=2)) == whole
 
 
 def test_an_interrupt_discards_the_crew(started_crews, monkeypatch):

@@ -10,7 +10,7 @@ from gebshrink.errors import NumericFailure
 from gebshrink.mixture import bayes_risk, from_atoms
 from gebshrink.sequence import (
     BlockedSequence,
-    block_ideal_risk,
+    block_ideal_risks,
     dyadic_sequence,
     estimate_sequence,
 )
@@ -26,7 +26,7 @@ def make_dyadic(rng, j_max, epsilon, scale=1.0):
 
 def ideal_risk(epsilon, truth):
     """R*: the blocks' ideal risks summed over the {j: beta_j} truth."""
-    return sum(block_ideal_risk(np.asarray(beta, dtype=float), epsilon) for beta in truth.values())
+    return sum(block_ideal_risks([np.asarray(beta, dtype=float) for beta in truth.values()], epsilon))
 
 
 # ---------------------------------------------------------------- structure

@@ -354,6 +354,19 @@ def test_transform_validation():
         random_design_transform([0.5], [1.0], -1)
 
 
+@pytest.mark.parametrize(
+    "t, y, level",
+    [
+        (np.linspace(0.1, 1.0, 6), [1.5e308] * 6, -1),  # the root cell's sum overflows
+        ([0.25, 0.75], [1.5e308, -1.5e308], 0),  # finite cell means, their contrast overflows
+    ],
+)
+def test_transform_overflow_names_the_level(t, y, level, recwarn):
+    with pytest.raises(NumericFailure, match=rf"^level {level} overflows"):
+        random_design_transform(t, y, 1)
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_noiseless_estimate_recovers_constant_exactly():
     rng = np.random.default_rng(900)
     t = rng.uniform(1e-12, 1.0, 500)
