@@ -10,8 +10,10 @@ function truncated to frequencies |u| <= a.  Both forms are implemented:
 ``direct`` (the reference) sums the kernel, O(n) per point; ``fourier``
 applies a Gauss-Legendre rule (16 nodes on each of an even number P of
 uniform panels of half-width h = a / P) to the truncated inversion
-integral.  The samples are real, so psi(-u) = conj psi(u), and the even
-panel layout is mirror-symmetric about 0; hence
+integral; P is the fewest panels that hold the rule's error near 1e-10
+over the span of the samples and points (``_panel_count``).  The samples
+are real, so psi(-u) = conj psi(u), and the even panel layout is
+mirror-symmetric about 0; hence
 
     f_hat(x) = (1/pi) Re sum_{u > 0} w psi(u) exp(-i u x),
 
@@ -65,8 +67,9 @@ _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)  # about 0.5 ms, so o
 
 # route costs in ns (2-core Xeon): direct per (sample, point); fourier per (node,
 # sample) of the fused walk, per (node, sample or point) of the two chunked walks,
-# per panel step of a chunk, and fixed
-_DIRECT_NS, _FUSED_NS, _FOURIER_NS, _PANEL_NS, _FOURIER_FIXED_NS = 71.0, 4.0, 3.3, 5.1e3, 8.1e4
+# per panel step of a chunk, and fixed.  The per-node costs carry each sample's or
+# point's 9 exponentials, so they rise as the rule's node count falls.
+_DIRECT_NS, _FUSED_NS, _FOURIER_NS, _PANEL_NS, _FOURIER_FIXED_NS = 71.0, 4.3, 4.0, 4.8e3, 7.7e4
 
 
 def _kernel(u):
@@ -141,8 +144,16 @@ def _route(a, n, points, reach):
 
 
 def _panel_count(a, reach):
-    """An even panel count P: 6*a*reach/pi + 128 nodes, rounded up to a multiple of 32."""
-    return 2 * math.ceil((math.ceil(6.0 * a * max(reach, 1.0) / math.pi) + 128) / 32.0)
+    """The smallest even panel count P with 16 P >= 4 a reach / pi + 64.
+
+    On a panel of half-width h = a / P the integrand's phases exp(i u t),
+    |t| <= reach, are exp(i theta s) over s in [-1, 1] with theta = reach h.
+    This count keeps theta <= 4 pi, where the 16-point rule's error is
+    1.3e-10, well inside the routes' 1e-8 agreement; 6 a reach / pi + 128
+    nodes would keep theta <= 8 pi / 3, where it is 6e-16, at about 1.7
+    times the nodes.  A reach below 1 counts as 1.
+    """
+    return 2 * math.ceil((math.ceil(4.0 * a * max(reach, 1.0) / math.pi) + 64) / 32.0)
 
 
 def _cis(theta):

@@ -106,11 +106,13 @@ def from_atoms(locations, weights) -> MixingDistribution:
         raise ValueError("locations and weights must have equal length")
     order = np.argsort(locs, kind="stable")
     locs = locs[order]
-    wts = wts[order]
-    uniq, inverse = np.unique(locs, return_inverse=True)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, wts)
-    return MixingDistribution(uniq, merged)
+    # an atom starts where the sorted value changes (-0.0 == 0.0, so those merge);
+    # bincount adds each run's weights in index order (np.add.reduceat sums pairwise)
+    first = np.empty(locs.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(locs[1:], locs[:-1], out=first[1:])
+    merged = np.bincount(np.cumsum(first) - 1, weights=wts[order])
+    return MixingDistribution(locs[first], merged)
 
 
 def empirical_mixing(values, scale) -> MixingDistribution:

@@ -182,8 +182,7 @@ def test_denoise_imports_only_what_it_runs(tmp_path):
         f"'--output', {str(tmp_path / 'o.csv')!r}])\n"
         f"print(code, [name for name in {unused!r} if name in sys.modules])\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
 

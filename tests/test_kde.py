@@ -190,6 +190,8 @@ def test_panel_count_is_even_and_above_the_accuracy_floor(n, reach):
     panels = kde_module._panel_count(a, reach)
     assert panels % 2 == 0
     assert 16 * panels >= 4.0 * a * reach / math.pi + 64
+    # and the fewest such panels: two fewer fall below the floor (a reach below 1 counts as 1)
+    assert 16 * (panels - 2) < 4.0 * a * max(reach, 1.0) / math.pi + 64
 
 
 def test_nodes_are_symmetric_to_the_bit():
@@ -216,11 +218,18 @@ def test_cis_matches_complex_exponential(theta):
     centre=st.floats(-20.0, 20.0),
     seed=st.integers(0, 2**32 - 1),
     fractions=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=16),
+    gap=st.one_of(st.just(0.0), st.floats(0.0, 3000.0)),
+    outlier=st.one_of(st.none(), st.floats(-1e4, 1e4)),
 )
-def test_routes_agree_on_random_blocks(n, spread, centre, seed, fractions):
+def test_routes_agree_on_random_blocks(n, spread, centre, seed, fractions, gap, outlier):
+    # wide blocks (two modes ``gap`` apart, or one far outlier) take the rule
+    # at its accuracy floor over thousands of nodes
     rng = np.random.default_rng(seed)
     x = centre + spread * rng.uniform(-0.5, 0.5, n)
-    x[rng.integers(n)] = centre + 0.5 * spread  # the block spans the full spread
+    x[rng.random(n) < 0.5] += gap
+    x[rng.integers(n)] = centre + 0.5 * spread + gap  # the block spans the full spread
+    if outlier is not None:
+        x[rng.integers(n)] = outlier
     k = kde_fit(x)
     lo, hi = float(x.min()), float(x.max())
     points = lo + (hi - lo + 1.0) * np.array(fractions)
@@ -232,7 +241,9 @@ def test_routes_agree_on_random_blocks(n, spread, centre, seed, fractions):
 
 def test_fourier_memory_does_not_grow_with_node_count():
     # one far outlier makes thousands of nodes; working memory stays per chunk
-    k = kde_fit(_outlier_block(256))
+    x = np.random.default_rng(9).standard_normal(256)
+    x[17] = 1.5e3
+    k = kde_fit(x)
     tracemalloc.start()
     try:
         _eval_fourier(k, k.samples)

@@ -92,6 +92,35 @@ def test_from_atoms_validates_weights():
         from_atoms([math.inf], [1.0])
 
 
+def _from_atoms_by_unique(locations, weights):
+    """The earlier from_atoms: a second sort in np.unique, then np.add.at."""
+    locs = np.asarray(locations, dtype=float)
+    order = np.argsort(locs, kind="stable")
+    uniq, inverse = np.unique(locs[order], return_inverse=True)
+    merged = np.zeros(uniq.size)
+    np.add.at(merged, inverse, np.asarray(weights, dtype=float)[order])
+    return MixingDistribution(uniq, merged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    distinct=st.integers(1, 3000),
+    zeros=st.sampled_from([(), (0.0,), (-0.0,), (0.0, -0.0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_from_atoms_matches_the_unique_merge(n, distinct, zeros, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([rng.standard_normal(distinct) * 10.0 ** rng.integers(-3, 4), zeros])
+    locs = rng.choice(pool, n)
+    w = rng.random(n)
+    w /= w.sum()
+    got, want = from_atoms(locs, w), _from_atoms_by_unique(locs, w)
+    # equal values; a merged zero atom may keep the other sign of zero
+    assert np.array_equal(got.locations, want.locations)
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
 def test_mixing_distribution_is_immutable_and_sorted():
     g = from_atoms([3.0, -1.0, 3.0], [0.25, 0.5, 0.25])
     assert g.locations.tolist() == [-1.0, 3.0]

@@ -4,7 +4,6 @@ import json
 import math
 import multiprocessing
 import os
-import pathlib
 import signal
 import subprocess
 import sys
@@ -547,13 +546,11 @@ sys.stdin.readline()
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
 @pytest.mark.parametrize("ending", ["exit", "sigkill"])
 def test_no_worker_outlives_its_caller(ending):
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     with subprocess.Popen(
         [sys.executable, "-c", _CREW_SCRIPT],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
-        env=env,
     ) as caller:
         try:
             pids = [int(pid) for pid in caller.stdout.readline().split()]
