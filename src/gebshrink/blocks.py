@@ -114,7 +114,8 @@ def kappa_hat(values) -> float:
         raise ValueError("need at least one value")
     if not np.all(np.isfinite(x)):
         raise ValueError("values must be finite")
-    terms = np.exp(-0.5 * np.sort(x) ** 2)
+    with np.errstate(over="ignore"):  # x^2 = inf gives the right term, 0
+        terms = np.exp(-0.5 * np.sort(x) ** 2)
     return 1.0 - math.sqrt(2.0) * float(terms.sum()) / x.size
 
 
@@ -244,7 +245,8 @@ def james_stein_factor(values, epsilon) -> float:
     n = y.size
     if n <= 2:
         return 1.0
-    norm_sq = float(np.sum(np.sort(y) ** 2))
+    with np.errstate(over="ignore"):  # ||y||^2 = inf gives the right factor, 1
+        norm_sq = float(np.sum(np.sort(y) ** 2))
     if norm_sq == 0.0:
         return 0.0
     return max(1.0 - (n - 2) * epsilon * epsilon / norm_sq, 0.0)

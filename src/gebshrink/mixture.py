@@ -640,7 +640,8 @@ def signal_rate_bound(n, prior: MixingDistribution) -> float:
     w = prior.weights
     # integral of Gbar(sqrt t) dt over [0, log n]: each atom contributes
     # weight * min(u^2, log n) since it counts while u^2 > t
-    mass_integral = float(w @ np.minimum(u * u, log_n))
+    with np.errstate(over="ignore"):  # u^2 = inf is capped at log n all the same
+        mass_integral = float(w @ np.minimum(u * u, log_n))
     drift = log_n**1.5 / math.sqrt(n)
     candidates = np.unique(np.concatenate([[1.0], u[u > 1.0]]))
     tail_mass = np.array([float(w[u > x].sum()) for x in candidates])

@@ -11,13 +11,13 @@ locations as ``breakpoints`` so no panel straddles a non-smooth point.
 evaluates every pending panel of every integral, at its low-order and
 high-order nodes together, in one integrand call, so the per-round cost of
 the scheme is paid once per batch instead of once per integral.  Each
-integral keeps its own panel tree, tolerance share, panel budget,
-``QuadratureError`` diagnostics and ascending-edge summation, and its panel
-sums come from a matrix-vector product over its own rows only (OpenBLAS's
-gemv rounds a row differently by its place in the matrix).  So as long as
-the integrand's value at a point does not depend on the other points of the
-call, an integral's result is bit-identical whatever batch it runs in.
-:func:`integrate` is a batch of one.
+integral keeps its own panel tree, tolerance share, panel budget and
+``QuadratureError`` diagnostics.  A panel's sum is taken over its own row,
+and each round adds an integral's accepted panels to its total one at a
+time in ascending-edge order, so as long as the integrand's value at a
+point does not depend on the other points of the call, an integral's
+result is bit-identical whatever batch it runs in.  :func:`integrate` is a
+batch of one.
 
 Integrands must accept a 1-d ``numpy`` array and return an array of the
 same shape.  The algorithm is deterministic: identical inputs produce
@@ -37,13 +37,13 @@ _nodes_low, _weights_low = np.polynomial.legendre.leggauss(_LOW_ORDER)
 _nodes_high, _weights_high = np.polynomial.legendre.leggauss(_HIGH_ORDER)
 
 
-def _panel_pairs(f, lo, hi, owner, counts):
+def _panel_pairs(f, lo, hi, owner):
     """Low- and high-order estimates for the panels of a batch, from one
     integrand call.
 
-    ``lo``, ``hi`` and ``owner`` describe the panels, sorted by owner and
-    then by edge; ``counts[k]`` is the number of panels of integral k.
-    Returns ``(i_low, i_high)`` arrays of per-panel integral estimates.
+    ``lo``, ``hi`` and ``owner`` describe the panels.  Each panel's sum is
+    taken over its own row alone, so its bits do not depend on the other
+    panels.  Returns ``(i_low, i_high)`` arrays of per-panel estimates.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -55,15 +55,7 @@ def _panel_pairs(f, lo, hi, owner, counts):
     )
     y_low = y[: x_low.size].reshape(x_low.shape)
     y_high = y[x_low.size :].reshape(x_high.shape)
-    sum_low = np.empty(lo.size)
-    sum_high = np.empty(lo.size)
-    start = 0
-    for k in counts.nonzero()[0]:
-        rows = slice(start, start + counts[k])
-        sum_low[rows] = y_low[rows] @ _weights_low
-        sum_high[rows] = y_high[rows] @ _weights_high
-        start += counts[k]
-    return half * sum_low, half * sum_high
+    return half * (y_low * _weights_low).sum(axis=1), half * (y_high * _weights_high).sum(axis=1)
 
 
 def integrate(f, lo, hi, *, tol=1e-8, breakpoints=(), max_panels=1 << 17):
@@ -144,7 +136,7 @@ def integrate_batch(f, limits, *, tol=1e-8, breakpoints=None, max_panels=1 << 17
     count = len(limits)
     width_total = np.array([hi - lo for lo, hi in limits])
     min_width = width_total * 2.0**-48
-    totals = [0.0] * count
+    totals = np.zeros(count)
     processed = np.zeros(count, dtype=np.int64)
     worst = np.full(count, np.inf)
     failure = None
@@ -169,10 +161,9 @@ def integrate_batch(f, limits, *, tol=1e-8, breakpoints=None, max_panels=1 << 17
             )
             keep = owner < k
             active_lo, active_hi, owner = active_lo[keep], active_hi[keep], owner[keep]
-            counts[k:] = 0
             if not owner.size:
                 break
-        i_low, i_high = _panel_pairs(f, active_lo, active_hi, owner, counts)
+        i_low, i_high = _panel_pairs(f, active_lo, active_hi, owner)
         bad = ~(np.isfinite(i_low) & np.isfinite(i_high))
         if bad.any():
             k = owner[bad][0]
@@ -194,14 +185,9 @@ def integrate_batch(f, limits, *, tol=1e-8, breakpoints=None, max_panels=1 << 17
         if tiny.any():
             for k in np.unique(owner[tiny]):
                 worst[k] = min(worst[k], float(err[tiny & (owner == k)].max(initial=0.0)))
-        # accumulate each integral's accepted panels in ascending-edge order:
-        # deterministic, and the same sum a single integral takes
-        accepted = i_high[done]
-        taken = np.bincount(owner[done], minlength=count)
-        start = 0
-        for k in taken.nonzero()[0]:
-            totals[k] += float(accepted[start : start + taken[k]].sum())
-            start += taken[k]
+        # bincount adds each integral's accepted panels in index order
+        # (ascending edge), whatever else the batch holds
+        totals += np.bincount(owner[done], weights=i_high[done], minlength=count)
         # each rejected panel is replaced by its two halves, in place, so
         # the panels stay sorted by owner and edge.  (Halves that tie an
         # edge come only from a panel one ulp wide, which splits into
@@ -215,4 +201,4 @@ def integrate_batch(f, limits, *, tol=1e-8, breakpoints=None, max_panels=1 << 17
 
     if failure is not None:
         raise failure
-    return totals
+    return totals.tolist()

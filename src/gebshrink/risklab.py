@@ -368,6 +368,7 @@ def _run_share(spec, epsilon, share):
     """
     pricing = spec.truth.is_random() and spec.compute_ideal
     runs, ideals, waiting = [], [], []
+    waiting_size = 0
 
     def price():
         if waiting:
@@ -384,8 +385,10 @@ def _run_share(spec, epsilon, share):
             runs.append((sq, branches))
             if pricing:
                 waiting.extend(beta_blocks)
-                if sum(beta.size for beta in waiting) >= _IDEAL_BATCH:
+                waiting_size += sum(beta.size for beta in beta_blocks)
+                if waiting_size >= _IDEAL_BATCH:
                     price()
+                    waiting_size = 0
         price()
     except Exception as err:
         return err

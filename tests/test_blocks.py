@@ -5,6 +5,7 @@ checked against closed forms or a pilot run before freezing.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from gebshrink.kde import kde_eval, kde_fit
 from gebshrink.mixture import (
     HardThresholdRule,
     SoftThresholdRule,
+    from_atoms,
     gaussian_grid_prior,
     oracle_rule,
+    signal_rate_bound,
 )
 from gebshrink.quadrature import integrate
 from gebshrink.risklab import replicate_rng
@@ -338,6 +341,18 @@ def test_james_stein_strong_signal_nearly_identity():
     y = np.array([1e8, -2e8, 3e8, 4e8])
     out = james_stein(y, 1.0)
     assert np.allclose(out, y, rtol=1e-15)
+
+
+def test_squares_that_overflow_give_their_limits_without_a_warning():
+    # x^2 = inf: exp(-inf) = 0, a James-Stein factor of 1, and a mass
+    # integral capped at log n, the values these took with the warning
+    x = np.array([0.0, 1e200, -3e160, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kappa_hat(x) == 1.0 - math.sqrt(2.0) * (1.0 + math.exp(-2.0)) / 4
+        assert james_stein_factor(x, 1.0) == james_stein_factor(x, 1e100) == 1.0
+        assert signal_rate_bound(10**6, from_atoms([0.0, 1e200], [0.99, 0.01])) == 0.01 * math.log(10**6)
+        assert signal_rate_bound(100, from_atoms([0.0, 1e200], [0.5, 0.5])) == 1.0
 
 
 def test_james_stein_validates_epsilon():

@@ -424,6 +424,23 @@ def test_bad_env_thread_count(tmp_path):
 # --------------------------------------------------------------------- risk
 
 
+def test_huge_finite_values_print_no_warning(tmp_path):
+    # one value at 1e200 overflows x^2 in kappa_hat, ||y||^2 in the
+    # James-Stein factor and u^2 in the signal rate bound, each to its limit
+    values = np.random.default_rng(0).standard_normal(256)
+    values[17] = 1e200
+    write_signal_csv(tmp_path / "huge.csv", values)
+    denoise = ("denoise", "--input", tmp_path / "huge.csv", "--output", tmp_path / "out.csv")
+    risk = ("risk", "--estimator", "james-stein", "--truth", "atoms:0=0.5,1e200=0.5:100",
+            "--epsilon", 1, "--replicates", 2, "--no-ideal")
+    for argv in (denoise, (*denoise, "--sigma", 1), risk):
+        proc = run_cli(*argv)
+        quiet = run_cli(*argv, env_extra={"PYTHONWARNINGS": "ignore"})
+        assert proc.returncode == quiet.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
+        assert proc.stdout == quiet.stdout and proc.stdout
+
+
 def test_risk_rate_smoke():
     proc = run_cli(
         "risk",

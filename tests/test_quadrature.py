@@ -75,7 +75,9 @@ def test_tolerance_respected_on_oscillatory_integrand():
 
 def _one_integral(f, lo, hi, tol=1e-8, breakpoints=(), max_panels=1 << 17):
     """The single-integral scheme as written before batches: two integrand
-    calls per round, one per rule, over the integral's own panels."""
+    calls per round, one per rule, over the integral's own panels.  Its
+    arithmetic is the batch's: each panel sums its own row, and each round's
+    accepted panels are added one at a time in ascending-edge order."""
     cuts = sorted({float(b) for b in breakpoints if lo < float(b) < hi})
     active_lo, active_hi = np.array([lo, *cuts]), np.array([*cuts, hi])
     nodes_low, weights_low = np.polynomial.legendre.leggauss(10)
@@ -88,8 +90,8 @@ def _one_integral(f, lo, hi, tol=1e-8, breakpoints=(), max_panels=1 << 17):
         mid, half = 0.5 * (active_lo + active_hi), 0.5 * (active_hi - active_lo)
         x_low = mid[:, None] + half[:, None] * nodes_low[None, :]
         x_high = mid[:, None] + half[:, None] * nodes_high[None, :]
-        i_low = half * (f(x_low.ravel()).reshape(x_low.shape) @ weights_low)
-        i_high = half * (f(x_high.ravel()).reshape(x_high.shape) @ weights_high)
+        i_low = half * (f(x_low.ravel()).reshape(x_low.shape) * weights_low).sum(axis=1)
+        i_high = half * (f(x_high.ravel()).reshape(x_high.shape) * weights_high).sum(axis=1)
         if not (np.all(np.isfinite(i_low)) and np.all(np.isfinite(i_high))):
             raise QuadratureError("non-finite;", interval=(lo, hi), panels=processed)
         err = np.abs(i_high - i_low)
@@ -97,7 +99,10 @@ def _one_integral(f, lo, hi, tol=1e-8, breakpoints=(), max_panels=1 << 17):
         done = (err <= tol * width / (hi - lo)) | (width <= min_width)
         if np.any(width <= min_width):
             worst = min(worst, float(err[width <= min_width].max(initial=0.0)))
-        total += float(i_high[done].sum())
+        accepted = 0.0
+        for value in i_high[done]:
+            accepted += float(value)
+        total += accepted
         keep_lo, keep_hi = active_lo[~done], active_hi[~done]
         mid = 0.5 * (keep_lo + keep_hi)
         active_lo, active_hi = np.concatenate([keep_lo, mid]), np.concatenate([mid, keep_hi])
@@ -122,16 +127,23 @@ _BUMP = st.tuples(st.floats(-5.0, 5.0), st.floats(0.01, 400.0), st.floats(-3.0, 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    params=st.lists(_BUMP, min_size=1, max_size=7),
-    widths=st.lists(st.floats(0.5, 20.0), min_size=7, max_size=7),
+    params=st.lists(_BUMP, min_size=1, max_size=24),
+    widths=st.lists(st.floats(0.5, 20.0), min_size=24, max_size=24),
     tol=st.sampled_from((1e-6, 1e-8, 1e-10)),
     cut=st.booleans(),
+    grid=st.integers(0, 16),
 )
-def test_each_integral_of_a_batch_is_bit_identical_to_it_alone(params, widths, tol, cut):
+def test_each_integral_of_a_batch_is_bit_identical_to_it_alone(params, widths, tol, cut, grid):
     f = _bumps(params)
     limits = [(c - w, c + 0.5 * w) for (_, _, c), w in zip(params, widths)]
-    breakpoints = [(c,) if cut else () for _, _, c in params]
+    # a grid of breakpoints makes rounds that accept many panels at once
+    breakpoints = [
+        ((c,) if cut else ()) + tuple(np.linspace(lo, hi, grid + 2)[1:-1])
+        for (_, _, c), (lo, hi) in zip(params, limits)
+    ]
     batch = integrate_batch(f, limits, tol=tol, breakpoints=breakpoints)
+    reverse = integrate_batch(_bumps(params[::-1]), limits[::-1], tol=tol, breakpoints=breakpoints[::-1])
+    assert reverse[::-1] == batch
     for k, ((lo, hi), cuts) in enumerate(zip(limits, breakpoints)):
         alone = _one_integral(lambda x: f(x, np.full(x.size, k)), lo, hi, tol, cuts)
         assert batch[k] == alone

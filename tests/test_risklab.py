@@ -480,11 +480,15 @@ def test_ideal_batches_cut_mid_share_change_no_bit(started_crews, monkeypatch):
         batches.append(len(blocks))
         return price(blocks, epsilon)
 
-    # a batch fills after every 3 replicates of 40 coefficients
-    monkeypatch.setattr(risklab, "_IDEAL_BATCH", 120)
+    # replicates of 40 coefficients: a batch fills once it holds at least
+    # _IDEAL_BATCH of them, and the count starts over after each batch
     monkeypatch.setattr(risklab, "block_ideal_risks", recorded)
-    assert report_to_json(monte_carlo_risk(spec, jobs=1)) == whole
-    assert batches == [3, 3, 2]
+    for size, cuts in ((120, [3, 3, 2]), (100, [3, 3, 2]), (50, [2, 2, 2, 2]), (1, [1] * 8)):
+        monkeypatch.setattr(risklab, "_IDEAL_BATCH", size)
+        batches.clear()
+        assert report_to_json(monte_carlo_risk(spec, jobs=1)) == whole
+        assert batches == cuts
+    monkeypatch.setattr(risklab, "_IDEAL_BATCH", 120)
     risklab._close_crew()
     assert report_to_json(monte_carlo_risk(spec, jobs=2)) == whole
 
