@@ -94,10 +94,10 @@ def tuning(n, cfg: TuningConfig = TuningConfig()) -> TuningValues:
     rho = cfg.rho0 * math.sqrt(2.0 * log_n / n)
     if rho >= DENSITY_FLOOR_LIMIT:
         raise InvalidConfigError(
-            f"density floor {rho:.6f} at n={n} reaches the 1/sqrt(2 pi) limit; reduce rho0"
+            f"density floor {rho:.6g} at n={n} reaches the 1/sqrt(2 pi) limit; reduce rho0"
         )
     if rho <= 0:
-        raise InvalidConfigError(f"density floor {rho:.6f} at n={n} is not positive")
+        raise InvalidConfigError(f"density floor {rho:.6g} at n={n} is not positive")
     b = cfg.b0 * log_n / math.sqrt(n)
     lam = math.sqrt(2.0 * (1.0 + cfg.threshold_inflation) * log_n)
     return TuningValues(rho=rho, b=b, lam=lam)

@@ -199,10 +199,11 @@ def _cmd_denoise(args):
     print(f"sigma_hat = {gio.format_float(report.sigma_hat)}")
     print(f"epsilon   = {gio.format_float(report.epsilon)}")
     if report.fits:
-        print("level  size  branch      kappa_hat       b               lambda")
+        size = max(4, len(str(max(fit.n for fit in report.fits))))
+        print(f"level  {'size':>{size}s}  {'branch':<10s}  {'kappa_hat':<13s}  {'b':<13s}  lambda")
         for j, fit in zip(report.levels, report.fits):
             print(
-                f"{j:5d}  {fit.n:4d}  {fit.branch:<10s}  "
+                f"{j:5d}  {fit.n:{size}d}  {fit.branch:<10s}  "
                 f"{fit.kappa_hat:<13.6g}  {fit.b:<13.6g}  {fit.lam:<13.6g}"
             )
     else:

@@ -174,8 +174,8 @@ class ExperimentSpec:
     """A reproducible Monte Carlo risk experiment.
 
     epsilons is the noise grid (exactly one entry for monte_carlo_risk,
-    at least four for rate_fit); signal truths carry their own epsilon
-    and take an empty grid.  compute_ideal toggles the per-replicate
+    at least four distinct ones for rate_fit); signal truths carry their
+    own epsilon and take an empty grid.  compute_ideal toggles the per-replicate
     posterior-mean benchmark for random truths (one Bayes risk each,
     priced per share in lockstep).
     kde_mode is validated but selects nothing: ``kde`` picks its route.
@@ -612,6 +612,10 @@ def rate_fit(spec: ExperimentSpec, jobs=1) -> RateFit:
     """Fit the risk-versus-noise rate over spec.epsilons."""
     if len(spec.epsilons) < 4:
         raise ValueError(f"rate fits need at least 4 epsilons, got {len(spec.epsilons)}")
+    repeated = [eps for i, eps in enumerate(spec.epsilons) if eps in spec.epsilons[:i]]
+    if repeated:
+        # equal abscissae leave the least-squares line undetermined
+        raise ValueError(f"rate fits need distinct epsilons, got {repeated[0]!r} more than once")
     points = []
     for eps in spec.epsilons:
         sub = replace(spec, epsilons=(eps,))

@@ -60,6 +60,21 @@ def test_tuning_floor_guard():
         tuning(8, TuningConfig(rho0=2.0))
 
 
+
+@pytest.mark.parametrize(
+    "rho0, message",
+    [
+        (1e300, "density floor 3.60507e+299 at n=64 reaches the 1/sqrt(2 pi) limit"),
+        (5e-324, "density floor 0 at n=64 is not positive"),
+    ],
+)
+def test_tuning_floor_messages_stay_short(rho0, message):
+    # a fixed-point format printed a huge floor with all 300 of its digits
+    with pytest.raises(InvalidConfigError) as err:
+        tuning(64, TuningConfig(rho0=rho0))
+    assert str(err.value).startswith(message)
+    assert len(str(err.value)) < 100
+
 def test_tuning_rejects_tiny_blocks():
     with pytest.raises(ValueError):
         tuning(2)

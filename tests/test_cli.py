@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gebshrink import cli, risklab
+from gebshrink import cli, risklab, signals
 from gebshrink.blocks import TuningConfig
 from gebshrink.errors import WorkerDied
 from gebshrink.io import read_signal_csv, write_signal_csv
@@ -185,6 +186,27 @@ def test_denoise_imports_only_what_it_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_denoise_level_table_columns_line_up(tmp_path):
+    # N = 2^15 has levels of 8192 and 16384 coefficients, wider than "size"
+    samples, sigma = signals.test_signal("bumps", 2**15, 7.0)
+    noise = sigma * np.random.default_rng(3).standard_normal(samples.size)
+    src = tmp_path / "bumps.csv"
+    write_signal_csv(src, samples + noise, truth=samples)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["denoise", "--input", str(src), "--output", str(tmp_path / "o.csv")]) == 0
+    lines = out.getvalue().splitlines()
+    table = lines[lines.index(next(line for line in lines if line.startswith("level"))) :]
+    assert table[-1].split()[:2] == ["14", "16384"]
+    spans = [[m.span() for m in re.finditer(r"\S+", line)] for line in table]
+    header = spans[0]
+    for row in spans[1:]:
+        assert len(row) == len(header) == 6
+        # level and size are right-aligned under their labels, the rest left-aligned
+        assert [end for _, end in row[:2]] == [end for _, end in header[:2]]
+        assert [start for start, _ in row[2:]] == [start for start, _ in header[2:]]
 
 
 def test_denoise_missing_input_file(tmp_path):
@@ -457,6 +479,19 @@ def test_risk_rate_smoke():
     slope = float(first.split("=")[1])
     assert abs(slope - 2.0) < 0.02
 
+
+def test_risk_rate_with_repeated_epsilons_is_one_error_line():
+    proc = run_cli(
+        "risk",
+        "--estimator", "soft-universal",
+        "--truth", "zero:6",
+        "--epsilon", "1,1,1,1",
+        "--rate",
+        "--replicates", 2,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: rate fits need distinct epsilons, got 1.0 more than once"]
+    assert proc.stdout == ""
 
 def test_risk_oracle_truth_rate_is_numeric_failure():
     proc = run_cli(

@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,102 @@ def test_signal_writer_memory_is_bounded_by_the_chunk(tmp_path):
     # a whole-file string of these rows takes about 20 MB
     assert peak < 4 * 2**20
     assert len((tmp_path / "big.csv").read_bytes().splitlines()) == 2**16 + 1
+
+
+# ------------------------------------------------------ the %.17g kernel
+
+
+def _assert_writer_matches_reference(tmp_path, columns, index=None):
+    """The writer's file equals the csv.writer + format_float one, byte for
+    byte, and writing it raised no warning."""
+    names = ["value", "truth", "estimate"][: len(columns)]
+    path = tmp_path / "kernel.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_signal_csv(path, columns[0], index=index, **dict(zip(names[1:], columns[1:])))
+    cells = np.arange(1, columns[0].size + 1) if index is None else index
+    want = _csv_writer_bytes(tmp_path / "kernel-ref.csv", ["index", *names], _float_rows(cells, columns))
+    assert path.read_bytes() == want
+
+
+_SIGN = 1 << 63
+# +-0, the smallest and largest subnormals, the smallest normal, the
+# largest finite double, inf, a quiet and a signalling nan
+_SPECIAL_BITS = [
+    0, 1, (1 << 52) - 1, 1 << 52, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
+]
+
+
+@st.composite
+def _exact_ties(draw):
+    """n + k / 2^j with 18 - j digits in n and k odd: 18 significant digits
+    ending in 5, a tie at the 17th, and exact in a double for 3 <= j <= 10."""
+    j = draw(st.integers(3, 10))
+    n = draw(st.integers(10 ** (17 - j), 10 ** (18 - j) - 1))
+    k = 2 * draw(st.integers(0, 2 ** (j - 1) - 1)) + 1
+    return draw(st.sampled_from([1.0, -1.0])) * (n + k / 2**j)
+
+
+_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(_SPECIAL_BITS + [b | _SIGN for b in _SPECIAL_BITS]),
+    st.one_of(st.floats(), _exact_ties()).map(lambda x: int(np.float64(x).view(np.uint64))),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(width=st.integers(1, 3), data=st.data())
+def test_writer_matches_format_float_on_raw_bit_patterns(tmp_path, width, data):
+    rows = data.draw(st.lists(st.lists(_BITS, min_size=width, max_size=width), min_size=1, max_size=40))
+    columns = list(np.array(rows, dtype=np.uint64).view(np.float64).T)
+    _assert_writer_matches_reference(tmp_path, columns)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        # exact ties at the 17th digit round half to even
+        (123456789012345.125, "123456789012345.12"),
+        (123456789012345.375, "123456789012345.38"),
+        # either side of the switches between exponent and fixed notation
+        (9.9999999999999999e16, "1e+17"),
+        (1e-5, "1.0000000000000001e-05"),
+        (1e-4, "0.0001"),
+        (1e16, "10000000000000000"),
+        (1e22, "1e+22"),
+        (123456789012345678.0, "1.2345678901234568e+17"),
+    ],
+)
+def test_writer_cell_text_at_ties_and_notation_switches(tmp_path, value, text):
+    assert format_float(value) == text
+    write_signal_csv(tmp_path / "one.csv", [value, -value, value / 3])
+    body = f"1,{text}\r\n2,-{text}\r\n3,{format_float(value / 3)}\r\n"
+    assert (tmp_path / "one.csv").read_bytes() == ("index,value\r\n" + body).encode()
+
+
+def test_writer_at_every_binary_and_decimal_exponent(tmp_path):
+    # every power of two and of ten and the doubles either side of it: the
+    # decimal exponent estimated from the binary one is off by one at some
+    edges = np.array([2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    _assert_writer_matches_reference(tmp_path, [values, -values[::-1]])
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        np.array([-(2**63), -1, 0, 7, 2**63 - 1]),
+        np.array([0, 1, 2**64 - 1, 10**19, 9], dtype=np.uint64),
+        np.array([-128, 127, 0, -1, 5], dtype=np.int8),
+        [3, 1, 4, 1, 5],
+        np.array([True, False, True, False, True]),
+        np.array(["a", "bb", "", "ccc", "d"], dtype=object),
+        np.array([""] * 5, dtype=object),
+    ],
+    ids=["int64", "uint64", "int8", "list", "bool", "object", "empty"],
+)
+def test_writer_index_cells_match_csv_writer(tmp_path, index):
+    _assert_writer_matches_reference(tmp_path, [np.linspace(-1.0, 1.0, 5)], index=index)
 
 
 @pytest.mark.parametrize(

@@ -678,6 +678,19 @@ def test_rate_fit_guards():
         )
 
 
+def test_rate_fit_rejects_repeated_epsilons_before_any_replicate(monkeypatch):
+    # equal epsilons made np.polyfit fail in LAPACK after every replicate ran
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(risklab, "monte_carlo_risk", no_run)
+    spec = ExperimentSpec(
+        estimator="mle", truth=TruthSource.zero(3), epsilons=(0.5, 0.25, 0.125, 0.25), replicates=2
+    )
+    with pytest.raises(ValueError, match=r"distinct epsilons, got 0\.25 more than once"):
+        rate_fit(spec)
+
+
 # ------------------------------------------------------------- serialization
 
 
