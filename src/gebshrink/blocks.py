@@ -98,9 +98,45 @@ def tuning(n, cfg: TuningConfig = TuningConfig()) -> TuningValues:
         )
     if rho <= 0:
         raise InvalidConfigError(f"density floor {rho:.6g} at n={n} is not positive")
-    b = cfg.b0 * log_n / math.sqrt(n)
     lam = math.sqrt(2.0 * (1.0 + cfg.threshold_inflation) * log_n)
-    return TuningValues(rho=rho, b=b, lam=lam)
+    return TuningValues(rho=rho, b=_branch_bound(n, cfg.b0), lam=lam)
+
+
+def _branch_bound(n, b0) -> float:
+    """The branch schedule b(n) = b0 log(n) / sqrt(n)."""
+    return b0 * math.log(n) / math.sqrt(n)
+
+
+def branch_frontier(kappa_tilde, cfg: TuningConfig = TuningConfig()):
+    """The smallest block size n >= n_star with b(n) < ``kappa_tilde``, or
+    None when ``kappa_tilde`` <= 0, which no b(n) falls below.
+
+    kappa_hat estimates kappa_tilde, so a large block drawn from a prior
+    with that kappa_tilde takes the geb branch from about this size on.
+    b(n) rises up to n = e^2 and falls after it, so the search steps
+    through n < 8 and then bisects.
+    """
+    if not kappa_tilde > 0:
+        return None
+
+    def below(n):
+        return _branch_bound(n, cfg.b0) < kappa_tilde
+
+    n = cfg.n_star
+    while n < 8 and not below(n):
+        n += 1
+    if below(n):
+        return n
+    high = 2 * n
+    while not below(high):
+        n, high = high, 2 * high
+    while high - n > 1:  # below(high) and not below(n)
+        mid = (n + high) // 2
+        if below(mid):
+            high = mid
+        else:
+            n = mid
+    return high
 
 
 def kappa_hat(values) -> float:

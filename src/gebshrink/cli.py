@@ -4,7 +4,8 @@ Four commands:
 
   denoise    shrink a noisy equispaced signal read from CSV
   simulate   run a Monte Carlo risk experiment described by a spec file
-  oracle     print posterior-mean risk and signal-mass summaries of a prior
+  oracle     print posterior-mean risk, signal-mass summaries and the
+             branch frontier of a prior
   risk       quick risk run / rate fit configured entirely by flags
 
 Exit codes: 0 success, 1 numeric failure, a worker process that died or
@@ -22,7 +23,7 @@ import os
 import sys
 
 from . import io as gio
-from .blocks import ESTIMATORS, TuningConfig
+from .blocks import ESTIMATORS, TuningConfig, branch_frontier
 from .errors import InvalidConfigError, NumericFailure, WorkerDied
 from .mixture import bayes_risk, from_atoms, mixture_summaries
 from .wavelets import denoise_equispaced, wavelet_basis
@@ -267,6 +268,8 @@ def _cmd_oracle(args):
     print(f"bayes_risk  = {gio.format_float(bayes_risk(prior))}")
     print(f"kappa       = {gio.format_float(summary.kappa)}")
     print(f"kappa_tilde = {gio.format_float(summary.kappa_tilde)}")
+    frontier = branch_frontier(summary.kappa_tilde)
+    print(f"frontier_n  = {'never' if frontier is None else frontier}")
     return 0
 
 
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tuning_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_orc = sub.add_parser("oracle", help="posterior-mean risk and signal mass of an atomic prior")
+    p_orc = sub.add_parser("oracle", help="posterior-mean risk, signal mass and branch frontier of an atomic prior")
     p_orc.add_argument("--atoms", required=True, help="comma-separated location=weight atoms")
     p_orc.set_defaults(func=_cmd_oracle)
 

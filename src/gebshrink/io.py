@@ -241,9 +241,18 @@ def _format_floats(x):
     return out, slow
 
 
+def _quoted(text):
+    """``text`` as one cell of ``csv.writer``'s default dialect: quoted, with
+    its quotes doubled, when it holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _format_index(index):
     """Words of a chunk of index cells, bytes to delete marked ``_DROP``:
-    decimal digits for an integer array, ``"%s" % cell`` otherwise."""
+    decimal digits for an integer array, ``"%s" % cell`` otherwise, quoted
+    as ``csv.writer`` quotes it."""
     if index.dtype.kind in "iu":
         if index.dtype.kind == "u":
             magnitude = index.astype(np.uint64)
@@ -259,7 +268,7 @@ def _format_index(index):
         text[:, 0] = np.where(index < 0, ord("-"), _DROP)
         text[:, 1:] = np.where(np.arange(width) >= width - count[:, None], digits, _DROP)
     else:
-        texts = [("%s" % cell).encode() for cell in index]
+        texts = [_quoted("%s" % cell).encode() for cell in index]
         width = max(1, max(map(len, texts)))
         text = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
         text = np.where(np.arange(width) < np.array([len(t) for t in texts])[:, None], text, _DROP)

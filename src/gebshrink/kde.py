@@ -11,8 +11,10 @@ function truncated to frequencies |u| <= a.  Both forms are implemented:
 applies a Gauss-Legendre rule (16 nodes on each of an even number P of
 uniform panels of half-width h = a / P) to the truncated inversion
 integral; P is the fewest panels that hold the rule's error near 1e-10
-over the span of the samples and points (``_panel_count``).  The samples
-are real, so psi(-u) = conj psi(u), and the even panel layout is
+over the span of the samples and points (``_panel_count``).  The 16-point
+rule is ``quadrature.gauss_legendre(16)``, built at the first fourier
+evaluation, so a process that never takes this route never builds it.  The
+samples are real, so psi(-u) = conj psi(u), and the even panel layout is
 mirror-symmetric about 0; hence
 
     f_hat(x) = (1/pi) Re sum_{u > 0} w psi(u) exp(-i u x),
@@ -58,12 +60,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import gauss_legendre
+
 _EVAL_CHUNK = 1024  # points per product: small enough that BLAS starts no threads
 _SAMPLE_CHUNK = 4096
 _FUSED_SAMPLES = 2**13  # the fused walk holds 16 phases per sample: about 3 MB at the cap
 _LANES = 64  # evaluation points are padded to a multiple of this
 _DIRECT_PAIRS = 2**15  # (point, sample) pairs per direct-route chunk
-_NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)  # about 0.5 ms, so once
 
 # route costs in ns (2-core Xeon): direct per (sample, point); fourier per (node,
 # sample) of the fused walk, per (node, sample or point) of the two chunked walks,
@@ -169,7 +172,8 @@ def _positive_nodes(a, reach):
     and the panel half-width h = a / P."""
     panels = _panel_count(a, reach)
     h = a / panels
-    return (h + h * _NODES16)[None, :] + (2.0 * h) * np.arange(panels // 2)[:, None], h
+    nodes = gauss_legendre(16)[0]
+    return (h + h * nodes)[None, :] + (2.0 * h) * np.arange(panels // 2)[:, None], h
 
 
 def _walk(x, h, panels, chunk, reduce):
@@ -181,6 +185,7 @@ def _walk(x, h, panels, chunk, reduce):
     cis(h nu_i x) with nu_i < 0, then advanced by one product with
     z = cis(h x)^2 per panel.
     """
+    low_nodes = gauss_legendre(16)[0][:8]
     for start in range(0, x.size, chunk):
         part = x[start : start + chunk]
         shift = _cis(h * part)
@@ -189,7 +194,7 @@ def _walk(x, h, panels, chunk, reduce):
         # imaginary part first), then their conjugates
         cur = np.empty((16, part.size), dtype=complex)
         low = cur[:8]
-        np.multiply((h * _NODES16[:8])[:, None], part[None, :], out=low.imag)
+        np.multiply((h * low_nodes)[:, None], part[None, :], out=low.imag)
         np.cos(low.imag, out=low.real)
         np.sin(low.imag, out=low.imag)
         np.conjugate(low[::-1], out=cur[8:])
@@ -244,7 +249,7 @@ def _eval_fourier(kde, x=None):
     u, h = _positive_nodes(kde.bandwidth, reach)
     half = u.shape[0]
     scale = np.empty((half, 2, 16), dtype=complex)
-    scale[:, 0] = h * _WEIGHTS16 / n
+    scale[:, 0] = h * gauss_legendre(16)[1] / n
     scale[:, 1] = scale[:, 0] * (1j * u)
     if x is None:  # the samples are the first n points of the one walk
         psi = None

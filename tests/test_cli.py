@@ -167,7 +167,8 @@ def test_denoise_empty_input_is_one_error_line(tmp_path):
 
 def test_denoise_imports_only_what_it_runs(tmp_path):
     # a cold denoise process loads neither the risk laboratory, its worker
-    # processes, numpy.random, numpy.ma (np.median's NaN check) nor statistics
+    # processes, numpy.random, numpy.ma (np.median's NaN check), statistics
+    # nor numpy.polynomial (the Gauss-Legendre rules, which thresholding never uses)
     unused = [
         "gebshrink.risklab",
         "concurrent.futures",
@@ -175,6 +176,7 @@ def test_denoise_imports_only_what_it_runs(tmp_path):
         "numpy.random",
         "numpy.ma",
         "statistics",
+        "numpy.polynomial",
     ]
     script = (
         "import sys\n"
@@ -220,15 +222,23 @@ def test_denoise_missing_input_file(tmp_path):
 # ------------------------------------------------------------------- oracle
 
 
+def _oracle_table(stdout):
+    """The printed summaries, numbers as floats; frontier_n as printed."""
+    table = {}
+    for line in stdout.strip().splitlines():
+        key, value = (part.strip() for part in line.split("="))
+        table[key] = value if key == "frontier_n" else float(value)
+    return table
+
+
 def test_oracle_point_mass_at_zero():
     proc = run_cli("oracle", "--atoms", "0=1")
     assert proc.returncode == 0, proc.stderr
-    table = {}
-    for line in proc.stdout.strip().splitlines():
-        key, value = line.split("=")
-        table[key.strip()] = float(value)
+    table = _oracle_table(proc.stdout)
     assert table["bayes_risk"] == 0.0
     assert table["kappa"] == 0.0
+    # kappa_tilde = 0: no block size takes the geb branch
+    assert table["frontier_n"] == "never"
 
 
 def test_oracle_two_point_prior_stable_and_correct():
@@ -236,12 +246,12 @@ def test_oracle_two_point_prior_stable_and_correct():
     b = run_cli("oracle", "--atoms=-3=0.5,3=0.5")
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
-    printed = {}
-    for line in a.stdout.strip().splitlines():
-        key, value = line.split("=")
-        printed[key.strip()] = float(value)
+    printed = _oracle_table(a.stdout)
     want = bayes_risk(from_atoms([-3.0, 3.0], [0.5, 0.5]))
     assert printed["bayes_risk"] == pytest.approx(want, rel=1e-12)
+    assert list(printed) == ["bayes_risk", "kappa", "kappa_tilde", "frontier_n"]
+    # kappa_tilde = 1 - exp(-9/4) = 0.89460; b(110) = 0.89635, b(111) = 0.89402
+    assert printed["frontier_n"] == "111"
 
 
 def test_oracle_malformed_atoms():

@@ -266,6 +266,17 @@ def test_writer_index_cells_match_csv_writer(tmp_path, index):
     _assert_writer_matches_reference(tmp_path, [np.linspace(-1.0, 1.0, 5)], index=index)
 
 
+def test_writer_quotes_index_cells_as_csv_writer_does(tmp_path):
+    # cells holding a comma, a quote, CR or LF are quoted, quotes doubled
+    index = np.array(["a,b", 'say "hi"', "two\nlines", "cr\rcell", "crlf\r\n", '"', ",", "plain", 'x""y'], dtype=object)
+    values = np.linspace(-1.0, 1.0, index.size) / 3.0
+    _assert_writer_matches_reference(tmp_path, [values], index=index)
+    assert b'"say ""hi"""' in (tmp_path / "kernel.csv").read_bytes()
+    back, truth, estimate = read_signal_csv(tmp_path / "kernel.csv")
+    assert back.tobytes() == values.tobytes()
+    assert truth is None and estimate is None
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gebshrink import kde as kde_module
 from gebshrink.kde import _eval_direct, _eval_fourier, _positive_nodes, kde_eval, kde_fit
+from gebshrink.quadrature import gauss_legendre
 
 
 def test_bandwidth_is_tied_to_sample_count():
@@ -160,7 +161,7 @@ def test_fourier_route_matches_literal_definition(values):
     points = np.concatenate([k.samples, np.linspace(k.samples[0] - 1.0, k.samples[-1] + 1.0, 97)])
     value, deriv = _eval_fourier(k, points)
     u, h = _positive_nodes(k.bandwidth, _reach(k, points))
-    w = np.broadcast_to(h * kde_module._WEIGHTS16, u.shape)
+    w = np.broadcast_to(h * gauss_legendre(16)[1], u.shape)
 
     # the stored rule is the positive half of 16 Gauss-Legendre nodes on
     # each of an even number P of equal panels
@@ -196,7 +197,7 @@ def test_panel_count_is_even_and_above_the_accuracy_floor(n, reach):
 
 def test_nodes_are_symmetric_to_the_bit():
     # the walk builds the phases of nodes 8..15 as conjugates of those of 0..7
-    nodes = kde_module._NODES16
+    nodes = gauss_legendre(16)[0]
     assert np.array_equal(nodes[8:], -nodes[7::-1]) and np.all(nodes[:8] < 0)
 
 

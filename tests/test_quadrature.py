@@ -2,6 +2,8 @@
 and lockstep batches that reproduce each integral alone bit for bit."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gebshrink.errors import QuadratureError
-from gebshrink.quadrature import integrate, integrate_batch
+from gebshrink.quadrature import gauss_legendre, integrate, integrate_batch
 
 
 def test_polynomial_is_exact():
@@ -217,3 +219,27 @@ def test_batch_validates_every_integral_and_handles_none():
         integrate_batch(lambda x, which: x, [(0.0, 1.0), (2.0, 2.0)])
     with pytest.raises(ValueError, match="one set of breakpoints"):
         integrate_batch(lambda x, which: x, [(0.0, 1.0)], breakpoints=[(), ()])
+
+
+@pytest.mark.parametrize("order", [10, 16, 20])
+def test_gauss_legendre_rules_are_leggauss_bits_built_once(order):
+    nodes, weights = gauss_legendre(order)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(order)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert gauss_legendre(order)[0] is nodes
+
+
+def test_rules_are_built_on_first_use():
+    # numpy.polynomial is imported only when a rule is first built
+    script = (
+        "import sys\n"
+        "from gebshrink import kde, quadrature\n"
+        "before = 'numpy.polynomial' in sys.modules\n"
+        "quadrature.integrate(lambda x: x * x, 0.0, 1.0)\n"
+        "print(before, 'numpy.polynomial' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

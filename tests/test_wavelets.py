@@ -15,7 +15,9 @@ from gebshrink.signals import SIGNAL_NAMES
 from gebshrink.signals import test_signal as make_signal
 from gebshrink.wavelets import (
     Z_THREE_QUARTERS,
+    WaveletBasis,
     _median,
+    _pairwise_sum,
     denoise_equispaced,
     dwt,
     haar_reconstruct,
@@ -110,6 +112,132 @@ def test_white_noise_coefficients_have_scaled_variance():
     details = np.concatenate([levels[j] for j in sorted(levels) if j >= 0])
     ratio = float(np.std(details)) * math.sqrt(n) / sigma
     assert 0.95 < ratio < 1.05
+
+
+# ------------------------------------------------- polyphase bit identity
+#
+# The reference steps are the window-matrix sum and np.add.at scatter the
+# polyphase steps replaced; dwt and idwt must give their bits exactly.
+
+
+def _reference_windows(m, taps):
+    k = np.arange(m // 2)[:, None]
+    i = np.arange(taps)[None, :]
+    return (2 * k + i) % m
+
+
+def _reference_dwt(signal, basis):
+    x = np.asarray(signal, dtype=float)
+    scale = 1.0 / math.sqrt(x.size)
+    levels, approx, j = {}, x, int(math.log2(x.size)) - 1
+    while approx.size > 1:
+        windows = approx[_reference_windows(approx.size, basis.lowpass.size)]
+        approx, detail = (windows * basis.lowpass).sum(axis=1), (windows * basis.highpass).sum(axis=1)
+        levels[j] = scale * detail
+        j -= 1
+    levels[-1] = scale * approx
+    return levels
+
+
+def _reference_idwt(levels, basis):
+    approx = levels[-1].copy()
+    for j in range(0, max(levels) + 1):
+        detail = levels[j]
+        out = np.zeros(2 * approx.size)
+        contrib = approx[:, None] * basis.lowpass[None, :] + detail[:, None] * basis.highpass[None, :]
+        np.add.at(out, _reference_windows(out.size, basis.lowpass.size), contrib)
+        approx = out
+    return approx * math.sqrt(sum(v.size for v in levels.values()))
+
+
+def _daubechies(vanishing):
+    """The 2 * vanishing-tap orthonormal Daubechies scaling filter, by
+    spectral factorization: the minimum-phase roots of its half-band
+    polynomial, then ``vanishing`` zeros at z = -1."""
+    p = [math.comb(vanishing - 1 + k, k) for k in range(vanishing)]  # in y = (2 - z - 1/z) / 4
+    roots = []
+    for y in np.roots(p[::-1]):
+        pair = np.roots([1.0, 4.0 * y - 2.0, 1.0])  # z + 1/z = 2 - 4y
+        roots.append(pair[np.argmin(np.abs(pair))])
+    h = np.real(np.poly(roots))
+    for _ in range(vanishing):
+        h = np.convolve(h, [1.0, 1.0])
+    h *= math.sqrt(2.0) / h.sum()
+    return WaveletBasis(f"d{h.size}", h, (-1.0) ** np.arange(h.size) * h[::-1])
+
+
+# WaveletBasis checks unit norm and double-shift orthogonality to 1e-12
+D12 = _daubechies(6)
+BIT_BASES = {**{name: wavelet_basis(name) for name in BASES}, "d12": D12}
+
+
+def _assert_same_bits(x, basis):
+    levels = dwt(x, basis)
+    want = _reference_dwt(x, basis)
+    assert sorted(levels) == sorted(want)
+    for j in want:
+        assert levels[j].tobytes() == want[j].tobytes(), j
+    assert idwt(levels, basis).tobytes() == _reference_idwt(want, basis).tobytes()
+    # idwt of coefficients that are no analysis's output
+    raw = {-1: x[:1], **{j: x[2**j : 2 ** (j + 1)] for j in range(int(math.log2(x.size)))}}
+    assert idwt(raw, basis).tobytes() == _reference_idwt(raw, basis).tobytes()
+
+
+def _drawn_signal(rng, n, kind):
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "wide":  # normals, subnormals and magnitudes up to 1e300
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n).astype(float)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 1.0, -3.5])
+    return rng.choice(specials, n)
+
+
+def test_daubechies_12_is_a_twelve_tap_orthonormal_bank():
+    assert D12.lowpass.size == 12
+    assert float(D12.lowpass.sum()) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    x = np.random.default_rng(8).standard_normal(256)
+    assert float(np.max(np.abs(idwt(dwt(x, D12), D12) - x))) < 1e-10
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    power=st.integers(1, 12),
+    basis_name=st.sampled_from(sorted(BIT_BASES)),
+    kind=st.sampled_from(("normal", "wide", "specials")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polyphase_steps_match_the_gather_and_scatter_bit_for_bit(power, basis_name, kind, seed):
+    x = _drawn_signal(np.random.default_rng(seed), 2**power, kind)
+    _assert_same_bits(x, BIT_BASES[basis_name])
+
+
+@pytest.mark.parametrize("basis_name", sorted(BIT_BASES))
+@pytest.mark.parametrize("kind", ["specials", "zeros"])
+def test_polyphase_steps_keep_signed_zeros_and_subnormals(basis_name, kind):
+    # every length up to 2^8, each level shorter than the 12-tap filter included
+    for power in range(1, 9):
+        n = 2**power
+        if kind == "zeros":
+            x = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+        else:
+            x = _drawn_signal(np.random.default_rng(power), n, kind)
+        _assert_same_bits(x, BIT_BASES[basis_name])
+
+
+@pytest.mark.parametrize("name", SIGNAL_NAMES)
+def test_polyphase_steps_match_on_the_benchmark_signals(name):
+    samples, sigma = make_signal(name, 2**16, 7.0)
+    y = samples + sigma * np.random.default_rng(1).standard_normal(samples.size)
+    for basis in BIT_BASES.values():
+        _assert_same_bits(y, basis)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 12, 16, 23, 128, 129, 136, 300])
+def test_pairwise_sum_adds_in_numpys_order(count):
+    rng = np.random.default_rng(count)
+    terms = rng.standard_normal((64, count)) * 10.0 ** rng.integers(-8, 8, (64, count))
+    got = _pairwise_sum(lambda i: terms[:, i].copy(), 0, count)
+    assert (got + 0.0).tobytes() == terms.sum(axis=1).tobytes()
 
 
 # ---------------------------------------------------------------- mad scale
@@ -225,6 +353,37 @@ def test_denoise_is_scale_equivariant(name, basis_name, n, seed, cfg, power, fac
         np.max(np.abs(base))
     )
     assert [fit.branch for fit in scaled_report.fits] == branches
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    name=st.sampled_from(SIGNAL_NAMES),
+    basis_name=st.sampled_from(BASES),
+    n=st.sampled_from((256, 1024, 2048)),
+    seed=st.integers(0, 2**32 - 1),
+    given_sigma=st.booleans(),
+)
+def test_denoise_is_odd(name, basis_name, n, seed, given_sigma):
+    samples, sigma = make_signal(name, n, 7.0)
+    y = samples + sigma * np.random.default_rng(seed).standard_normal(n)
+    basis = wavelet_basis(basis_name)
+    known = sigma if given_sigma else None
+
+    # at the default schedule every block is odd to the bit: the transforms
+    # negate exactly and so does soft thresholding
+    base, report = denoise_equispaced(y, basis, sigma=known)
+    flipped, flipped_report = denoise_equispaced(-y, basis, sigma=known)
+    assert np.array_equal(flipped, -base)
+    assert flipped_report.sigma_hat == report.sigma_hat
+    assert [fit.branch for fit in flipped_report.fits] == [fit.branch for fit in report.fits]
+
+    # where blocks take the geb branch, kappa_hat and the density estimate
+    # add their sorted values in reverse order: equal to rounding
+    cfg = TuningConfig(b0=0.25)
+    base, report = denoise_equispaced(y, basis, cfg, sigma=known)
+    flipped, flipped_report = denoise_equispaced(-y, basis, cfg, sigma=known)
+    assert float(np.max(np.abs(flipped + base))) <= 1e-12
+    assert [fit.branch for fit in flipped_report.fits] == [fit.branch for fit in report.fits]
 
 
 def test_denoise_smooth_run_reports_levels():
