@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("denoise", help="shrink a noisy equispaced signal from CSV")
     p_den.add_argument("--input", required=True, help="CSV with columns index,value[,truth]")
-    p_den.add_argument("--output", required=True, help="destination CSV (adds an estimate column)")
+    p_den.add_argument("--output", required=True, help="writes index,value[,truth],estimate, the index 1..N; other input columns are not copied")
     p_den.add_argument("--wavelet", choices=("haar", "d4", "s8"), default=None)
     p_den.add_argument("--sigma", type=float, default=None, help="known noise scale (default: MAD estimate)")
     _add_tuning_flags(p_den)

@@ -1,11 +1,15 @@
 """CSV interchange: signal tables in and out, coefficient tables in.
 
 All floats are written with 17 significant digits, which round-trips
-IEEE doubles exactly.  The signal writer emits the bytes of
-``csv.writer``'s default dialect with ``format_float`` cells
-(comma-separated, CRLF-terminated, no cell quoted: numeric cells never
-need it), but computes the ``%.17g`` text with numpy, ``_CHUNK_ROWS`` rows
-at a time, with no Python call per float:
+IEEE doubles exactly.  The signal writer writes the columns
+``index,value[,truth][,estimate]``, the index 1..N; so ``denoise``, which
+reads an input's value and truth and writes them back with its estimate,
+renumbers the index and copies no other input column (an input
+``estimate`` included).  It emits the bytes of ``csv.writer``'s default
+dialect with ``format_float`` cells (comma-separated, CRLF-terminated, no
+cell quoted: numeric cells never need it), but computes the ``%.17g`` text
+with numpy, ``_CHUNK_ROWS`` rows at a time, with no Python call per float;
+the index is one more float column (``%.17g`` of k is ``str(k)`` below 10^17):
 
 - ``np.frexp`` splits |x| into a 53-bit integer and a power of two.  The
   decimal exponent E is floor(e log10 2) of the binary one, as in Ryu
@@ -17,14 +21,13 @@ at a time, with no Python call per float:
   relative error is about 2^-100, under 1e-13 on D.
 - A cell whose rounding fraction lies within 1e-9 of 1/2 may be an exact
   tie, which ``%g`` rounds half to even: it goes to ``format_float``, as
-  do inf and nan.  Index cells are digits for an integer array and
-  ``"%s" % cell`` otherwise.
+  do inf and nan.
 - Digits come from a table of 4-digit groups and are laid out as ``%g``
   lays them out: fixed notation for -4 <= E < 17, ``d.ddde+XX`` otherwise,
   trailing zeros stripped.  A chunk is one matrix of 8-byte words, six per
   float cell, whose unused bytes hold 0xFF, a byte UTF-8 never holds; that
-  keep mask is applied by one ``bytes.translate``.  A chunk of three float
-  columns peaks at about 2.3 MB of numpy and Python memory.
+  keep mask is applied by one ``bytes.translate``.  A chunk of the index
+  and three float columns peaks at about 2.6 MB of numpy and Python memory.
 
 The tables are built from Python integers at the first write (2-3 ms).
 
@@ -69,7 +72,6 @@ _DROP = 0xFF  # marks a byte to delete: UTF-8 text never holds it
 _WORD = np.dtype("<u8")  # eight bytes of text, the first in the low byte
 _SLOT_WORDS = 6  # words per float cell, see _format_floats
 _CRLF = np.frombuffer(b"\r\n".ljust(8, b"\xff"), dtype=_WORD)
-_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
 
 def _words(texts):
@@ -241,66 +243,31 @@ def _format_floats(x):
     return out, slow
 
 
-def _quoted(text):
-    """``text`` as one cell of ``csv.writer``'s default dialect: quoted, with
-    its quotes doubled, when it holds a comma, a quote, CR or LF."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _format_index(index):
-    """Words of a chunk of index cells, bytes to delete marked ``_DROP``:
-    decimal digits for an integer array, ``"%s" % cell`` otherwise, quoted
-    as ``csv.writer`` quotes it."""
-    if index.dtype.kind in "iu":
-        if index.dtype.kind == "u":
-            magnitude = index.astype(np.uint64)
-        else:  # |-2^63| wraps to -2^63, which is 2^63 as uint64
-            magnitude = np.abs(index.astype(np.int64)).astype(np.uint64)
-        count = 1 + np.searchsorted(_POW10, magnitude, side="right")
-        width = int(count.max())
-        quads = np.empty((index.size, -(-width // 4)), dtype=np.uint64)
-        for k in range(quads.shape[1] - 1, -1, -1):
-            magnitude, quads[:, k] = np.divmod(magnitude, np.uint64(10**4))
-        digits = _tables().quads[quads].astype("<u4").view(np.uint8)[:, -width:]
-        text = np.empty((index.size, width + 1), dtype=np.uint8)
-        text[:, 0] = np.where(index < 0, ord("-"), _DROP)
-        text[:, 1:] = np.where(np.arange(width) >= width - count[:, None], digits, _DROP)
-    else:
-        texts = [_quoted("%s" % cell).encode() for cell in index]
-        width = max(1, max(map(len, texts)))
-        text = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
-        text = np.where(np.arange(width) < np.array([len(t) for t in texts])[:, None], text, _DROP)
-    cells = np.full((len(text), -(-text.shape[1] // 8) * 8), _DROP, dtype=np.uint8)
-    cells[:, : text.shape[1]] = text
-    return cells.view(_WORD)
-
-
-def _write_rows(path, header, index, columns):
-    """Write the header and one CRLF-terminated row per index cell,
-    ``_CHUNK_ROWS`` rows at a time: a chunk is laid out as one word matrix,
-    its unused bytes marked ``_DROP``, which one ``bytes.translate`` deletes."""
+def _write_rows(path, header, columns):
+    """Write the header and one CRLF-terminated row per value, ``_CHUNK_ROWS``
+    rows at a time.  The index 1..N is one more float column, first, whose
+    cells lose their leading separator; a chunk is laid out as one word
+    matrix, its unused bytes marked ``_DROP``, which one ``bytes.translate``
+    deletes."""
+    size = columns[0].size
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(index), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            x = np.stack([col[start:stop] for col in columns], axis=1).ravel()
+        for start in range(0, size, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, size)
+            index = np.arange(start + 1, stop + 1, dtype=float)
+            x = np.stack([index, *(col[start:stop] for col in columns)], axis=1).ravel()
             cells, slow = _format_floats(x)
             for i in np.flatnonzero(slow):
                 text = ("," + format_float(x[i])).encode().ljust(8 * _SLOT_WORDS, b"\xff")
                 cells[i] = np.frombuffer(text, dtype=_WORD)
-            head = _format_index(index[start:stop])
-            rows = [head, cells.reshape(len(head), -1), np.tile(_CRLF, (len(head), 1))]
+            cells[:: len(columns) + 1, 0] |= _DROP
+            rows = [cells.reshape(stop - start, -1), np.tile(_CRLF, (stop - start, 1))]
             fh.write(np.hstack(rows).tobytes().translate(None, b"\xff"))
 
 
-def write_signal_csv(path, values, truth=None, estimate=None, index=None):
-    """Write columns index,value[,truth][,estimate]."""
+def write_signal_csv(path, values, truth=None, estimate=None):
+    """Write columns index,value[,truth][,estimate], the index 1..N."""
     values = np.asarray(values, dtype=float).ravel()
-    idx = np.arange(1, values.size + 1) if index is None else np.asarray(index).ravel()
-    if idx.size != values.size:
-        raise ValueError(f"index has {idx.size} entries for {values.size} values")
     header = ["index", "value"]
     columns = [values]
     if truth is not None:
@@ -312,7 +279,7 @@ def write_signal_csv(path, values, truth=None, estimate=None, index=None):
     for col in columns:
         if col.size != values.size:
             raise ValueError("all columns must have equal length")
-    _write_rows(path, header, idx, columns)
+    _write_rows(path, header, columns)
 
 
 _KINDS = {float: "a number", int: "an integer"}

@@ -51,7 +51,8 @@ DENSITY_FLOOR_LIMIT = _INV_SQRT_2PI  # valid floors satisfy 0 < rho < this
 _TAIL_PAD = 8.0  # integration window extends this many sigmas past the atoms
 _WEIGHT_TOL = 1e-12
 _BLOCK_PAIRS = 1 << 15  # (point, atom) pairs per temporary: 256 KB of float64
-_SCAN_CELL = 16  # grid steps per coarse cell of the floor-crossing scan
+_SCAN = 4096  # grid points of the floor-crossing scan
+_SCAN_CELL = 16  # grid steps per coarse cell of that scan
 _SLOPE_BOUND = 0.25  # exceeds sup |phi_G'| = 1/sqrt(2 pi e) = 0.2420 for every G
 
 
@@ -72,8 +73,8 @@ class MixingDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
+        locs = np.array(self.locations, dtype=float)  # a copy: the caller's arrays stay writable
+        wts = np.array(self.weights, dtype=float)
         if locs.ndim != 1 or locs.shape != wts.shape or locs.size == 0:
             raise ValueError("locations and weights must be matching nonempty 1-d arrays")
         if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(wts))):
@@ -93,9 +94,9 @@ class MixingDistribution:
     def atom_count(self) -> int:
         return self.locations.size
 
-    def support_window(self, pad: float = _TAIL_PAD) -> tuple[float, float]:
-        """Window [min atom - pad, max atom + pad] carrying the marginal mass."""
-        return float(self.locations[0]) - pad, float(self.locations[-1]) + pad
+    def support_window(self) -> tuple[float, float]:
+        """Window [min atom - _TAIL_PAD, max atom + _TAIL_PAD] carrying the marginal mass."""
+        return float(self.locations[0]) - _TAIL_PAD, float(self.locations[-1]) + _TAIL_PAD
 
 
 def from_atoms(locations, weights) -> MixingDistribution:
@@ -552,10 +553,10 @@ def density_floor_loss(rho, prior: MixingDistribution, *, tol=1e-8) -> float:
     )
 
 
-def _floor_crossings(prior, rho, lo, hi, scan=4096):
+def _floor_crossings(prior, rho, lo, hi):
     """Solutions of phi_G(x) = rho located by bisection on a scan grid.
 
-    Each point of ``np.linspace(lo, hi, scan)`` is classed by whether
+    Each point of ``np.linspace(lo, hi, _SCAN)`` is classed by whether
     phi_G - rho < 0 there, so a root makes exactly one flip even where a
     grid value equals rho; every bracket between neighbours of different
     class is bisected, all brackets together.
@@ -577,8 +578,8 @@ def _floor_crossings(prior, rho, lo, hi, scan=4096):
     no end moves: when a and b are adjacent doubles their midpoint rounds to
     one of them, so neither can move again and the result keeps its bits.
     """
-    grid = np.linspace(lo, hi, scan)
-    ends = np.append(np.arange(0, scan - 1, _SCAN_CELL), scan - 1)
+    grid = np.linspace(lo, hi, _SCAN)
+    ends = np.append(np.arange(0, _SCAN - 1, _SCAN_CELL), _SCAN - 1)
     f = _density_values(prior, grid[ends]) - rho
     below_end = f < 0
     span = np.diff(ends)

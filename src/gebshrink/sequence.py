@@ -51,12 +51,6 @@ class BlockedSequence:
             raise ValueError("block levels must be distinct")
         object.__setattr__(self, "blocks", tuple(cleaned))
 
-    def sizes(self) -> tuple:
-        return tuple(arr.size for _, arr in self.blocks)
-
-    def total_count(self) -> int:
-        return sum(self.sizes())
-
 
 def dyadic_sequence(epsilon, levels) -> BlockedSequence:
     """Build a sequence whose block at level j has size 2^max(j, 0).

@@ -79,8 +79,8 @@ class WaveletBasis:
     highpass: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.lowpass, dtype=float)
-        g = np.asarray(self.highpass, dtype=float)
+        h = np.array(self.lowpass, dtype=float)  # a copy: the caller's arrays stay writable
+        g = np.array(self.highpass, dtype=float)
         if h.size % 2 or h.size < 2 or g.size != h.size:
             raise ValueError("filters must share an even length >= 2")
         if abs(float(h @ h) - 1.0) > 1e-12:

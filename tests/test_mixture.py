@@ -121,6 +121,16 @@ def test_from_atoms_matches_the_unique_merge(n, distinct, zeros, seed):
     assert got.weights.tobytes() == want.weights.tobytes()
 
 
+def test_mixing_distribution_leaves_the_callers_arrays_writable():
+    locations, weights = np.array([-1.0, 3.0]), np.array([0.5, 0.5])
+    g = MixingDistribution(locations, weights)
+    locations[0], weights[0] = -2.0, 0.25
+    assert g.locations.tolist() == [-1.0, 3.0] and g.weights.tolist() == [0.5, 0.5]
+    for arr in (g.locations, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_mixing_distribution_is_immutable_and_sorted():
     g = from_atoms([3.0, -1.0, 3.0], [0.25, 0.5, 0.25])
     assert g.locations.tolist() == [-1.0, 3.0]

@@ -192,6 +192,17 @@ def _drawn_signal(rng, n, kind):
     return rng.choice(specials, n)
 
 
+def test_basis_leaves_the_callers_filters_writable():
+    h = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    g = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    basis = WaveletBasis("mine", h, g)
+    h[0], g[0] = 0.5, 0.5
+    assert basis.lowpass[0] == basis.highpass[0] == 1.0 / math.sqrt(2.0)
+    for arr in (basis.lowpass, basis.highpass):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_daubechies_12_is_a_twelve_tap_orthonormal_bank():
     assert D12.lowpass.size == 12
     assert float(D12.lowpass.sum()) == pytest.approx(math.sqrt(2.0), abs=1e-12)
