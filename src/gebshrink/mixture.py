@@ -50,6 +50,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 DENSITY_FLOOR_LIMIT = _INV_SQRT_2PI  # valid floors satisfy 0 < rho < this
 _TAIL_PAD = 8.0  # integration window extends this many sigmas past the atoms
 _WEIGHT_TOL = 1e-12
+_RISK_TOL = 1e-8  # quadrature tolerance of every exact risk and floor loss
 _BLOCK_PAIRS = 1 << 15  # (point, atom) pairs per temporary: 256 KB of float64
 _SCAN = 4096  # grid points of the floor-crossing scan
 _SCAN_CELL = 16  # grid steps per coarse cell of that scan
@@ -368,7 +369,7 @@ def oracle_rule(prior: MixingDistribution) -> OracleRule:
 # risks
 
 
-def rule_risk(rule: ScalarRule, prior: MixingDistribution, *, tol=1e-8) -> float:
+def rule_risk(rule: ScalarRule, prior: MixingDistribution) -> float:
     """Compound risk of a separable rule: E (rule(X) - theta)^2, theta ~ prior.
 
     Soft-threshold rules use the exact per-atom risk formula; every other
@@ -406,20 +407,20 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution, *, tol=1e-8) -> float
                 out[block] = err @ prior.weights
             return out
 
-    return integrate(integrand, lo, hi, tol=tol, breakpoints=rule.breakpoints())
+    return integrate(integrand, lo, hi, tol=_RISK_TOL, breakpoints=rule.breakpoints())
 
 
-def bayes_risk(prior: MixingDistribution, *, tol=1e-8) -> float:
+def bayes_risk(prior: MixingDistribution) -> float:
     """Risk of the posterior-mean rule: 1 - E (phi_G'/phi_G)^2(X).
 
     Exactly zero for a point mass.  The quadrature result is clamped to
     [0, 1]; tiny negatives from roundoff are zeroed.
     """
-    (risk,) = bayes_risks([prior], tol=tol)
+    (risk,) = bayes_risks([prior])
     return risk
 
 
-def bayes_risks(priors, *, tol=1e-8) -> list:
+def bayes_risks(priors) -> list:
     """:func:`bayes_risk` of each prior, bit for bit, priced in one lockstep
     quadrature: one integrand call per round for the whole batch.
 
@@ -464,7 +465,7 @@ def bayes_risks(priors, *, tol=1e-8) -> list:
             out[points] = shift * shift * value
         return out
 
-    fishers = integrate_batch(integrand, [priors[k].support_window() for k in pending], tol=tol)
+    fishers = integrate_batch(integrand, [priors[k].support_window() for k in pending], tol=_RISK_TOL)
     for k, fisher in zip(pending, fishers):
         risks[k] = min(max(1.0 - fisher, 0.0), 1.0)
     return risks
@@ -525,7 +526,7 @@ def _check_size(n) -> int:
     return n
 
 
-def density_floor_loss(rho, prior: MixingDistribution, *, tol=1e-8) -> float:
+def density_floor_loss(rho, prior: MixingDistribution) -> float:
     """Risk lost to flooring the marginal density at ``rho``.
 
     integral of (phi_G'/phi_G)^2 (1 - phi_G/(phi_G v rho))^2 phi_G over
@@ -549,7 +550,7 @@ def density_floor_loss(rho, prior: MixingDistribution, *, tol=1e-8) -> float:
         return shift * shift * damp * damp * value
 
     return integrate(
-        factor, lo, hi, tol=tol, breakpoints=_floor_crossings(prior, rho, lo, hi)
+        factor, lo, hi, tol=_RISK_TOL, breakpoints=_floor_crossings(prior, rho, lo, hi)
     )
 
 

@@ -11,17 +11,14 @@ Levels are dictionaries {j: array}; the single coarsest coefficient is
 y[-1][0], written (j, k) = (-1, 1) in 1-based text output.
 
 Each level is one polyphase step of Mallat's pyramid, written as strided
-slices with no index arrays.  Analysis reads tap i of the filters from the
-slice ext[i : i + m : 2] of the periodically extended signal and adds the
-taps' products in the order ``np.sum`` over a row of them would: left to
-right below 8 taps, ((0+1)+(2+3))+((4+5)+(6+7)) at 8, numpy's blocked
-pairwise rule above.  Synthesis adds each tap's a[k] h[i] + d[k] g[i] into
-the output slice of its parity, taps in descending order, so every output
-takes its terms in ascending k; the first few outputs, which the filter
-wraps onto, take their wrapped terms after the others, still in ascending
-k.  That summation order is fixed: the transforms are bit-for-bit those of
-the window-matrix sum and the ``np.add.at`` scatter they replace, and the
-same at every level size, including levels shorter than the filter.
+slices with no index arrays.  Analysis extends the signal periodically and
+reads tap i of the filters from the slice ext[i : i + m : 2], adding the
+taps' products left to right in filter order.  Synthesis is its transpose:
+tap i adds a[k] h[i] + d[k] g[i] onto an extended output at 2k + i, taps
+in order, and the tail past the level's end is folded back onto its start.
+Both orders are plain IEEE additions fixed by the filter length alone, so
+the bits depend on nothing but the arithmetic, at every level size,
+including levels shorter than the filter.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import TuningConfig, fit_block
+from .blocks import TuningConfig
 from .errors import NumericFailure
 from .sequence import BlockedSequence, dyadic_sequence, estimate_sequence
 
@@ -112,48 +109,6 @@ def _periodic(x, length):
     return np.concatenate((x,) * whole + (x[:part],))
 
 
-def _pairwise_sum(term, start, count):
-    """term(start) + ... + term(start + count - 1), added in the order numpy's
-    pairwise summation adds a contiguous run of ``count`` values: left to
-    right below 8; up to 128, eight running sums over every eighth term,
-    combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest left to right;
-    above, two halves split at a multiple of 8.  ``term(i)`` returns a new
-    array, which is added into in place; each is asked for as it is
-    needed, so at most four are alive."""
-    if count < 8:
-        total = term(start)
-        for i in range(start + 1, start + count):
-            total += term(i)
-        return total
-    if count <= 128:
-        whole = count - count % 8
-
-        def lane(j):
-            acc = term(start + j)
-            for i in range(start + j + 8, start + whole, 8):
-                acc += term(i)
-            return acc
-
-        def pair(j):
-            acc = lane(j)
-            acc += lane(j + 1)
-            return acc
-
-        total = pair(0)
-        total += pair(2)
-        high = pair(4)
-        high += pair(6)
-        total += high
-        for i in range(start + whole, start + count):
-            total += term(i)
-        return total
-    half = count // 2
-    half -= half % 8
-    total = _pairwise_sum(term, start, half)
-    total += _pairwise_sum(term, start + half, count - half)
-    return total
-
-
 def _analysis_step(x, basis):
     """One level of analysis: approximation and detail of the length-m
     signal ``x``, each of m/2 values."""
@@ -164,35 +119,29 @@ def _analysis_step(x, basis):
     # row 0 lowpass, row 1 highpass; tap i reads x[2k + i mod m] for each k.
     # Multiply, then sum: fused multiply-adds would leave rounding residue
     # where the two-tap bank cancels a constant exactly
-    sums = _pairwise_sum(lambda i: bank[:, i] * ext[i : i + m : 2], 0, taps)
-    sums += 0.0  # np.sum adds its terms to +0.0, so no sum is -0.0
+    sums = bank[:, 0] * ext[0:m:2]
+    for i in range(1, taps):
+        sums += bank[:, i] * ext[i : i + m : 2]
+    sums += 0.0  # as a sum started from +0.0 would, so no sum is -0.0
     return sums[0], sums[1]
 
 
 def _synthesis_step(approx, detail, basis):
     """One level of synthesis: the length-2M signal whose analysis gives the
-    M-value ``approx`` and ``detail``.
-
-    Output 2q + p (parity p) collects a[k] h[i] + d[k] g[i] over the taps
-    i = p + 2j with k = q - j mod M.  Writing j = b M + r (r < M), tap j
-    lands on out_p[r:] from a[:M - r] and, wrapped, on out_p[:r] from
-    a[M - r:].  Each output adds its terms in ascending k, and for equal k
-    in ascending j: residues r in descending order, unwrapped then wrapped,
-    and blocks b ascending within a residue.
-    """
-    half = approx.size
-    pairs = basis.lowpass.size // 2
-    out = np.zeros(2 * half)
-    rows = out.reshape(half, 2).T  # row p: the outputs of parity p
-    low = basis.lowpass.reshape(pairs, 2, 1)  # low[j] = h[2j], h[2j + 1]
-    high = basis.highpass.reshape(pairs, 2, 1)
-    reach = min(half, pairs)
-    for r in range(reach - 1, -1, -1):
-        for j in range(r, pairs, half):
-            rows[:, r:] += low[j] * approx[: half - r] + high[j] * detail[: half - r]
-    for r in range(reach - 1, 0, -1):
-        for j in range(r, pairs, half):
-            rows[:, :r] += low[j] * approx[half - r :] + high[j] * detail[half - r :]
+    M-value ``approx`` and ``detail``, as the transpose of
+    :func:`_analysis_step`.  Tap i adds a[k] h[i] + d[k] g[i] onto the
+    extended output at 2k + i, taps in order; the tail past 2M is then
+    folded back onto the start, one 2M-chunk at a time, as the analysis's
+    periodic extension read it."""
+    m = 2 * approx.size
+    taps = basis.lowpass.size
+    ext = np.zeros(m + taps - 2)
+    for i in range(taps):
+        ext[i : i + m : 2] += basis.lowpass[i] * approx + basis.highpass[i] * detail
+    out = ext[:m].copy()
+    for start in range(m, ext.size, m):
+        tail = ext[start : start + m]
+        out[: tail.size] += tail
     return out
 
 
@@ -356,19 +305,14 @@ class RandomDesignData:
     coefficients[j]  the standardized contrast where delta is 1, else 0;
                      each has conditional noise variance sigma^2 / N
     effective[j]     number of usable coefficients at level j
+    n_points         number of design points N
     """
 
-    t: np.ndarray
-    y: np.ndarray
-    j_max: int
     counts: dict
     deltas: dict
     coefficients: dict
     effective: dict
-
-    @property
-    def n_points(self) -> int:
-        return self.t.size
+    n_points: int
 
 
 def random_design_transform(t, y, j_max) -> RandomDesignData:
@@ -432,18 +376,12 @@ def random_design_transform(t, y, j_max) -> RandomDesignData:
                 f"level {j} overflows: the responses' cell sums or contrasts exceed the float range"
             )
 
-    t_ro = t.copy()
-    y_ro = y.copy()
-    t_ro.setflags(write=False)
-    y_ro.setflags(write=False)
     return RandomDesignData(
-        t=t_ro,
-        y=y_ro,
-        j_max=j_max,
         counts=counts,
         deltas=deltas,
         coefficients=coefficients,
         effective=effective,
+        n_points=n,
     )
 
 

@@ -310,8 +310,8 @@ def _masked_design(x, size):
     coefficients[level][: x.size] = x
     effective = {j: int(d.sum()) for j, d in deltas.items()}
     return level, RandomDesignData(
-        t=np.ones(1), y=np.ones(1), j_max=level, counts={}, deltas=deltas,
-        coefficients=coefficients, effective=effective,
+        counts={}, deltas=deltas, coefficients=coefficients, effective=effective,
+        n_points=1,
     )
 
 

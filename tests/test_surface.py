@@ -86,3 +86,27 @@ def test_every_export_is_reached_outside_the_unit_tests():
     assert set(TEST_REFERENCES) <= exported
     unreached = sorted(exported - _reached_names() - set(TEST_REFERENCES))
     assert unreached == [], f"exported but reached only from unit tests: {unreached}"
+
+
+def _unused_imports(tree):
+    """Top-level imports of a module whose bound name it never reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(bound)
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert unused == {}, f"imported but never read: {unused}"
