@@ -49,8 +49,9 @@ about 3 MB at its cap.  The points are padded to whole blocks of
 only: through the rule, whose node count the batch's span sets, and
 through the fused pass, which a batch that holds exactly the samples, in
 any order, takes, and whose bits differ from the chunked walks' in the
-last places.  The routes agree to 1e-8 (a test contract); ``kde_fit``
-picks the cheaper at its n samples.
+last places.  The routes agree to 1e-8 (a test contract); ``kde_eval``
+prices each call on its own points (``_route``) and takes the cheaper, the
+fused walk priced at the samples.
 """
 
 from __future__ import annotations
@@ -99,16 +100,20 @@ class KernelDensityEstimate:
     ``samples`` are stored sorted so that evaluation is invariant, bit for
     bit, under permutations of the input.  ``bandwidth`` is always
     sqrt(2 log n); it is recorded rather than recomputed so downstream
-    code can read it off; ``mode`` is the route ``kde_fit`` chose.
+    code can read it off.  ``kde_eval`` prices each call on its own points;
+    ``mode`` is the route it takes at the samples.
     """
 
     samples: np.ndarray
     bandwidth: float
-    mode: str
 
     @property
     def n(self) -> int:
         return self.samples.size
+
+    @property
+    def mode(self) -> str:
+        return _route(self.bandwidth, self.n, None, float(self.samples[-1] - self.samples[0]))
 
 
 def kde_fit(values):
@@ -120,9 +125,7 @@ def kde_fit(values):
         raise ValueError("samples must be finite")
     samples = np.sort(x)
     samples.setflags(write=False)
-    a = math.sqrt(2.0 * math.log(x.size))
-    mode = _route(a, x.size, None, float(samples[-1] - samples[0]))
-    return KernelDensityEstimate(samples=samples, bandwidth=a, mode=mode)
+    return KernelDensityEstimate(samples=samples, bandwidth=math.sqrt(2.0 * math.log(x.size)))
 
 
 def _route(a, n, points, reach):
@@ -278,8 +281,8 @@ def _eval_fourier(kde, x=None):
 
 
 def _sample_order(kde, x):
-    """The permutation that sorts ``x`` when ``x`` holds exactly the samples
-    and the fused pass takes them, else None."""
+    """The permutation that sorts ``x`` when ``x`` holds exactly the samples,
+    at most ``_FUSED_SAMPLES`` of them (the fused pass's cap), else None."""
     if x.size != kde.n or kde.n > _FUSED_SAMPLES:
         return None
     order = np.argsort(x)
@@ -298,15 +301,15 @@ def kde_eval(kde, points):
     flat = pts.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("evaluation points must be finite")
-    mode, lo, hi = kde.mode, flat.min(initial=kde.samples[0]), flat.max(initial=kde.samples[-1])
-    if mode == "fourier" and hi - lo > kde.samples[-1] - kde.samples[0]:  # the fit priced the samples' span
-        mode = _route(kde.bandwidth, kde.n, flat.size, float(hi - lo))
-    order = None if mode == "direct" else _sample_order(kde, flat)
-    if order is not None:  # the points are the samples: one fused walk, then scatter back
+    order = _sample_order(kde, flat)
+    reach = float(flat.max(initial=kde.samples[-1]) - flat.min(initial=kde.samples[0]))
+    if _route(kde.bandwidth, kde.n, None if order is not None else flat.size, reach) == "direct":
+        value, deriv = _eval_direct(kde, flat)
+    elif order is not None:  # the points are the samples: one fused walk, then scatter back
         value, deriv = np.empty_like(flat), np.empty_like(flat)
         value[order], deriv[order] = _eval_fourier(kde)
     else:
-        value, deriv = (_eval_direct if mode == "direct" else _eval_fourier)(kde, flat)
+        value, deriv = _eval_fourier(kde, flat)
     if scalar:
         return float(value[0]), float(deriv[0])
     return value.reshape(pts.shape), deriv.reshape(pts.shape)

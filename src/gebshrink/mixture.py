@@ -17,8 +17,9 @@ The posterior-mean rule, the integrands of :func:`bayes_risk`,
 :func:`rule_risk` and :func:`density_floor_loss`, and the floor-crossing
 scan evaluate one exponential per (point, atom) pair and walk the points
 in blocks of at most ``_BLOCK_PAIRS`` pairs, so their temporaries stay
-bounded whatever the atom count.  The oracle rule's risk reuses the
-exponentials of its own shift.
+bounded whatever the atom count.  Every rule's risk without a closed form
+is priced on the oracle's sweep: the oracle rule reuses the exponentials
+of its own shift, and any other rule t enters as the offset t(x) - x.
 
 :func:`bayes_risks` prices a batch of priors in one lockstep quadrature
 (:func:`quadrature.integrate_batch`): one integrand call per round for the
@@ -206,10 +207,11 @@ def _atom_blocks(prior, x, buffers, rows=None):
         yield (block, *views)
 
 
-def _shift_and_density(prior, x, rows=None, *, loss=False):
+def _shift_and_density(prior, x, rows=None, *, loss=False, offset=None):
     """``(phi_G'(x)/phi_G(x), phi_G(x))`` at the flat points ``x``; with
-    ``loss``, also the oracle rule's pointwise risk
-    sum_i w_i phi(x - u_i) (x + shift - u_i)^2 from the same exponentials.
+    ``loss``, also the pointwise risk sum_i w_i phi(x - u_i) (x + o - u_i)^2
+    from the same exponentials, of the oracle rule (o = shift) or, given the
+    per-point ``offset`` t(x) - x, of the rule t (o = offset).
 
     ``prior`` and ``rows`` are as for :func:`_atom_blocks`.  One exponential
     per (point, atom).  The exponents are re-centered per point before
@@ -243,7 +245,7 @@ def _shift_and_density(prior, x, rows=None, *, loss=False):
                 np.multiply(d, e, out=de)
                 s = -de.sum(axis=1) / den
                 shift[block] = s
-                d += s[:, None]
+                d += (s if offset is None else offset[block])[:, None]
                 d *= d
                 d *= e
                 risk[block] = scale * d.sum(axis=1)
@@ -372,11 +374,12 @@ def oracle_rule(prior: MixingDistribution) -> OracleRule:
 def rule_risk(rule: ScalarRule, prior: MixingDistribution) -> float:
     """Compound risk of a separable rule: E (rule(X) - theta)^2, theta ~ prior.
 
-    Soft-threshold rules use the exact per-atom risk formula; every other
-    rule is integrated over the mass window [min atom - 8, max atom + 8]
-    with panel edges at the rule's breakpoints.  The oracle rule of
-    ``prior`` itself takes its risk from the exponentials of its own shift,
-    one per (point, atom).
+    Soft-threshold rules use the exact per-atom risk formula.  Every other
+    rule is integrated over the mass window [min atom - 8, max atom + 8],
+    with panel edges at the rule's breakpoints, on the oracle's sweep: one
+    exponential per (point, atom).  The oracle rule of ``prior`` itself
+    takes its risk from the exponentials of its own shift; any other rule
+    is evaluated once per point and enters as the offset rule(x) - x.
     """
     if isinstance(rule, SoftThresholdRule):
         return float(
@@ -385,28 +388,13 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution) -> float:
                 for u, w in zip(prior.locations.tolist(), prior.weights.tolist())
             )
         )
+    own = isinstance(rule, OracleRule) and rule.prior is prior
+
+    def integrand(x):
+        offset = None if own else np.asarray(rule(x), dtype=float) - x
+        return _shift_and_density(prior, x, loss=True, offset=offset)[2]
+
     lo, hi = prior.support_window()
-    if isinstance(rule, OracleRule) and rule.prior is prior:
-
-        def integrand(x):
-            return _shift_and_density(prior, x, loss=True)[2]
-
-    else:
-
-        def integrand(x):
-            t = np.asarray(rule(x), dtype=float)
-            out = np.empty(x.size)
-            for block, d, err in _atom_blocks(prior, x, 2):
-                np.subtract(t[block, None], prior.locations[None, :], out=err)
-                d *= d
-                d *= -0.5
-                np.exp(d, out=d)
-                d *= _INV_SQRT_2PI
-                err *= err
-                err *= d
-                out[block] = err @ prior.weights
-            return out
-
     return integrate(integrand, lo, hi, tol=_RISK_TOL, breakpoints=rule.breakpoints())
 
 

@@ -294,9 +294,10 @@ def test_direct_chunking_does_not_change_a_bit(pairs, monkeypatch):
 def test_route_choice_table(values, mode):
     k = kde_fit(values)
     assert k.mode == mode
-    # kde_eval follows the recorded route bit for bit
+    # kde_eval follows the route priced for its own 17 points, bit for bit
     points = np.linspace(k.samples[0], k.samples[-1], 17)
-    route = _eval_direct if mode == "direct" else _eval_fourier
+    priced = kde_module._route(k.bandwidth, k.n, points.size, _reach(k, points))
+    route = _eval_direct if priced == "direct" else _eval_fourier
     got, want = kde_eval(k, points), route(k, points)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -307,8 +308,8 @@ def test_small_blocks_go_direct():
 
 
 def test_far_points_are_priced_again(monkeypatch):
-    # the fit priced the fourier rule for the samples' span; a point at 1e6
-    # would need millions of nodes, so that call goes direct
+    # the samples are priced fourier; a point at 1e6 would need millions of
+    # nodes, so that call is priced direct
     k = kde_fit(_normal_block(128))
     assert k.mode == "fourier"
     walks = _counted_walks(monkeypatch)
@@ -316,9 +317,34 @@ def test_far_points_are_priced_again(monkeypatch):
     got, want = kde_eval(k, points), _eval_direct(k, points)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert walks == []
-    kde_eval(k, k.samples[::2])  # within the span the fit's route holds: spectrum, then points
+    kde_eval(k, k.samples[::2])  # half the samples are priced fourier too: spectrum, then points
     _, h = _positive_nodes(k.bandwidth, float(k.samples[-1] - k.samples[0]))
     assert walks == [h, h]
+
+
+def test_one_point_in_a_fourier_block_goes_direct(monkeypatch):
+    # the samples are priced fourier, but one kernel sum over 4096 samples
+    # costs less than walking the panels once
+    k = kde_fit(_normal_block(4096))
+    assert k.mode == "fourier"
+    walks = _counted_walks(monkeypatch)
+    point = np.array([0.5 * (k.samples[0] + k.samples[-1])])
+    got, want = kde_eval(k, point), _eval_direct(k, point)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert walks == []
+
+
+def test_many_wide_points_in_a_direct_block_go_fourier(monkeypatch):
+    # 16 samples are priced direct, but 6,000 points cost more in kernel sums
+    # than the two walks over the widened span
+    k = kde_fit(_normal_block(16))
+    assert k.mode == "direct"
+    points = np.linspace(k.samples[0] - 8.0, k.samples[-1] + 8.0, 6000)
+    want = _eval_fourier(k, points)
+    walks = _counted_walks(monkeypatch)
+    got = kde_eval(k, points)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(walks) == 2  # the spectrum over the samples, then the points
 
 
 @settings(max_examples=60, deadline=None)

@@ -513,6 +513,59 @@ def test_one_pass_functionals_match_two_pass_arithmetic(name):
         assert abs(rule_risk(rule, g) - _two_pass_rule_risk(rule, g)) <= 1e-12
 
 
+def _raw_rule_loss(rule, prior, x):
+    """sum_i w_i phi(x - u_i) (t(x) - u_i)^2 from raw Gaussian terms, t = rule,
+    and the rounding bound of forming each t(x) - u_i as (x - u_i) + (t(x) - x):
+    eps sum_i w_i phi(x - u_i) |t - u_i| (|x - u_i| + |t - x| + |t - u_i|)."""
+    t = np.asarray(rule(x), dtype=float)
+    d = x[:, None] - prior.locations[None, :]
+    err = t[:, None] - prior.locations[None, :]
+    kern = PHI0 * np.exp(-0.5 * d * d)
+    parts = np.abs(d) + np.abs(t - x)[:, None] + np.abs(err)
+    bound = np.finfo(float).eps * ((np.abs(err) * parts * kern) @ prior.weights)
+    return (err * err * kern) @ prior.weights, bound
+
+
+def _drawn_rule(kind, level, seed):
+    if kind == "hard":
+        return HardThresholdRule(level)
+    if kind == "linear":
+        return LinearShrinkRule(level - 2.0)
+    if kind == "identity":
+        return IdentityRule()
+    from gebshrink.kde import kde_fit
+
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal(int(rng.integers(3, 200))) * rng.uniform(0.5, 5.0)
+    return GebRule(kde_fit(block), float(rng.uniform(0.05, 0.3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 1.0)), min_size=1, max_size=6
+    ).filter(lambda a: sum(w for _, w in a) > 0),
+    kind=st.sampled_from(["hard", "linear", "identity", "geb"]),
+    level=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+)
+def test_sweep_loss_with_a_rule_offset_matches_the_raw_sum(atoms, kind, level, seed, fractions):
+    locations, weights = zip(*atoms)
+    g = from_atoms(locations, np.array(weights) / sum(weights))
+    rule = _drawn_rule(kind, level, seed)
+    lo, hi = g.support_window()
+    x = lo + (hi - lo) * np.array(fractions)
+    offset = np.asarray(rule(x), dtype=float) - x
+    loss = mixture._shift_and_density(g, x, loss=True, offset=offset)[2]
+    raw, rounding = _raw_rule_loss(rule, g, x)
+    normal = np.isfinite(raw) & (raw >= np.finfo(float).tiny)
+    # where t(x) is near an atom far from x, (x - u) + (t - x) cancels: the
+    # offset carries the rounding of x, which the raw t - u does not
+    error = np.abs(loss - raw)[normal]
+    assert np.all(error <= 1e-12 * raw[normal] + rounding[normal])
+
+
 def test_floor_crossings_none_when_floor_is_never_reached():
     g = gaussian_grid_prior(1.0, 41, 6.0)
     lo, hi = g.support_window()

@@ -3,6 +3,7 @@ acceptance criterion reaches."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,16 +60,21 @@ def _reached_names():
     return reached
 
 
+def _literal(path, name):
+    """The literal bound to the top-level ``name`` of the module at ``path``."""
+    (value,) = [
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    ]
+    return ast.literal_eval(value)
+
+
 def _exported_names():
     """The names in the package's lazy export table, read from the source."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    (table,) = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "_MODULES" for t in node.targets)
-    ]
-    return {name for names in ast.literal_eval(table).values() for name in names}
+    table = _literal(PACKAGE / "__init__.py", "_MODULES")
+    return {name for names in table.values() for name in names}
 
 
 def test_every_export_resolves_to_its_module():
@@ -110,3 +116,40 @@ def test_no_module_imports_a_name_it_never_reads():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}, f"imported but never read: {unused}"
+
+
+# benchmark spans that are not public functions of their layer: the ones the
+# tracer opens around rule calls, integrands and replicate draws, and two that
+# nothing opens any more (ROADMAP item 3 drops them with the benchmark revision)
+SYNTHETIC_SPANS = {"mixture.rule_apply", "mixture.integrand", "risklab.draw_blocks"}
+DEAD_SPANS = {"kde.spectrum", "thresholds.integrand"}
+
+
+def test_every_benchmark_span_is_a_public_function_of_its_layer():
+    layers = _literal(ROOT / "perfbench" / "tracing.py", "LAYERS")
+    run = ROOT / "perfbench" / "run.py"
+    spans = set(_literal(run, "SPAN_SELF")) | set(_literal(run, "SPAN_CALLS"))
+    assert SYNTHETIC_SPANS | DEAD_SPANS <= spans
+    missing = []
+    for span in sorted(spans - SYNTHETIC_SPANS - DEAD_SPANS):
+        layer, _, name = span.partition(".")
+        assert layer in layers, span
+        module = importlib.import_module(f"gebshrink.{layer}")
+        fn = getattr(module, name, None)
+        # the tracer wraps a layer's own public functions only
+        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+            missing.append(span)
+    assert missing == [], f"benchmark spans the tracer cannot open: {missing}"
+
+
+def test_the_tracer_finds_what_it_reads():
+    import numpy as np
+
+    from gebshrink import kde, mixture, quadrature, risklab
+
+    # wrapped by identity, and wrapped on each rule class and on the truth source
+    assert inspect.isfunction(quadrature.integrate)
+    assert inspect.isclass(mixture.ScalarRule)
+    assert "draw_blocks" in vars(risklab.TruthSource)
+    # read after every traced kde_eval
+    assert kde.kde_fit(np.random.default_rng(0).standard_normal(64)).mode in ("direct", "fourier")
