@@ -11,9 +11,13 @@ function truncated to frequencies |u| <= a.  Both forms are implemented:
 applies a Gauss-Legendre rule (16 nodes on each of an even number P of
 uniform panels of half-width h = a / P) to the truncated inversion
 integral; P is the fewest panels that hold the rule's error near 1e-10
-over the span of the samples and points (``_panel_count``).  The 16-point
-rule is ``quadrature.gauss_legendre(16)``, built at the first fourier
-evaluation, so a process that never takes this route never builds it.  The
+over the span of the samples and points (``_panel_count``).  Against the
+direct sums the rule measured at most 4.8e-11 in the value and 8.9e-11 in
+the derivative over 1,500 random blocks of up to 512 samples; on two
+panels the derivative reaches 2.9e-10 at a point the full reach away from
+511 of 512 samples.  The 16-point rule is
+``quadrature.gauss_legendre(16)``, built at the first fourier evaluation,
+so a process that never takes this route never builds it.  The
 samples are real, so psi(-u) = conj psi(u), and the even panel layout is
 mirror-symmetric about 0; hence
 
@@ -150,16 +154,15 @@ def _route(a, n, points, reach):
 
 
 def _panel_count(a, reach):
-    """The smallest even panel count P with 16 P >= 4 a reach / pi + 64.
+    """The smallest even panel count P with theta = h reach <= 4 pi, h = a / P:
+    16 P >= 4 a reach / pi nodes.
 
-    On a panel of half-width h = a / P the integrand's phases exp(i u t),
-    |t| <= reach, are exp(i theta s) over s in [-1, 1] with theta = reach h.
-    This count keeps theta <= 4 pi, where the 16-point rule's error is
-    1.3e-10, well inside the routes' 1e-8 agreement; 6 a reach / pi + 128
-    nodes would keep theta <= 8 pi / 3, where it is 6e-16, at about 1.7
-    times the nodes.  A reach below 1 counts as 1.
+    On a panel of half-width h the integrand's phases exp(i u t), |t| <= reach,
+    are exp(i theta s) over s in [-1, 1].  At theta = 4 pi the 16-point rule's
+    error is 1.3e-10 (2.0e-11 in the value per unit of bandwidth), well inside
+    the routes' 1e-8 agreement.  A reach below 1 counts as 1.
     """
-    return 2 * math.ceil((math.ceil(4.0 * a * max(reach, 1.0) / math.pi) + 64) / 32.0)
+    return 2 * math.ceil(a * max(reach, 1.0) / (8.0 * math.pi))
 
 
 def _cis(theta):

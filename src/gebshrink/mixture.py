@@ -18,8 +18,9 @@ The posterior-mean rule, the integrands of :func:`bayes_risk`,
 scan evaluate one exponential per (point, atom) pair and walk the points
 in blocks of at most ``_BLOCK_PAIRS`` pairs, so their temporaries stay
 bounded whatever the atom count.  Every rule's risk without a closed form
-is priced on the oracle's sweep: the oracle rule reuses the exponentials
-of its own shift, and any other rule t enters as the offset t(x) - x.
+is priced on the oracle's exponentials: the oracle rule reuses those of its
+own shift, and any other rule t enters as the offset t(x) - x of a sweep
+that forms only the loss.
 
 :func:`bayes_risks` prices a batch of priors in one lockstep quadrature
 (:func:`quadrature.integrate_batch`): one integrand call per round for the
@@ -207,17 +208,32 @@ def _atom_blocks(prior, x, buffers, rows=None):
         yield (block, *views)
 
 
-def _shift_and_density(prior, x, rows=None, *, loss=False, offset=None):
+def _weigh(d, e, weights):
+    """e = w exp(-(d^2/2 - e_min)) in place, from the (points, atoms) offsets
+    ``d``; returns e_min, each point's smallest d^2/2.
+
+    Re-centring the exponents per point keeps the largest term of each row
+    at its weight, however far the point sits from every atom.
+    """
+    np.multiply(d, d, out=e)
+    e *= 0.5
+    e_min = e.min(axis=1)
+    np.subtract(e_min[:, None], e, out=e)  # -(e - e_min) to the bit: rounding is symmetric
+    np.exp(e, out=e)
+    e *= weights  # in place: temporaries cost more than flops
+    return e_min
+
+
+def _shift_and_density(prior, x, rows=None, *, loss=False):
     """``(phi_G'(x)/phi_G(x), phi_G(x))`` at the flat points ``x``; with
-    ``loss``, also the pointwise risk sum_i w_i phi(x - u_i) (x + o - u_i)^2
-    from the same exponentials, of the oracle rule (o = shift) or, given the
-    per-point ``offset`` t(x) - x, of the rule t (o = offset).
+    ``loss``, also the oracle rule's pointwise risk
+    sum_i w_i phi(x - u_i) (x + shift - u_i)^2 from the same exponentials.
 
     ``prior`` and ``rows`` are as for :func:`_atom_blocks`.  One exponential
     per (point, atom).  The exponents are re-centered per point before
-    exponentiation, so the shift never degenerates to 0/0, even where the
-    raw density underflows; the density is rescaled by the point's own
-    factor exp(-e_min) and comes out 0 where that underflows.
+    exponentiation (:func:`_weigh`), so the shift never degenerates to 0/0,
+    even where the raw density underflows; the density is rescaled by the
+    point's own factor exp(-e_min) and comes out 0 where that underflows.
     """
     shift = np.empty(x.size)
     value = np.empty(x.size)
@@ -230,13 +246,7 @@ def _shift_and_density(prior, x, rows=None, *, loss=False, offset=None):
             weights = prior.weights
             if rows is not None:
                 weights = np.take(weights, rows[block], axis=0, out=spare.pop())
-            np.multiply(d, d, out=e)
-            e *= 0.5
-            e_min = e.min(axis=1)
-            e -= e_min[:, None]
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            e *= weights  # w exp(-(e - e_min)), in place: temporaries cost more than flops
+            e_min = _weigh(d, e, weights)
             den = e.sum(axis=1)
             scale = _INV_SQRT_2PI * np.exp(-e_min)
             value[block] = scale * den
@@ -245,7 +255,7 @@ def _shift_and_density(prior, x, rows=None, *, loss=False, offset=None):
                 np.multiply(d, e, out=de)
                 s = -de.sum(axis=1) / den
                 shift[block] = s
-                d += (s if offset is None else offset[block])[:, None]
+                d += s[:, None]
                 d *= d
                 d *= e
                 risk[block] = scale * d.sum(axis=1)
@@ -253,6 +263,24 @@ def _shift_and_density(prior, x, rows=None, *, loss=False, offset=None):
                 d *= e
                 shift[block] = -d.sum(axis=1) / den
     return (shift, value, risk) if loss else (shift, value)
+
+
+def _rule_loss(prior, x, offset):
+    """The pointwise risk sum_i w_i phi(x - u_i) (t(x) - u_i)^2 of a rule t at
+    the flat points ``x``, from the per-point ``offset`` t(x) - x.
+
+    The exponentials of :func:`_shift_and_density`, with t(x) - u_i formed
+    as (x - u_i) + offset; neither phi_G nor its shift is formed.
+    """
+    risk = np.empty(x.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _shift_and_density
+        for block, d, e in _atom_blocks(prior, x, 2):
+            e_min = _weigh(d, e, prior.weights)
+            d += offset[block][:, None]
+            d *= d
+            d *= e
+            risk[block] = _INV_SQRT_2PI * np.exp(-e_min) * d.sum(axis=1)
+    return risk
 
 
 def _density_values(prior: MixingDistribution, x):
@@ -374,25 +402,25 @@ def oracle_rule(prior: MixingDistribution) -> OracleRule:
 def rule_risk(rule: ScalarRule, prior: MixingDistribution) -> float:
     """Compound risk of a separable rule: E (rule(X) - theta)^2, theta ~ prior.
 
-    Soft-threshold rules use the exact per-atom risk formula.  Every other
-    rule is integrated over the mass window [min atom - 8, max atom + 8],
-    with panel edges at the rule's breakpoints, on the oracle's sweep: one
-    exponential per (point, atom).  The oracle rule of ``prior`` itself
-    takes its risk from the exponentials of its own shift; any other rule
-    is evaluated once per point and enters as the offset rule(x) - x.
+    Soft-threshold rules use the exact per-atom risk formula, over all atoms
+    in one array pass, added in atom order.  Every other rule is integrated
+    over the mass window [min atom - 8, max atom + 8], with panel edges at
+    the rule's breakpoints, on the oracle's exponentials: one per (point,
+    atom).  The oracle rule of ``prior`` itself takes its risk from the
+    exponentials of its own shift; any other rule is evaluated once per
+    point and enters as the offset rule(x) - x, and neither phi_G nor the
+    shift is formed for it (:func:`_rule_loss`).
     """
     if isinstance(rule, SoftThresholdRule):
-        return float(
-            sum(
-                w * soft_threshold_risk(u, rule.level)
-                for u, w in zip(prior.locations.tolist(), prior.weights.tolist())
-            )
-        )
+        # added in atom order, one at a time, as a loop would: np.sum adds pairwise
+        risks = prior.weights * soft_threshold_risk(prior.locations, rule.level)
+        return float(np.add.accumulate(risks)[-1])
     own = isinstance(rule, OracleRule) and rule.prior is prior
 
     def integrand(x):
-        offset = None if own else np.asarray(rule(x), dtype=float) - x
-        return _shift_and_density(prior, x, loss=True, offset=offset)[2]
+        if own:
+            return _shift_and_density(prior, x, loss=True)[2]
+        return _rule_loss(prior, x, np.asarray(rule(x), dtype=float) - x)
 
     lo, hi = prior.support_window()
     return integrate(integrand, lo, hi, tol=_RISK_TOL, breakpoints=rule.breakpoints())

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gebshrink import kde as kde_module
@@ -187,12 +187,50 @@ def test_fourier_route_matches_literal_definition(values):
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(3, 2**20), reach=st.floats(0.0, 1e6))
 def test_panel_count_is_even_and_above_the_accuracy_floor(n, reach):
+    # theta = h reach <= 4 pi on panels of half-width h = a / P, with the
+    # fewest such panels: two fewer exceed it (a reach below 1 counts as 1)
     a = math.sqrt(2.0 * math.log(n))
+    reach = max(reach, 1.0)
     panels = kde_module._panel_count(a, reach)
-    assert panels % 2 == 0
-    assert 16 * panels >= 4.0 * a * reach / math.pi + 64
-    # and the fewest such panels: two fewer fall below the floor (a reach below 1 counts as 1)
-    assert 16 * (panels - 2) < 4.0 * a * max(reach, 1.0) / math.pi + 64
+    assert panels % 2 == 0 and panels >= 2
+    assert a / panels * reach <= 4.0 * math.pi * (1.0 + 1e-15)
+    assert panels == 2 or a / (panels - 2) * reach > 4.0 * math.pi * (1.0 - 1e-15)
+
+
+_WORST_GAP = 4.9293  # n = 512: the point sits 8 pi / a from half the samples, on P = 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 512),
+    spread=st.floats(0.0, 50.0),
+    centre=st.floats(-20.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=16),
+    gap=st.one_of(st.just(0.0), st.floats(0.0, 3000.0)),
+    outlier=st.one_of(st.none(), st.floats(-1e4, 1e4)),
+)
+@example(n=512, spread=0.0, centre=0.0, seed=0, fractions=[1.2], gap=_WORST_GAP, outlier=None)
+def test_rule_error_on_random_blocks(n, spread, centre, seed, fractions, gap, outlier):
+    # the draws of test_routes_agree_on_random_blocks, against the rule's own
+    # error at theta = 4 pi: E0 = 1.3e-10 for exp(i theta s) and E1 = 3.0e-10
+    # for s exp(i theta s) per unit panel.  The value errs by at most
+    # a E0 / (2 pi) <= 7.1e-11 here; the derivative's integrand carries u, and
+    # it errs by up to a^2 E1 / (2 pi P), 1.5e-10 on the example (two atoms
+    # with the point 4 pi / h from half the samples), so its bound is a * 1e-10
+    rng = np.random.default_rng(seed)
+    x = centre + spread * rng.uniform(-0.5, 0.5, n)
+    x[rng.random(n) < 0.5] += gap
+    x[rng.integers(n)] = centre + 0.5 * spread + gap
+    if outlier is not None:
+        x[rng.integers(n)] = outlier
+    k = kde_fit(x)
+    lo, hi = float(x.min()), float(x.max())
+    points = lo + (hi - lo + 1.0) * np.array(fractions)
+    vd, dd = _eval_direct(k, points)
+    vf, df = _eval_fourier(k, points)
+    assert float(np.max(np.abs(vd - vf))) < 1e-10
+    assert float(np.max(np.abs(dd - df))) < k.bandwidth * 1e-10
 
 
 def test_nodes_are_symmetric_to_the_bit():

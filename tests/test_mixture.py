@@ -557,13 +557,123 @@ def test_sweep_loss_with_a_rule_offset_matches_the_raw_sum(atoms, kind, level, s
     lo, hi = g.support_window()
     x = lo + (hi - lo) * np.array(fractions)
     offset = np.asarray(rule(x), dtype=float) - x
-    loss = mixture._shift_and_density(g, x, loss=True, offset=offset)[2]
+    loss = mixture._rule_loss(g, x, offset)
     raw, rounding = _raw_rule_loss(rule, g, x)
     normal = np.isfinite(raw) & (raw >= np.finfo(float).tiny)
     # where t(x) is near an atom far from x, (x - u) + (t - x) cancels: the
     # offset carries the rounding of x, which the raw t - u does not
     error = np.abs(loss - raw)[normal]
     assert np.all(error <= 1e-12 * raw[normal] + rounding[normal])
+
+
+def _full_sweep_rule_risk(rule, prior):
+    """rule_risk of a rule other than the prior's own oracle as it was priced
+    on the whole oracle sweep: the re-centred exponentials, then the shift's
+    pass and sum, which the loss never reads, then the loss of the offset."""
+    lo, hi = prior.support_window()
+
+    def integrand(x):
+        offset = np.asarray(rule(x), dtype=float) - x
+        risk = np.empty(x.size)
+        for block, d, e, de in mixture._atom_blocks(prior, x, 3):
+            np.multiply(d, d, out=e)
+            e *= 0.5
+            e_min = e.min(axis=1)
+            e -= e_min[:, None]
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            e *= prior.weights
+            den = e.sum(axis=1)
+            scale = PHI0 * np.exp(-e_min)
+            np.multiply(d, e, out=de)
+            _ = -de.sum(axis=1) / den
+            d += offset[block][:, None]
+            d *= d
+            d *= e
+            risk[block] = scale * d.sum(axis=1)
+        return risk
+
+    return integrate(integrand, lo, hi, tol=1e-8, breakpoints=rule.breakpoints())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 1.0)), min_size=1, max_size=6
+    ).filter(lambda a: sum(w for _, w in a) > 0),
+    kind=st.sampled_from(["hard", "linear", "identity", "geb"]),
+    level=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rule_loss_keeps_the_full_sweep_bits(atoms, kind, level, seed):
+    locations, weights = zip(*atoms)
+    g = from_atoms(locations, np.array(weights) / sum(weights))
+    rule = _drawn_rule(kind, level, seed)
+    assert rule_risk(rule, g) == _full_sweep_rule_risk(rule, g)
+
+
+@pytest.mark.parametrize("kind", ["hard", "linear", "identity", "geb"])
+def test_rule_loss_keeps_the_full_sweep_bits_on_many_atoms(kind):
+    g = empirical_mixing(np.random.default_rng(1024).standard_normal(1024), 1.0)
+    rule = _drawn_rule(kind, 3.0, 7)
+    assert rule_risk(rule, g) == _full_sweep_rule_risk(rule, g)
+
+
+def _scalar_soft_risk(mu, lam):
+    """The soft-threshold risk as the scalar closed form computed it, with
+    ``math.erfc`` and ``math.exp`` on one atom at a time."""
+    if lam == 0.0:
+        return 1.0
+
+    def q(t):
+        return 0.5 * math.erfc(t * math.sqrt(0.5))
+
+    m = min(abs(float(mu)), lam + 40.0)
+    lam2 = lam * lam
+    densities = (lam - m) * normal_pdf(lam + m) + (lam + m) * normal_pdf(lam - m)
+    if m <= lam:
+        return m * m + (1.0 + lam2 - m * m) * (q(lam - m) + q(lam + m)) - densities
+    return 1.0 + lam2 - (1.0 + lam2 - m * m) * (q(m - lam) - q(lam + m)) - densities
+
+
+def _soft_risk_loop(prior, lam):
+    """rule_risk of SoftThresholdRule(lam) as the per-atom loop: each atom's
+    scalar risk, weighted and added one at a time in atom order."""
+    total = 0.0
+    for u, w in zip(prior.locations.tolist(), prior.weights.tolist()):
+        total += w * _scalar_soft_risk(u, lam)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(
+            st.one_of(st.floats(-60.0, 60.0), st.floats(-1e6, 1e6)), st.floats(0.0, 1.0)
+        ),
+        min_size=1,
+        max_size=40,
+    ).filter(lambda a: sum(w for _, w in a) > 0),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+)
+def test_soft_threshold_risk_keeps_the_per_atom_loops_bits(atoms, lam):
+    # atoms past lam + 40 take the capped branch; lam = 0 is the identity
+    locations, weights = zip(*atoms)
+    g = from_atoms(locations, np.array(weights) / sum(weights))
+    assert rule_risk(SoftThresholdRule(lam), g) == _soft_risk_loop(g, lam)
+    from gebshrink.thresholds import soft_threshold_risk
+
+    each = [_scalar_soft_risk(u, lam) for u in g.locations.tolist()]
+    assert np.array_equal(soft_threshold_risk(g.locations, lam), each)
+    assert soft_threshold_risk(float(g.locations[0]), lam) == each[0]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, 3.7, 45.0])
+def test_soft_threshold_risk_keeps_the_per_atom_loops_bits_on_many_atoms(lam):
+    g = _empirical_4096()
+    assert rule_risk(SoftThresholdRule(lam), g) == _soft_risk_loop(g, lam)
+    far = from_atoms([-1e6, 0.0, 1e6], [0.25, 0.5, 0.25])
+    assert rule_risk(SoftThresholdRule(lam), far) == _soft_risk_loop(far, lam)
 
 
 def test_floor_crossings_none_when_floor_is_never_reached():

@@ -614,6 +614,14 @@ def test_step_trend_error_shrinks_with_sample_size():
     assert mises[2] < 0.05
 
 
+def test_estimate_requires_sigma():
+    data = random_design_transform([0.2, 0.7], [1.0, -1.0], 0)
+    with pytest.raises(TypeError, match="sigma"):
+        random_design_estimate(data)
+    with pytest.raises(TypeError):
+        random_design_estimate(data, TuningConfig(), 1.0)  # a keyword, not a third position
+
+
 def test_estimate_rejects_negative_sigma():
     data = random_design_transform([0.2, 0.7], [1.0, -1.0], 0)
     with pytest.raises(ValueError):
