@@ -5,7 +5,7 @@ The package is organized bottom-up:
   mixture     exact risks, rules and rate bounds for atomic mixing distributions
   kde         sinc-kernel density estimation (direct and spectral forms)
   thresholds  threshold maps and the closed-form soft-threshold risk
-  blocks      tuning schedules and the one per-block policy, fit_block
+  blocks      tuning schedules, fit_block's table of fits, its one selector
   sequence    the blocked sequence model and each block's ideal risk
   wavelets    periodic orthonormal transforms, equispaced and random-design
               regression pipelines

@@ -1,15 +1,15 @@
 """Blockwise estimation of standardized normal means.
 
-Given one block of observations X_k = theta_k + z_k with unit noise, the
-hybrid estimator either applies the kernel plug-in posterior-mean rule or
-falls back to soft thresholding at the universal level, depending on
-whether the signal-mass statistic
+Each block estimator is one entry of the table :func:`fit_block` reads.
+On a block X_k = theta_k + z_k with unit noise, :func:`hybrid_fit`, the
+one selector, applies the kernel plug-in posterior-mean rule when the
+signal-mass statistic
 
     kappa_hat = 1 - (sqrt 2 / n) sum_k exp(-X_k^2 / 2)
 
-exceeds the schedule b(n) = b0 log(n) / sqrt(n).  All logarithms are
-natural.  The density floor follows rho(n) = rho0 sqrt(2 log(n) / n) and
-the threshold uses sqrt(2 (1 + A0) log n).
+exceeds b(n) = b0 log(n) / sqrt(n), and otherwise soft thresholding at
+the universal level lam(n) = sqrt(2 (1 + A0) log n).  All logarithms are
+natural; the density floor follows rho(n) = rho0 sqrt(2 log(n) / n).
 """
 
 from __future__ import annotations
@@ -32,13 +32,33 @@ from .mixture import (
     SoftThresholdRule,
 )
 
+
+def _universal_fit(threshold_rule, x, cfg):
+    lam = _universal_level(x.size, cfg)
+    return _fitted(x, "threshold", threshold_rule(lam), kappa_hat(x), lam=lam)
+
+
+def _policy_fit(policy, rule_of):
+    return (lambda x, cfg: _fitted(x, policy, rule_of(x), kappa_hat(x))), policy
+
+
+# estimator -> (fit (x, cfg) -> FittedBlockRule, its name as a small-block policy,
+# or None to send blocks below n_star to cfg.small_block_policy).  Fits look up
+# hybrid_fit and kappa_hat when they run, so a tracer's rebinding reaches them.
+_FITS = {
+    "geb-hybrid": (lambda x, cfg: hybrid_fit(x, cfg), None),
+    "soft-universal": (lambda x, cfg: _universal_fit(SoftThresholdRule, x, cfg), None),
+    "hard-universal": (lambda x, cfg: _universal_fit(HardThresholdRule, x, cfg), None),
+    "james-stein": _policy_fit("james_stein", lambda x: LinearShrinkRule(james_stein_factor(x, 1.0))),
+    "mle": _policy_fit("mle", lambda x: IdentityRule()),
+}
 #: estimators that fit each block on its own; see :func:`fit_block`
-BLOCK_ESTIMATORS = ("geb-hybrid", "soft-universal", "hard-universal", "james-stein", "mle")
+BLOCK_ESTIMATORS = tuple(_FITS)
 #: every estimator a risk experiment can name: the block estimators, and
 #: oracle-truth, which ``risklab`` answers with the true means themselves
 ESTIMATORS = (*BLOCK_ESTIMATORS, "oracle-truth")
-
-_POLICIES = ("mle", "james_stein")
+# small-block policy -> its fit, the default (mle) first, as --small-block lists them
+_POLICIES = {policy: fit for fit, policy in reversed(_FITS.values()) if policy}
 
 
 @dataclass(frozen=True)
@@ -70,7 +90,7 @@ class TuningConfig:
             )
         if self.small_block_policy not in _POLICIES:
             raise InvalidConfigError(
-                f"small_block_policy must be one of {_POLICIES}, got {self.small_block_policy!r}"
+                f"small_block_policy must be one of {tuple(_POLICIES)}, got {self.small_block_policy!r}"
             )
 
 
@@ -98,8 +118,12 @@ def tuning(n, cfg: TuningConfig = TuningConfig()) -> TuningValues:
         )
     if rho <= 0:
         raise InvalidConfigError(f"density floor {rho:.6g} at n={n} is not positive")
-    lam = math.sqrt(2.0 * (1.0 + cfg.threshold_inflation) * log_n)
-    return TuningValues(rho=rho, b=_branch_bound(n, cfg.b0), lam=lam)
+    return TuningValues(rho=rho, b=_branch_bound(n, cfg.b0), lam=_universal_level(n, cfg))
+
+
+def _universal_level(n, cfg) -> float:
+    """The threshold schedule lam(n) = sqrt(2 (1 + A0) log n)."""
+    return math.sqrt(2.0 * (1.0 + cfg.threshold_inflation) * math.log(n))
 
 
 def _branch_bound(n, b0) -> float:
@@ -120,7 +144,7 @@ def branch_frontier(kappa_tilde, cfg: TuningConfig = TuningConfig()):
         return None
 
     def below(n):
-        return _branch_bound(n, cfg.b0) < kappa_tilde
+        return _takes_geb(kappa_tilde, _branch_bound(n, cfg.b0))
 
     n = cfg.n_star
     while n < 8 and not below(n):
@@ -177,9 +201,9 @@ class FittedBlockRule:
     ``branch`` is "geb" or "threshold" for hybrid and universal-threshold
     fits, "mle" or "james_stein" for the identity and spherical shrinkage.
     For hybrid fits the branch is "geb" exactly when kappa_hat > b and
-    n >= n_star.  Schedule fields are NaN where no schedule was evaluated:
-    all three on mle and james_stein branches, rho and b on
-    universal-threshold fits.
+    n >= n_star; the check here asks :func:`hybrid_fit`'s own predicate.
+    Schedule fields are NaN where no schedule was evaluated: all three on
+    mle and james_stein branches, rho and b on universal-threshold fits.
     """
 
     rule: ScalarRule
@@ -191,13 +215,18 @@ class FittedBlockRule:
     n: int
 
     def __post_init__(self):
-        if self.branch in ("geb", "threshold"):
-            picked_geb = self.kappa_hat > self.b
-            if picked_geb != (self.branch == "geb"):
-                raise ValueError(
-                    f"branch {self.branch!r} contradicts kappa_hat={self.kappa_hat} "
-                    f"vs b={self.b}"
-                )
+        # b is NaN wherever no branch schedule was evaluated, so only a hybrid fit can be "geb"
+        if _takes_geb(self.kappa_hat, self.b) != (self.branch == "geb"):
+            raise ValueError(f"branch {self.branch!r} contradicts kappa_hat={self.kappa_hat} vs b={self.b}")
+
+
+def _takes_geb(mass, b) -> bool:
+    """The hybrid's branch test: the kernel plug-in rule when kappa_hat > b(n)."""
+    return mass > b
+
+
+def _fitted(x, branch, rule, mass, rho=math.nan, b=math.nan, lam=math.nan) -> FittedBlockRule:
+    return FittedBlockRule(rule=rule, branch=branch, kappa_hat=mass, rho=rho, b=b, lam=lam, n=x.size)
 
 
 def hybrid_fit(values, cfg: TuningConfig = TuningConfig()) -> FittedBlockRule:
@@ -211,59 +240,30 @@ def hybrid_fit(values, cfg: TuningConfig = TuningConfig()) -> FittedBlockRule:
         raise ValueError(
             f"hybrid fit needs at least n_star={cfg.n_star} values, got {x.size}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("values must be finite")
+    mass = kappa_hat(x)  # rejects values that are not finite
     vals = tuning(x.size, cfg)
-    mass = kappa_hat(x)
-    if mass > vals.b:
-        rule: ScalarRule = geb_rule(x, vals.rho)
-        branch = "geb"
-    else:
-        rule = SoftThresholdRule(vals.lam)
-        branch = "threshold"
-    return FittedBlockRule(
-        rule=rule,
-        branch=branch,
-        kappa_hat=mass,
-        rho=vals.rho,
-        b=vals.b,
-        lam=vals.lam,
-        n=x.size,
-    )
+    if _takes_geb(mass, vals.b):
+        return _fitted(x, "geb", geb_rule(x, vals.rho), mass, *vals)
+    return _fitted(x, "threshold", SoftThresholdRule(vals.lam), mass, *vals)
 
 
 def fit_block(values, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid") -> FittedBlockRule:
     """Fit one of :data:`BLOCK_ESTIMATORS` to one standardized block.
 
-    geb-hybrid runs :func:`hybrid_fit`; soft-universal and hard-universal
+    The estimator's fit comes from one table.  geb-hybrid runs
+    :func:`hybrid_fit`, the one selector; soft-universal and hard-universal
     threshold at the universal level.  All three apply
-    cfg.small_block_policy to blocks of fewer than cfg.n_star values.
-    james-stein (spherical shrinkage at unit noise) and mle (the
-    identity) apply to blocks of every size.
+    cfg.small_block_policy to blocks of fewer than cfg.n_star values.  The
+    policies, james-stein (spherical shrinkage at unit noise) and mle (the
+    identity), are estimators too and apply to blocks of every size.
     """
-    if estimator not in BLOCK_ESTIMATORS:
+    if estimator not in _FITS:
         raise ValueError(f"unknown estimator {estimator!r}; choose from {BLOCK_ESTIMATORS}")
     x = np.asarray(values, dtype=float).ravel()
-    if estimator in ("james-stein", "mle"):
-        branch = "mle" if estimator == "mle" else "james_stein"
-    elif x.size < cfg.n_star:
-        branch = cfg.small_block_policy
-    elif estimator == "geb-hybrid":
-        return hybrid_fit(x, cfg)
-    else:
-        branch = "threshold"
-    lam = math.nan
-    if branch == "threshold":
-        lam = tuning(x.size, cfg).lam
-        threshold_rule = SoftThresholdRule if estimator == "soft-universal" else HardThresholdRule
-        rule: ScalarRule = threshold_rule(lam)
-    elif branch == "james_stein":
-        rule = LinearShrinkRule(james_stein_factor(x, 1.0))
-    else:
-        rule = IdentityRule()
-    return FittedBlockRule(
-        rule=rule, branch=branch, kappa_hat=kappa_hat(x), rho=math.nan, b=math.nan, lam=lam, n=x.size
-    )
+    fit, policy = _FITS[estimator]
+    if policy is None and x.size < cfg.n_star:
+        fit = _POLICIES[cfg.small_block_policy]
+    return fit(x, cfg)
 
 
 def james_stein_factor(values, epsilon) -> float:

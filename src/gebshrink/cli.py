@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import io as gio
-from .blocks import ESTIMATORS, TuningConfig, branch_frontier
+from .blocks import _POLICIES, ESTIMATORS, TuningConfig, branch_frontier
 from .errors import InvalidConfigError, NumericFailure, WorkerDied
 from .mixture import bayes_risk, from_atoms, mixture_summaries
 from .wavelets import denoise_equispaced, wavelet_basis
@@ -60,9 +60,7 @@ def _add_tuning_flags(parser):
     parser.add_argument("--a0", type=float, default=None, help=f"threshold inflation (default {defaults.threshold_inflation:g})")
     parser.add_argument(
         "--small-block",
-        dest="small_block",
-        choices=("mle", "james_stein"),
-        default=None,
+        choices=tuple(_POLICIES),
         help=f"policy below nstar (default {defaults.small_block_policy})",
     )
     parser.add_argument("--config", default=None, help="flat key=value file; flags override it")

@@ -9,8 +9,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from gebshrink import blocks
 from gebshrink.blocks import (
     BLOCK_ESTIMATORS,
     TuningConfig,
@@ -362,6 +365,96 @@ def test_fit_block_policy_table(estimator, policy, below):
 def test_fit_block_rejects_unknown_estimator():
     with pytest.raises(ValueError, match="oracle-truth"):
         fit_block(np.zeros(64), TuningConfig(), "oracle-truth")
+
+
+@pytest.mark.parametrize("estimator", ["soft-universal", "hard-universal"])
+def test_universal_thresholds_need_no_density_floor(estimator):
+    # rho0 = 5 puts rho(64) past 1/sqrt(2 pi): tuning() fails, lam(64) does not
+    cfg = TuningConfig(rho0=5.0)
+    x = np.random.default_rng(23).standard_normal(64)
+    fit = fit_block(x, cfg, estimator)
+    assert fit.branch == "threshold" and fit.lam == tuning(64).lam
+    assert math.isnan(fit.rho) and math.isnan(fit.b)
+    with pytest.raises(InvalidConfigError, match=r"density floor 1\.\d+ at n=64 reaches"):
+        fit_block(x, cfg, "geb-hybrid")
+
+
+def _counted(monkeypatch, name):
+    """Replace ``blocks.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(blocks, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blocks, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("policy", ["mle", "james_stein"])
+def test_fit_block_reaches_hybrid_fit_and_kappa_hat_through_the_module(monkeypatch, policy):
+    # the benchmark tracer wraps module attributes: a fit that held the
+    # functions bound at import would bypass its wrappers
+    hybrid_calls = _counted(monkeypatch, "hybrid_fit")
+    kappa_calls = _counted(monkeypatch, "kappa_hat")
+    cfg = TuningConfig(b0=0.25, small_block_policy=policy)
+    rng = np.random.default_rng(24)
+    for n in (cfg.n_star - 1, cfg.n_star, 4 * cfg.n_star):
+        for x in (rng.standard_normal(n), rng.choice([-6.0, 6.0], size=n) + rng.standard_normal(n)):
+            for estimator in BLOCK_ESTIMATORS:
+                hybrid_calls.clear()
+                kappa_calls.clear()
+                fit_block(x, cfg, estimator)
+                assert len(hybrid_calls) == (estimator == "geb-hybrid" and n >= cfg.n_star)
+                assert len(kappa_calls) == 1, (estimator, n)
+
+
+_GRID = np.linspace(-9.0, 9.0, 37)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_star=st.integers(3, 80),
+    b0=st.floats(0.1, 4.0),
+    below=st.booleans(),
+    size=st.integers(0, 200),
+    loud_share=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_star=64, b0=0.25, below=False, size=0, loud_share=1.0, seed=0)  # a geb fit
+@example(n_star=64, b0=0.25, below=False, size=0, loud_share=0.0, seed=0)  # a hybrid threshold fit
+def test_fit_block_follows_its_table(n_star, b0, below, size, loud_share, seed):
+    n = 1 + size % (n_star - 1) if below else n_star + size
+    rng = np.random.default_rng(seed)
+    # quiet (pure noise), loud (means at +-6) or mixed blocks
+    x = np.where(rng.random(n) < loud_share, rng.choice([-6.0, 6.0], size=n), 0.0) + rng.standard_normal(n)
+    permuted = rng.permutation(x)
+    for estimator in BLOCK_ESTIMATORS:
+        for policy in ("mle", "james_stein"):
+            cfg = TuningConfig(b0=b0, n_star=n_star, small_block_policy=policy)
+            fit = fit_block(x, cfg, estimator)
+            assert fit.n == n and fit.kappa_hat == kappa_hat(x)
+            if estimator in ("james-stein", "mle"):
+                want = estimator.replace("-", "_")
+            elif below:
+                want = policy
+            elif estimator == "geb-hybrid":
+                want = "geb" if kappa_hat(x) > tuning(n, cfg).b else "threshold"
+            else:
+                want = "threshold"
+            assert fit.branch == want
+            # the NaN pattern FittedBlockRule documents
+            if estimator == "geb-hybrid" and not below:
+                assert (fit.rho, fit.b, fit.lam) == tuple(tuning(n, cfg))
+            elif want == "threshold":
+                assert math.isnan(fit.rho) and math.isnan(fit.b) and fit.lam == tuning(n, cfg).lam
+            else:
+                assert math.isnan(fit.rho) and math.isnan(fit.b) and math.isnan(fit.lam)
+            # a permuted block gets the same fit, bit for bit
+            again = fit_block(permuted, cfg, estimator)
+            assert again.branch == fit.branch and again.kappa_hat == fit.kappa_hat
+            assert np.array_equal(again.rule(_GRID), fit.rule(_GRID))
 
 
 # ---------------------------------------------------------------- james-stein

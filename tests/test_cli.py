@@ -548,6 +548,17 @@ def test_risk_csv_truth_with_a_bad_level_cell_is_one_error_line(tmp_path):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("estimator", ["soft-universal", "hard-universal"])
+def test_risk_universal_thresholds_ignore_the_density_floor(estimator):
+    # rho0 = 5 puts the floor past 1/sqrt(2 pi); only geb-hybrid uses it
+    argv = ["risk", "--estimator", estimator, "--truth", "gaussian:1:256", "--epsilon", "0.1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--rho0", "5", "--no-ideal", "--replicates", "2"])
+    assert code == 0, err.getvalue()
+    assert [block["branch"] for block in json.loads(out.getvalue())["per_block"]] == ["threshold"]
+
+
 def test_risk_unknown_signal_fails_when_the_truth_is_parsed():
     proc = run_cli("risk", "--estimator", "mle", "--truth", "signal:nosuch:256:7")
     assert proc.returncode == 2
