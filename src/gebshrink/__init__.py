@@ -79,7 +79,6 @@ _MODULES = {
         "Z_THREE_QUARTERS",
         "denoise_equispaced",
         "dwt",
-        "haar_reconstruct",
         "idwt",
         "mad_sigma",
         "random_design_estimate",

@@ -93,7 +93,10 @@ def _kernel_deriv(u):
     # series: (u cos u - sin u)/u^2 = -u/3 + u^3/30 - ...
     out[small] = (-us / 3.0 + us**3 / 30.0) / np.pi
     ub = u[~small]
-    out[~small] = (ub * np.cos(ub) - np.sin(ub)) / (np.pi * ub * ub)
+    # far points overflow u^2 to inf: K' = finite / inf = 0 there, which is
+    # the kernel's own limit, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        out[~small] = (ub * np.cos(ub) - np.sin(ub)) / (np.pi * ub * ub)
     return out
 
 

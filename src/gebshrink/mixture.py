@@ -18,9 +18,9 @@ The posterior-mean rule, the integrands of :func:`bayes_risk`,
 scan evaluate one exponential per (point, atom) pair and walk the points
 in blocks of at most ``_BLOCK_PAIRS`` pairs, so their temporaries stay
 bounded whatever the atom count.  Every rule's risk without a closed form
-is priced on the oracle's exponentials: the oracle rule reuses those of its
-own shift, and any other rule t enters as the offset t(x) - x of a sweep
-that forms only the loss.
+is priced by one loss sweep on the oracle's exponentials (:func:`_rule_loss`):
+a rule t enters as the offset t(x) - x, and the prior's own posterior-mean
+rule takes its offset, the shift, from the same exponentials.
 
 :func:`bayes_risks` prices a batch of priors in one lockstep quadrature
 (:func:`quadrature.integrate_batch`): one integrand call per round for the
@@ -86,7 +86,7 @@ class MixingDistribution:
             raise ValueError("weights must be nonnegative")
         if abs(float(wts.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights sum to {float(wts.sum())}, expected 1 within {_WEIGHT_TOL}")
-        if np.any(np.diff(locs) <= 0):
+        if np.any(locs[1:] <= locs[:-1]):  # no subtraction: far atoms' gaps overflow
             raise ValueError("locations must be strictly increasing; use from_atoms to merge")
         locs.setflags(write=False)
         wts.setflags(write=False)
@@ -224,10 +224,8 @@ def _weigh(d, e, weights):
     return e_min
 
 
-def _shift_and_density(prior, x, rows=None, *, loss=False):
-    """``(phi_G'(x)/phi_G(x), phi_G(x))`` at the flat points ``x``; with
-    ``loss``, also the oracle rule's pointwise risk
-    sum_i w_i phi(x - u_i) (x + shift - u_i)^2 from the same exponentials.
+def _shift_and_density(prior, x, rows=None):
+    """``(phi_G'(x)/phi_G(x), phi_G(x))`` at the flat points ``x``.
 
     ``prior`` and ``rows`` are as for :func:`_atom_blocks`.  One exponential
     per (point, atom).  The exponents are re-centered per point before
@@ -237,46 +235,41 @@ def _shift_and_density(prior, x, rows=None, *, loss=False):
     """
     shift = np.empty(x.size)
     value = np.empty(x.size)
-    risk = np.empty(x.size) if loss else None
-    buffers = 2 + (rows is not None) + loss
     # atoms about 1e154 apart overflow d^2 and make inf - inf: the quadrature
     # reports the non-finite values once, so numpy does not warn of them
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, d, e, *spare in _atom_blocks(prior, x, buffers, rows):
+        for block, d, e, *spare in _atom_blocks(prior, x, 2 + (rows is not None), rows):
             weights = prior.weights
             if rows is not None:
-                weights = np.take(weights, rows[block], axis=0, out=spare.pop())
+                weights = np.take(weights, rows[block], axis=0, out=spare[0])
             e_min = _weigh(d, e, weights)
             den = e.sum(axis=1)
-            scale = _INV_SQRT_2PI * np.exp(-e_min)
-            value[block] = scale * den
-            if loss:
-                (de,) = spare
-                np.multiply(d, e, out=de)
-                s = -de.sum(axis=1) / den
-                shift[block] = s
-                d += s[:, None]
-                d *= d
-                d *= e
-                risk[block] = scale * d.sum(axis=1)
-            else:
-                d *= e
-                shift[block] = -d.sum(axis=1) / den
-    return (shift, value, risk) if loss else (shift, value)
+            value[block] = _INV_SQRT_2PI * np.exp(-e_min) * den
+            d *= e
+            shift[block] = -d.sum(axis=1) / den
+    return shift, value
 
 
-def _rule_loss(prior, x, offset):
+def _rule_loss(prior, x, offset=None):
     """The pointwise risk sum_i w_i phi(x - u_i) (t(x) - u_i)^2 of a rule t at
     the flat points ``x``, from the per-point ``offset`` t(x) - x.
 
     The exponentials of :func:`_shift_and_density`, with t(x) - u_i formed
-    as (x - u_i) + offset; neither phi_G nor its shift is formed.
+    as (x - u_i) + offset; phi_G itself is not formed.  With ``offset``
+    None, t is the posterior-mean rule of ``prior`` and its offset, the
+    shift phi_G'/phi_G, comes from the same exponentials.
     """
     risk = np.empty(x.size)
+    own = offset is None
     with np.errstate(over="ignore", invalid="ignore"):  # as in _shift_and_density
-        for block, d, e in _atom_blocks(prior, x, 2):
+        for block, d, e, *spare in _atom_blocks(prior, x, 2 + own):
             e_min = _weigh(d, e, prior.weights)
-            d += offset[block][:, None]
+            if own:
+                de = np.multiply(d, e, out=spare[0])
+                off = -de.sum(axis=1) / e.sum(axis=1)
+            else:
+                off = offset[block]
+            d += off[:, None]
             d *= d
             d *= e
             risk[block] = _INV_SQRT_2PI * np.exp(-e_min) * d.sum(axis=1)
@@ -406,10 +399,10 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution) -> float:
     in one array pass, added in atom order.  Every other rule is integrated
     over the mass window [min atom - 8, max atom + 8], with panel edges at
     the rule's breakpoints, on the oracle's exponentials: one per (point,
-    atom).  The oracle rule of ``prior`` itself takes its risk from the
-    exponentials of its own shift; any other rule is evaluated once per
-    point and enters as the offset rule(x) - x, and neither phi_G nor the
-    shift is formed for it (:func:`_rule_loss`).
+    atom), in one loss sweep (:func:`_rule_loss`).  The oracle rule of
+    ``prior`` itself takes its offset, the shift, from those exponentials;
+    any other rule is evaluated once per point and enters as the offset
+    rule(x) - x, and neither phi_G nor the shift is formed for it.
     """
     if isinstance(rule, SoftThresholdRule):
         # added in atom order, one at a time, as a loop would: np.sum adds pairwise
@@ -418,9 +411,7 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution) -> float:
     own = isinstance(rule, OracleRule) and rule.prior is prior
 
     def integrand(x):
-        if own:
-            return _shift_and_density(prior, x, loss=True)[2]
-        return _rule_loss(prior, x, np.asarray(rule(x), dtype=float) - x)
+        return _rule_loss(prior, x, None if own else np.asarray(rule(x), dtype=float) - x)
 
     lo, hi = prior.support_window()
     return integrate(integrand, lo, hi, tol=_RISK_TOL, breakpoints=rule.breakpoints())

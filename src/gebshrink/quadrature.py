@@ -64,8 +64,11 @@ def _panel_pairs(f, lo, hi, owner):
     """
     nodes_low, weights_low = gauss_legendre(_LOW_ORDER)
     nodes_high, weights_high = gauss_legendre(_HIGH_ORDER)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    # a window reaching past the float range overflows lo + hi or hi - lo to
+    # inf: the caller reports the non-finite estimates once, so numpy need not
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
     x_low = mid[:, None] + half[:, None] * nodes_low[None, :]
     x_high = mid[:, None] + half[:, None] * nodes_high[None, :]
     y = f(
@@ -165,34 +168,29 @@ def integrate_batch(f, limits, *, tol=1e-8, breakpoints=None, max_panels=1 << 17
     owner = np.array(panel_owner, dtype=np.intp)
 
     # a failing integral k raises at the end, unless one before it fails
-    # too: it and every integral after it stop at once
+    # too; both checks below go through stop
+    def stop(k, message, **detail):
+        """Integral k fails: build its error, and cut it and every integral
+        after it from the active panels at once; returns the kept mask."""
+        nonlocal failure, active_lo, active_hi, owner
+        failure = QuadratureError(message, interval=limits[k], panels=int(processed[k]), **detail)
+        keep = owner < k
+        active_lo, active_hi, owner = active_lo[keep], active_hi[keep], owner[keep]
+        return keep
+
     while active_lo.size:
         counts = np.bincount(owner, minlength=count)
         processed += counts
         over = ((counts > 0) & (processed > max_panels)).nonzero()[0]
         if over.size:
             k = over[0]
-            failure = QuadratureError(
-                "quadrature did not converge within the panel budget;",
-                interval=limits[k],
-                panels=int(processed[k]),
-                worst_error=float(worst[k]),
-            )
-            keep = owner < k
-            active_lo, active_hi, owner = active_lo[keep], active_hi[keep], owner[keep]
+            stop(k, "quadrature did not converge within the panel budget;", worst_error=float(worst[k]))
             if not owner.size:
                 break
         i_low, i_high = _panel_pairs(f, active_lo, active_hi, owner)
         bad = ~(np.isfinite(i_low) & np.isfinite(i_high))
         if bad.any():
-            k = owner[bad][0]
-            failure = QuadratureError(
-                "integrand returned non-finite values;",
-                interval=limits[k],
-                panels=int(processed[k]),
-            )
-            keep = owner < k
-            active_lo, active_hi, owner = active_lo[keep], active_hi[keep], owner[keep]
+            keep = stop(owner[bad][0], "integrand returned non-finite values;")
             i_low, i_high = i_low[keep], i_high[keep]
             if not owner.size:
                 break

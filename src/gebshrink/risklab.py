@@ -291,9 +291,10 @@ def _run_replicate(spec: ExperimentSpec, epsilon, r):
     """One replicate up to its ideal risk: returns (per-block sq errors,
     branches, beta blocks)."""
     rng = replicate_rng(spec.seed, r)
-    beta_blocks = spec.truth.draw_blocks(epsilon, rng)
-    # overflow is reported once, as NumericFailure, not as numpy warnings
+    # overflow, of epsilon * theta or of the observations, is reported once,
+    # as NumericFailure, not as numpy warnings
     with np.errstate(over="ignore"):
+        beta_blocks = spec.truth.draw_blocks(epsilon, rng)
         y_blocks = [beta + epsilon * rng.standard_normal(beta.size) for beta in beta_blocks]
     if not all(np.all(np.isfinite(y)) for y in y_blocks):
         raise NumericFailure(f"observations overflow at epsilon {epsilon:g}")

@@ -266,32 +266,7 @@ def denoise_equispaced(observations, basis: WaveletBasis, cfg: TuningConfig = Tu
 
 
 # ---------------------------------------------------------------------------
-# Haar synthesis and random-design regression
-
-
-def haar_reconstruct(levels):
-    """Cell values on the finest of 2^(J+1) dyadic cells from Haar
-    coefficients {j: array}, j = -1 .. J.
-
-    beta_{-1,1} is the mean over all cells and, for j >= 0,
-    beta_{j,k} = (mean over left child - mean over right child) / 2^(j/2+1),
-    which is :func:`dwt`'s Haar convention for equispaced samples.
-    """
-    levels = {int(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
-    js = sorted(levels)
-    if js[0] != -1 or levels[-1].size != 1:
-        raise ValueError("levels must start at j = -1 with a single coefficient")
-    current = levels[-1].copy()
-    for j in js[1:]:
-        beta = levels[j]
-        if beta.size != current.size:
-            raise ValueError(f"level {j} has size {beta.size}, expected {current.size}")
-        bump = beta * 2.0 ** (0.5 * j)
-        out = np.empty(2 * current.size)
-        out[0::2] = current + bump
-        out[1::2] = current - bump
-        current = out
-    return current
+# random-design regression
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,6 +360,36 @@ def random_design_transform(t, y, j_max) -> RandomDesignData:
     )
 
 
+def _unbalanced_inverse(data: RandomDesignData, coefficients):
+    """Finest-cell values from standardized contrasts {j: array}, j = -1 .. J,
+    in the unbalanced Haar basis of ``data``'s design: the inverse of
+    :func:`random_design_transform`, top-down.
+
+    A cell of value m whose children hold n_L and n_R points takes the
+    children's difference d = coef sqrt(N) sqrt(1/n_L + 1/n_R) where both are
+    nonempty, else 0, and gives them m_L = m + n_R d / (n_L + n_R) and
+    m_R = m - n_L d / (n_L + n_R), whose count-weighted mean is m.  So the
+    raw contrasts return each nonempty finest cell's data mean, and an empty
+    cell takes its parent's value.
+    """
+    root_n = math.sqrt(data.n_points)
+    cells = np.array(coefficients[-1], dtype=float)
+    for j in range(0, len(coefficients) - 1):
+        left_n = data.counts[j + 1][0::2]
+        right_n = data.counts[j + 1][1::2]
+        usable = data.deltas[j] == 1
+        diff = np.zeros(cells.size)
+        diff[usable] = (
+            coefficients[j][usable] * root_n * np.sqrt(1.0 / left_n[usable] + 1.0 / right_n[usable])
+        )
+        total = np.maximum(left_n + right_n, 1)  # an empty cell has diff 0
+        out = np.empty(2 * cells.size)
+        out[0::2] = cells + diff * (right_n / total)
+        out[1::2] = cells - diff * (left_n / total)
+        cells = out
+    return cells
+
+
 @dataclass(frozen=True)
 class RandomDesignReport:
     """Per-level diagnostics of a random-design fit."""
@@ -417,7 +422,7 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
     levels = sorted(data.coefficients)
     effective = tuple(data.effective[j] for j in levels)
     if sigma == 0.0:
-        cells = haar_reconstruct(data.coefficients)
+        cells = _unbalanced_inverse(data, data.coefficients)
         return cells, RandomDesignReport(epsilon=0.0, levels=tuple(levels), fits=(), effective=effective)
     epsilon = sigma / math.sqrt(data.n_points)
     masks = {j: data.deltas[j] == 1 for j in levels}
@@ -429,6 +434,6 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
     for j, beta_hat in zip(used, shrunk):
         estimates[j][masks[j]] = beta_hat
     fits = dict(zip(used, block_fits))
-    return haar_reconstruct(estimates), RandomDesignReport(
+    return _unbalanced_inverse(data, estimates), RandomDesignReport(
         epsilon=epsilon, levels=tuple(levels), fits=tuple(fits.get(j) for j in levels), effective=effective
     )

@@ -303,7 +303,8 @@ def _masked_design(x, size):
     """Random-design data whose only usable contrasts are ``x`` at one level.
 
     One design point and sigma = 1 give unit coefficient noise, so the
-    level's block reaches the fit unscaled.
+    level's block reaches the fit unscaled.  Unit cell counts give the
+    reconstruction its children's weights.
     """
     level = int(math.log2(size))
     coefficients = {j: np.zeros(2 ** max(j, 0)) for j in range(-1, level + 1)}
@@ -313,8 +314,8 @@ def _masked_design(x, size):
     coefficients[level][: x.size] = x
     effective = {j: int(d.sum()) for j, d in deltas.items()}
     return level, RandomDesignData(
-        counts={}, deltas=deltas, coefficients=coefficients, effective=effective,
-        n_points=1,
+        counts={j: np.ones(2**j, dtype=int) for j in range(level + 2)},
+        deltas=deltas, coefficients=coefficients, effective=effective, n_points=1,
     )
 
 

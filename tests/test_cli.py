@@ -624,6 +624,48 @@ def test_risk_overflow_reports_only_the_numeric_failure(epsilon):
     assert lines[0].startswith("numeric failure:")
 
 
+# extreme but valid inputs, each with its exit code and its stderr lines; the
+# suite turns a RuntimeWarning into an error, so a numpy warning fails the case
+_EXTREME_CASES = {
+    "oracle-atoms-past-the-float-range": (
+        ["oracle", "--atoms=1e308=0.5,-1e308=0.5"],
+        1,
+        ["numeric failure: integrand returned non-finite values; interval=(-1e+308, 1e+308) panels=1"],
+    ),
+    "risk-draw-overflows": (
+        ["risk", "--estimator", "geb-hybrid", "--truth", "gaussian:1e300:256", "--epsilon", "1e10",
+         "--replicates", "2"],
+        1,
+        ["numeric failure: observations overflow at epsilon 1e+10"],
+    ),
+    "risk-kde-at-far-atoms": (
+        ["risk", "--estimator", "geb-hybrid", "--truth", "atoms:1e300=0.5,-1e300=0.5:256",
+         "--epsilon", "1", "--replicates", "2"],
+        1,
+        ["numeric failure: integrand returned non-finite values; interval=(-1e+300, 1e+300) panels=1"],
+    ),
+    "denoise-tiny-sigma-with-a-spike": (
+        ["denoise", "--input", "{csv}", "--output", "{out}", "--sigma", "1e-300"],
+        0,
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTREME_CASES))
+def test_extreme_inputs_raise_no_numpy_warning(case, tmp_path, monkeypatch):
+    argv, code, lines = _EXTREME_CASES[case]
+    monkeypatch.delenv("GEB_SHRINK_THREADS", raising=False)
+    values = np.sin(np.arange(1, 1025) / 40.0)
+    values[499] = 1e6
+    write_signal_csv(tmp_path / "spike.csv", values)
+    paths = {"{csv}": str(tmp_path / "spike.csv"), "{out}": str(tmp_path / "out.csv")}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = cli.main([paths.get(arg, arg) for arg in argv])
+    assert (got, err.getvalue().splitlines()) == (code, lines)
+
+
 def test_dead_worker_is_one_error_line(monkeypatch, capsys):
     def dead_worker(spec, jobs=1):
         raise WorkerDied("pid 4321, exit code -9")

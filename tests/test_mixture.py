@@ -619,6 +619,69 @@ def test_rule_loss_keeps_the_full_sweep_bits_on_many_atoms(kind):
     assert rule_risk(rule, g) == _full_sweep_rule_risk(rule, g)
 
 
+def _density_sweep_oracle_risk(prior):
+    """rule_risk of the prior's own oracle rule as the density sweep's loss
+    mode priced it: the re-centred exponentials, their sum, the shift from
+    the d e products in a third buffer, then the loss of that shift."""
+    lo, hi = prior.support_window()
+
+    def integrand(x):
+        risk = np.empty(x.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block, d, e, de in mixture._atom_blocks(prior, x, 3):
+                np.multiply(d, d, out=e)
+                e *= 0.5
+                e_min = e.min(axis=1)
+                np.subtract(e_min[:, None], e, out=e)
+                np.exp(e, out=e)
+                e *= prior.weights
+                den = e.sum(axis=1)
+                scale = PHI0 * np.exp(-e_min)
+                np.multiply(d, e, out=de)
+                s = -de.sum(axis=1) / den
+                d += s[:, None]
+                d *= d
+                d *= e
+                risk[block] = scale * d.sum(axis=1)
+        return risk
+
+    return integrate(integrand, lo, hi, tol=1e-8)
+
+
+def _risk_or_error(price):
+    """The float's hex digits, or the error's type and message."""
+    try:
+        return price().hex()
+    except (QuadratureError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 1.0)), min_size=1, max_size=6
+    ).filter(lambda a: sum(w for _, w in a) > 0),
+    scale=st.sampled_from([1.0, 1e153]),
+)
+def test_own_oracle_loss_keeps_the_density_sweeps_bits(atoms, scale):
+    # scale 1e153 puts atoms up to 4e154 apart, where d^2 overflows
+    locations, weights = zip(*atoms)
+    g = from_atoms(scale * np.array(locations), np.array(weights) / sum(weights))
+    got = _risk_or_error(lambda: rule_risk(oracle_rule(g), g))
+    assert got == _risk_or_error(lambda: _density_sweep_oracle_risk(g))
+
+
+@pytest.mark.parametrize("locations", [None, [-1e154, 1e154], [0.0, 1e154]])
+def test_own_oracle_loss_keeps_the_density_sweeps_bits_on_pinned_priors(locations):
+    # a 1024-atom empirical prior; far pairs that fail and that converge
+    if locations is None:
+        g = empirical_mixing(np.random.default_rng(1024).standard_normal(1024), 1.0)
+    else:
+        g = from_atoms(locations, [0.5, 0.5])
+    got = _risk_or_error(lambda: rule_risk(oracle_rule(g), g))
+    assert got == _risk_or_error(lambda: _density_sweep_oracle_risk(g))
+
+
 def _scalar_soft_risk(mu, lam):
     """The soft-threshold risk as the scalar closed form computed it, with
     ``math.erfc`` and ``math.exp`` on one atom at a time."""

@@ -19,7 +19,6 @@ from gebshrink.wavelets import (
     _median,
     denoise_equispaced,
     dwt,
-    haar_reconstruct,
     idwt,
     mad_sigma,
     random_design_estimate,
@@ -469,22 +468,23 @@ def test_haar_step_function_single_detail():
     # +1 on the left half, -1 on the right: one level-0 detail of 1
     levels = {j: np.zeros(2 ** max(j, 0)) for j in range(-1, 4)}
     levels[0][0] = 1.0
-    assert np.array_equal(haar_reconstruct(levels), np.array([1.0] * 8 + [-1.0] * 8))
+    back = idwt(levels, wavelet_basis("haar"))
+    np.testing.assert_allclose(back, np.array([1.0] * 8 + [-1.0] * 8), rtol=0.0, atol=1e-14)
 
 
 def test_haar_constant_is_coarse_only():
     levels = {j: np.zeros(2 ** max(j, 0)) for j in range(-1, 5)}
     levels[-1][0] = -2.5
-    assert np.array_equal(haar_reconstruct(levels), np.full(32, -2.5))
+    np.testing.assert_allclose(idwt(levels, wavelet_basis("haar")), np.full(32, -2.5), rtol=0.0, atol=1e-14)
 
 
 def test_haar_roundtrip():
-    # haar_reconstruct inverts dwt's Haar analysis of equispaced cell values
+    # idwt inverts dwt's Haar analysis of equispaced cell values
     rng = np.random.default_rng(31)
     for _ in range(25):
         n = 2 ** int(rng.integers(1, 10))
         v = rng.standard_normal(n) * 3.0
-        back = haar_reconstruct(dwt(v, wavelet_basis("haar")))
+        back = idwt(dwt(v, wavelet_basis("haar")), wavelet_basis("haar"))
         assert float(np.max(np.abs(back - v))) < 1e-12
 
 
@@ -590,6 +590,28 @@ def test_noiseless_estimate_recovers_constant_exactly():
     assert cells.size == 128
     assert np.array_equal(cells, np.full(128, 2.75))
     assert report.epsilon == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    j_max=st.integers(0, 9),
+    span=st.sampled_from([1.0, 0.3]),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noiseless_estimate_returns_each_nonempty_cells_mean(n, j_max, span, scale, seed):
+    # the unbalanced Haar inverse of the design; span 0.3 leaves cells empty
+    rng = np.random.default_rng(seed)
+    t = 1.0 - span * rng.uniform(0.0, 1.0, n)  # in (1 - span, 1]
+    y = scale * (t + rng.standard_normal(n))
+    data = random_design_transform(t, y, j_max)
+    cells, _ = random_design_estimate(data, sigma=0.0)
+    counts = data.counts[j_max + 1]
+    cell = np.clip(np.ceil(t * counts.size).astype(int), 1, counts.size) - 1
+    nonempty = counts > 0
+    means = np.bincount(cell, weights=y, minlength=counts.size)[nonempty] / counts[nonempty]
+    np.testing.assert_allclose(cells[nonempty], means, rtol=1e-12, atol=1e-12 * float(np.abs(y).max()))
 
 
 def fstep(t):
