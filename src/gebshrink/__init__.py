@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-  mixture     exact risks, rules and rate bounds for atomic mixing distributions
+  mixture     exact risks and rules for atomic mixing distributions
   kde         sinc-kernel density estimation (direct and spectral forms)
   thresholds  threshold maps and the closed-form soft-threshold risk
   blocks      tuning schedules, fit_block's table of fits, its one selector
@@ -52,8 +52,6 @@ _MODULES = {
         "mixture_summaries",
         "oracle_rule",
         "rule_risk",
-        "signal_rate_bound",
-        "sparse_rate_bound",
     ),
     "risklab": (
         "BlockReport",

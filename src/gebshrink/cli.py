@@ -47,7 +47,6 @@ _SPEC_KEYS = _CONFIG_KEYS | {
     "truth",
     "epsilon",
     "replicates",
-    "bound_p",
     "compute_ideal",
 }
 
@@ -247,7 +246,6 @@ def _cmd_simulate(args):
         replicates=_merged(args, config, "replicates", 1, int),
         seed=_merged(args, config, "seed", 0, int),
         cfg=cfg,
-        bound_p=_merged(args, config, "bound_p", 2.0, float),
         compute_ideal=_parse_bool("compute_ideal", config.get("compute_ideal", "true")),
     )
     report = _write_report(spec, args, config)
@@ -262,7 +260,7 @@ def _cmd_simulate(args):
 
 def _cmd_oracle(args):
     prior = _parse_atoms(args.atoms)
-    summary = mixture_summaries(prior, p=2.0, x=1.0)
+    summary = mixture_summaries(prior)
     print(f"bayes_risk  = {gio.format_float(bayes_risk(prior))}")
     print(f"kappa       = {gio.format_float(summary.kappa)}")
     print(f"kappa_tilde = {gio.format_float(summary.kappa_tilde)}")
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rsk.add_argument("--seed", type=int, default=None)
     p_rsk.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p_rsk.add_argument("--rate", action="store_true", help="fit log-risk slope over the epsilon grid")
-    p_rsk.add_argument("--no-ideal", action="store_true", help="skip the posterior-mean benchmark")
+    p_rsk.add_argument("--no-ideal", action="store_true", help="skip the ideal risk, so total_ideal and regret are null")
     p_rsk.add_argument("--format", choices=("csv", "json"), default=None)
     p_rsk.add_argument("--output", default=None)
     _add_tuning_flags(p_rsk)

@@ -8,10 +8,10 @@ through X ~ N(theta, 1) yields the marginal density
 whose score determines the posterior-mean (Tweedie) rule
 t*(x) = x + phi_G'(x) / phi_G(x).  This module computes that rule, the
 risk of any separable rule against G, the corresponding Bayes risk, the
-signal-mass functionals used by the hybrid branch decision, the risk lost
-to flooring the density, and the regret-rate bounds.  Everything here is
-deterministic quadrature-grade arithmetic; it serves as the reference
-oracle for the estimation code.
+signal-mass functionals used by the hybrid branch decision, and the risk
+lost to flooring the density.  Everything here is deterministic
+quadrature-grade arithmetic; it serves as the reference oracle for the
+estimation code.
 
 The posterior-mean rule, the integrands of :func:`bayes_risk`,
 :func:`rule_risk` and :func:`density_floor_loss`, and the floor-crossing
@@ -488,8 +488,6 @@ class MixtureSummary:
 
     kappa       = sum w (u^2 and 1, whichever is smaller)
     kappa_tilde = 1 - sum w exp(-u^2/4)
-    tail_at_x   = mass strictly outside [-x, x]
-    mu_p        = (sum w |u|^p)^(1/p), the p-th moment norm
 
     The exact sandwich (e-1)/(4e) * kappa <= kappa_tilde <= kappa holds
     for every instance.
@@ -497,40 +495,20 @@ class MixtureSummary:
 
     kappa: float
     kappa_tilde: float
-    tail_at_x: float
-    mu_p: float
 
 
-def mixture_summaries(prior: MixingDistribution, p, x) -> MixtureSummary:
-    """Compute the signal-mass summary at moment order ``p`` and tail point ``x``."""
-    p = float(p)
-    x = float(x)
-    if not p > 0:
-        raise ValueError(f"moment order must be positive, got {p}")
-    if x < 0:
-        raise ValueError(f"tail point must be nonnegative, got {x}")
+def mixture_summaries(prior: MixingDistribution) -> MixtureSummary:
+    """Compute the signal-mass summary of ``prior``."""
     u = prior.locations
     w = prior.weights
-    with np.errstate(over="ignore", invalid="ignore"):  # u^2 and |u|^p of far atoms overflow to inf
+    with np.errstate(over="ignore"):  # u^2 of far atoms overflows to inf
         kappa = float(w @ np.minimum(u * u, 1.0))
         kappa_tilde = float(1.0 - w @ np.exp(-0.25 * u * u))
-        if math.isinf(p):
-            mu_p = float(np.abs(u[w > 0]).max())
-        else:
-            mu_p = float((w @ np.abs(u) ** p) ** (1.0 / p))
-    tail = float(w[np.abs(u) > x].sum())
-    return MixtureSummary(kappa=kappa, kappa_tilde=kappa_tilde, tail_at_x=tail, mu_p=mu_p)
+    return MixtureSummary(kappa=kappa, kappa_tilde=kappa_tilde)
 
 
 # ---------------------------------------------------------------------------
-# density-floor loss and regret-rate bounds
-
-
-def _check_size(n) -> int:
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"sample size must be at least 3, got {n}")
-    return n
+# density-floor loss
 
 
 def density_floor_loss(rho, prior: MixingDistribution) -> float:
@@ -612,47 +590,3 @@ def _floor_crossings(prior, rho, lo, hi):
             break
         a, fa, b = a_next, np.where(same, fm, fa), b_next
     return tuple((0.5 * (a + b)).tolist())
-
-
-def sparse_rate_bound(n, magnitude, p) -> float:
-    """Regret rate for p-th-moment-bounded signals of size ``magnitude``.
-
-    min(1, C^p / (log n)^(p/2 - 1),
-        max[(log n)^2 / sqrt n, {C (log n)^(3/2) / sqrt n}^(p/(p+1))])
-    """
-    n = _check_size(n)
-    c = float(magnitude)
-    p = float(p)
-    if c < 0:
-        raise ValueError(f"signal magnitude must be nonnegative, got {c}")
-    if not p > 0:
-        raise ValueError(f"moment order must be positive, got {p}")
-    log_n = math.log(n)
-    moment_term = c**p / log_n ** (p / 2.0 - 1.0)
-    dense = log_n**2 / math.sqrt(n)
-    sparse = (c * log_n**1.5 / math.sqrt(n)) ** (p / (p + 1.0))
-    return min(1.0, moment_term, max(dense, sparse))
-
-
-def signal_rate_bound(n, prior: MixingDistribution) -> float:
-    """Distribution-specific regret rate.
-
-    min(1, integral_0^{log n} Gbar(sqrt u) du,
-        (log n)^2/sqrt n + inf_{x >= 1} [Gbar(x) + x (log n)^(3/2)/sqrt n])
-
-    The inner integral is exact for atomic G (piecewise constant in u) and
-    the infimum is attained on the atom magnitudes union {1}.
-    """
-    n = _check_size(n)
-    log_n = math.log(n)
-    u = np.abs(prior.locations)
-    w = prior.weights
-    # integral of Gbar(sqrt t) dt over [0, log n]: each atom contributes
-    # weight * min(u^2, log n) since it counts while u^2 > t
-    with np.errstate(over="ignore"):  # u^2 = inf is capped at log n all the same
-        mass_integral = float(w @ np.minimum(u * u, log_n))
-    drift = log_n**1.5 / math.sqrt(n)
-    candidates = np.unique(np.concatenate([[1.0], u[u > 1.0]]))
-    tail_mass = np.array([float(w[u > x].sum()) for x in candidates])
-    sparse = float(np.min(tail_mass + candidates * drift))
-    return min(1.0, mass_integral, log_n**2 / math.sqrt(n) + sparse)

@@ -32,18 +32,17 @@ import numpy as np
 
 from .blocks import ESTIMATORS, TuningConfig
 from .errors import NumericFailure, WorkerDied
-from .mixture import (
-    MixingDistribution,
-    empirical_mixing,
-    mixture_summaries,
-    signal_rate_bound,
-    sparse_rate_bound,
-)
+from .mixture import MixingDistribution
 from .sequence import BlockedSequence, block_ideal_risks, estimate_sequence
 from .signals import test_signal
 from .wavelets import dwt, wavelet_basis
 
 _TRUTH_KINDS = ("explicit", "zero", "besov", "signal", "gaussian-prior", "atom-prior")
+# the one error for an epsilon grid or a rate fit on a truth with its own epsilon
+_FIXED_EPSILON = (
+    "a signal truth fixes its own epsilon, sigma / sqrt(N), so it takes no "
+    "epsilon grid and no rate fit, which varies epsilon"
+)
 # coefficients whose ideal risks a share prices in one lockstep batch: a
 # bound on the batch's memory, far above the small blocks that gain from it
 _IDEAL_BATCH = 1 << 16
@@ -175,9 +174,11 @@ class ExperimentSpec:
 
     epsilons is the noise grid (exactly one entry for monte_carlo_risk,
     at least four distinct ones for rate_fit); signal truths carry their
-    own epsilon and take an empty grid.  compute_ideal toggles the per-replicate
-    posterior-mean benchmark for random truths (one Bayes risk each,
-    priced per share in lockstep).
+    own epsilon and take an empty grid.  compute_ideal toggles the ideal
+    risk for every truth: the posterior-mean benchmark of each block's
+    empirical distribution for a deterministic truth, and of each
+    replicate's draw for a random one (one Bayes risk each, priced per
+    share in lockstep).  Without it total_ideal and regret are None.
     kde_mode is validated but selects nothing: ``kde`` picks its route.
     No command sets it; it stays only for callers that still pass it.
     """
@@ -188,7 +189,6 @@ class ExperimentSpec:
     replicates: int = 1
     seed: int = 0
     cfg: TuningConfig = TuningConfig()
-    bound_p: float = 2.0
     compute_ideal: bool = True
     kde_mode: str = "direct"
 
@@ -202,15 +202,13 @@ class ExperimentSpec:
         eps = tuple(float(e) for e in self.epsilons)
         if self.truth.epsilon is not None:
             if eps:
-                raise ValueError("signal truths size their own noise; leave epsilons empty")
+                raise ValueError(_FIXED_EPSILON)
         else:
             if not eps:
                 raise ValueError("need at least one epsilon")
             if not all(0.0 < e < math.inf for e in eps):
                 raise ValueError(f"epsilons must be positive and finite, got {list(eps)}")
         object.__setattr__(self, "epsilons", eps)
-        if not 0 < float(self.bound_p) < math.inf:
-            raise ValueError(f"bound_p must be positive and finite, got {self.bound_p}")
         if self.kde_mode not in ("direct", "fourier"):
             raise ValueError(f"unknown kde mode {self.kde_mode!r}")
 
@@ -238,11 +236,9 @@ class BlockReport:
     branch: str
     empirical_mse: float | None
     ideal_risk: float | None
-    bound_r_p: float | None
-    bound_r0: float | None
 
 
-# report column order: block_id, size, branch, then the four float columns
+# report column order: block_id, size, branch, then the two float columns
 _BLOCK_COLUMNS = tuple(f.name for f in fields(BlockReport))
 
 
@@ -315,31 +311,6 @@ def _resolve_epsilon(spec: ExperimentSpec) -> float:
             "use rate_fit for grids"
         )
     return spec.epsilons[0]
-
-
-def _deterministic_ideal(spec, epsilon):
-    if not spec.truth.blocks:
-        return None
-    return block_ideal_risks([beta for _, beta in spec.truth.blocks], epsilon)
-
-
-def _bounds_for_blocks(spec, epsilon, ids_sizes):
-    """Per-block (r_p, r0) for deterministic or atom-prior truths."""
-    if spec.truth.blocks:
-        priors = [empirical_mixing(beta, epsilon) for _, beta in spec.truth.blocks]
-    elif spec.truth.prior is not None:
-        priors = [spec.truth.prior] * len(ids_sizes)
-    else:
-        return [(None, None) for _ in ids_sizes]
-    p_eff = min(float(spec.bound_p), 2.0)
-    out = []
-    for prior, (_, size) in zip(priors, ids_sizes):
-        if size < 3:
-            out.append((None, None))
-            continue
-        magnitude = mixture_summaries(prior, p_eff, 1.0).mu_p
-        out.append((sparse_rate_bound(size, magnitude, p_eff), signal_rate_bound(size, prior)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +530,12 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
         total_mse = float(block_mse.sum())
         total_se = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
 
-    if have_random_ideal:
+    if not spec.compute_ideal:
+        block_ideal = None
+    elif have_random_ideal:
         block_ideal = list(ideal_matrix.mean(axis=0))
     else:
-        block_ideal = _deterministic_ideal(spec, epsilon)
-    bounds = _bounds_for_blocks(spec, epsilon, ids_sizes)
+        block_ideal = block_ideal_risks([beta for _, beta in spec.truth.blocks], epsilon)
 
     rows = []
     for b, (block_id, size) in enumerate(ids_sizes):
@@ -577,8 +549,6 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
                 branch=modal,
                 empirical_mse=float(block_mse[b]),
                 ideal_risk=None if block_ideal is None else float(block_ideal[b]),
-                bound_r_p=bounds[b][0],
-                bound_r0=bounds[b][1],
             )
         )
     total_ideal = None if block_ideal is None else float(np.sum(block_ideal))
@@ -611,6 +581,8 @@ class RateFit:
 
 def rate_fit(spec: ExperimentSpec, jobs=1) -> RateFit:
     """Fit the risk-versus-noise rate over spec.epsilons."""
+    if spec.truth.epsilon is not None:
+        raise ValueError(_FIXED_EPSILON)
     if len(spec.epsilons) < 4:
         raise ValueError(f"rate fits need at least 4 epsilons, got {len(spec.epsilons)}")
     repeated = [eps for i, eps in enumerate(spec.epsilons) if eps in spec.epsilons[:i]]
@@ -676,7 +648,11 @@ def report_to_csv(report: RiskReport) -> str:
 
     for row in report.per_block:
         writer.writerow(_row_cells(row, fmt))
-    writer.writerow(
-        ["total", sum(r.size for r in report.per_block), "", fmt(report.total_mse), fmt(report.total_ideal), "", ""]
-    )
+    total = {
+        "block_id": "total",
+        "size": sum(r.size for r in report.per_block),
+        "empirical_mse": fmt(report.total_mse),
+        "ideal_risk": fmt(report.total_ideal),
+    }
+    writer.writerow([total.get(name, "") for name in _BLOCK_COLUMNS])
     return buffer.getvalue()

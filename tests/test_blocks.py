@@ -35,7 +35,6 @@ from gebshrink.mixture import (
     gaussian_grid_prior,
     mixture_summaries,
     oracle_rule,
-    signal_rate_bound,
 )
 from gebshrink.quadrature import integrate
 from gebshrink.risklab import replicate_rng
@@ -115,16 +114,16 @@ def _scanned_frontier(kappa_tilde, cfg, stop):
     ids=["atom-3", "atom-1", "gaussian-1", "gaussian-3"],
 )
 def test_branch_frontier_is_the_first_size_below_kappa_tilde(prior, stop):
-    tilde = mixture_summaries(prior, p=2.0, x=1.0).kappa_tilde
+    tilde = mixture_summaries(prior).kappa_tilde
     for cfg in (TuningConfig(), TuningConfig(b0=0.25, n_star=3)):
         want = _scanned_frontier(tilde, cfg, stop)
         assert want is not None
         assert branch_frontier(tilde, cfg) == want
-    assert 2**13 < branch_frontier(mixture_summaries(gaussian_grid_prior(), 2.0, 1.0).kappa_tilde) <= 2**14
+    assert 2**13 < branch_frontier(mixture_summaries(gaussian_grid_prior()).kappa_tilde) <= 2**14
 
 
 def test_branch_frontier_is_never_without_signal():
-    assert branch_frontier(mixture_summaries(from_atoms([0.0], [1.0]), 2.0, 1.0).kappa_tilde) is None
+    assert branch_frontier(mixture_summaries(from_atoms([0.0], [1.0])).kappa_tilde) is None
     assert branch_frontier(-1e-17) is None
     # the schedule rises from n = 3 to e^2 before it falls: a frontier below 8
     cfg = TuningConfig(b0=1.0, n_star=3)
@@ -491,15 +490,13 @@ def test_james_stein_strong_signal_nearly_identity():
 
 
 def test_squares_that_overflow_give_their_limits_without_a_warning():
-    # x^2 = inf: exp(-inf) = 0, a James-Stein factor of 1, and a mass
-    # integral capped at log n, the values these took with the warning
+    # x^2 = inf: exp(-inf) = 0 and a James-Stein factor of 1, the values
+    # these took with the warning
     x = np.array([0.0, 1e200, -3e160, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert kappa_hat(x) == 1.0 - math.sqrt(2.0) * (1.0 + math.exp(-2.0)) / 4
         assert james_stein_factor(x, 1.0) == james_stein_factor(x, 1e100) == 1.0
-        assert signal_rate_bound(10**6, from_atoms([0.0, 1e200], [0.99, 0.01])) == 0.01 * math.log(10**6)
-        assert signal_rate_bound(100, from_atoms([0.0, 1e200], [0.5, 0.5])) == 1.0
 
 
 def test_james_stein_validates_epsilon():

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gebshrink import cli, risklab, signals
@@ -457,8 +457,8 @@ def test_bad_env_thread_count(tmp_path):
 
 
 def test_huge_finite_values_print_no_warning(tmp_path):
-    # one value at 1e200 overflows x^2 in kappa_hat, ||y||^2 in the
-    # James-Stein factor and u^2 in the signal rate bound, each to its limit
+    # one value at 1e200 overflows x^2 in kappa_hat and ||y||^2 in the
+    # James-Stein factor, each to its limit
     values = np.random.default_rng(0).standard_normal(256)
     values[17] = 1e200
     write_signal_csv(tmp_path / "huge.csv", values)
@@ -502,6 +502,31 @@ def test_risk_rate_with_repeated_epsilons_is_one_error_line():
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: rate fits need distinct epsilons, got 1.0 more than once"]
     assert proc.stdout == ""
+
+@pytest.mark.parametrize("epsilon", [None, "0.1,0.05,0.025,0.0125"])
+def test_risk_rate_on_a_signal_truth_is_one_error_line(epsilon):
+    # a rate fit varies epsilon and a signal truth fixes it, with or without a grid
+    argv = ["risk", "--estimator", "mle", "--truth", "signal:doppler:256:7", "--rate", "--replicates", "2"]
+    if epsilon is not None:
+        argv += ["--epsilon", epsilon]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2
+    assert err.getvalue().splitlines() == [f"error: {risklab._FIXED_EPSILON}"]
+    assert out.getvalue() == ""
+
+
+def test_risk_no_ideal_skips_the_ideal_risk_of_a_deterministic_truth():
+    argv = ["risk", "--estimator", "mle", "--truth", "besov:1:6", "--epsilon", "0.1", "--replicates", "2"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--no-ideal"])
+    assert code == 0, err.getvalue()
+    report = json.loads(out.getvalue())
+    assert report["total_ideal"] is None and report["regret"] is None
+    assert all(block["ideal_risk"] is None for block in report["per_block"])
+
 
 def test_risk_oracle_truth_rate_is_numeric_failure():
     proc = run_cli(
@@ -750,7 +775,7 @@ _MALFORMED_SPECS = st.one_of(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
     .filter(lambda key: key not in cli._SPEC_KEYS)
     .map(lambda key: (key, {**_VALID_SPEC, key: "1"})),
-    _spec_with(("epsilon", "bound_p", "rho0", "b0", "a0"), _BAD_NUMBER),
+    _spec_with(("epsilon", "rho0", "b0", "a0"), _BAD_NUMBER),
     _spec_with(("replicates", "seed", "nstar", "jobs"), _BAD_INT),
     _spec_with(
         ("compute_ideal", "format", "estimator", "small_block"),
@@ -764,6 +789,8 @@ _MALFORMED_SPECS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(case=_MALFORMED_SPECS)
+# bound_p is no spec key: it fails like any unknown key
+@example(case=("bound_p", {**_VALID_SPEC, "bound_p": "2"}))
 def test_malformed_spec_is_one_error_line(case):
     key, spec = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -34,8 +34,6 @@ from gebshrink.mixture import (
     mixture_summaries,
     oracle_rule,
     rule_risk,
-    signal_rate_bound,
-    sparse_rate_bound,
 )
 from gebshrink.quadrature import integrate
 
@@ -314,65 +312,31 @@ def test_bayes_risk_is_concave_in_the_mixing_distribution():
 
 
 def test_summaries_point_mass_origin():
-    s = mixture_summaries(from_atoms([0.0], [1.0]), 2.0, 1.0)
-    assert (s.kappa, s.kappa_tilde, s.tail_at_x, s.mu_p) == (0.0, 0.0, 0.0, 0.0)
+    s = mixture_summaries(from_atoms([0.0], [1.0]))
+    assert (s.kappa, s.kappa_tilde) == (0.0, 0.0)
 
 
 def test_summaries_point_mass_two():
-    s = mixture_summaries(from_atoms([2.0], [1.0]), 2.0, 1.0)
+    s = mixture_summaries(from_atoms([2.0], [1.0]))
     assert s.kappa == 1.0
     assert s.kappa_tilde == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
-    assert s.tail_at_x == 1.0
-    assert s.mu_p == 2.0
 
 
 def test_summaries_half_atom():
-    s = mixture_summaries(from_atoms([0.5], [1.0]), 1.0, 1.0)
+    s = mixture_summaries(from_atoms([0.5], [1.0]))
     assert s.kappa == pytest.approx(0.25, rel=1e-15)
     assert s.kappa_tilde == pytest.approx(1.0 - math.exp(-1.0 / 16.0), rel=1e-14)
-    assert s.tail_at_x == 0.0
-    assert s.mu_p == pytest.approx(0.5, rel=1e-15)
-
-
-def test_summaries_tail_is_strict():
-    g = from_atoms([-1.0, 1.0], [0.5, 0.5])
-    assert mixture_summaries(g, 2.0, 1.0).tail_at_x == 0.0
-
-
-def test_summaries_validate_arguments():
-    with pytest.raises(ValueError):
-        mixture_summaries(from_atoms([0.0], [1.0]), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        mixture_summaries(from_atoms([0.0], [1.0]), 2.0, -1.0)
 
 
 def test_signal_mass_sandwich_exact():
     rng = np.random.default_rng(17)
     lo = (math.e - 1.0) / (4.0 * math.e)
     for _ in range(200):
-        s = mixture_summaries(random_mixing(rng), 2.0, 1.0)
+        s = mixture_summaries(random_mixing(rng))
         assert lo * s.kappa <= s.kappa_tilde <= s.kappa
 
 
-def test_tail_below_kappa_for_unit_or_larger_x():
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        g = random_mixing(rng)
-        x = float(rng.uniform(1.0, 5.0))
-        s = mixture_summaries(g, 2.0, x)
-        assert s.tail_at_x <= s.kappa + 1e-15
-
-
-# ---------------------------------------------------------------- bounds
-
-
-def test_sparse_rate_bound_zero_magnitude():
-    for p in (0.5, 1.0, 2.0):
-        assert sparse_rate_bound(4096, 0.0, p) == 0.0
-
-
-def test_sparse_rate_bound_capped_at_one():
-    assert sparse_rate_bound(8, 100.0, 2.0) == 1.0
+# ---------------------------------------------------------------- density-floor loss
 
 
 def test_density_floor_loss_small_signal_bound():
@@ -390,19 +354,6 @@ def test_density_floor_loss_validates_floor():
         density_floor_loss(DENSITY_FLOOR_LIMIT, from_atoms([0.0], [1.0]))
     with pytest.raises(ValueError):
         density_floor_loss(0.0, from_atoms([0.0], [1.0]))
-
-
-def test_signal_rate_bound_respects_sparse_bound():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        g = random_mixing(rng)
-        n = int(rng.integers(8, 100000))
-        p = min(float(rng.uniform(0.3, 4.0)), 2.0)
-        s = mixture_summaries(g, p, 1.0)
-        r0 = signal_rate_bound(n, g)
-        rp = sparse_rate_bound(n, s.mu_p, p)
-        assert np.isfinite(r0) and r0 >= 0.0
-        assert r0 <= 3.0 * rp + 1e-12
 
 
 # ---------------------------------------------------------------- one-pass integrands
