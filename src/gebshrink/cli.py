@@ -28,13 +28,13 @@ from .errors import InvalidConfigError, NumericFailure, WorkerDied
 from .mixture import bayes_risk, from_atoms, mixture_summaries
 from .wavelets import denoise_equispaced, wavelet_basis
 
-# flag or config key -> (TuningConfig field, parser)
+# flag or config key -> (TuningConfig field, kind, help)
 _TUNING_FIELDS = {
-    "rho0": ("rho0", float),
-    "b0": ("b0", float),
-    "nstar": ("n_star", int),
-    "a0": ("threshold_inflation", float),
-    "small_block": ("small_block_policy", str),
+    "rho0": ("rho0", float, "density-floor coefficient"),
+    "b0": ("b0", float, "branch-schedule coefficient"),
+    "nstar": ("n_star", int, "smallest hybrid block size"),
+    "a0": ("threshold_inflation", float, "threshold inflation"),
+    "small_block": ("small_block_policy", str, "policy below nstar"),
 }
 _CONFIG_KEYS = frozenset(_TUNING_FIELDS) | {"seed", "jobs", "format"}
 _JOBS_HELP = (
@@ -53,15 +53,12 @@ _SPEC_KEYS = _CONFIG_KEYS | {
 
 def _add_tuning_flags(parser):
     defaults = TuningConfig()
-    parser.add_argument("--rho0", type=float, default=None, help=f"density-floor coefficient (default {defaults.rho0:g})")
-    parser.add_argument("--b0", type=float, default=None, help=f"branch-schedule coefficient (default {defaults.b0:g})")
-    parser.add_argument("--nstar", type=int, default=None, help=f"smallest hybrid block size (default {defaults.n_star})")
-    parser.add_argument("--a0", type=float, default=None, help=f"threshold inflation (default {defaults.threshold_inflation:g})")
-    parser.add_argument(
-        "--small-block",
-        choices=tuple(_POLICIES),
-        help=f"policy below nstar (default {defaults.small_block_policy})",
-    )
+    for key, (name, kind, text) in _TUNING_FIELDS.items():
+        parser.add_argument(
+            f"--{key.replace('_', '-')}",
+            choices=tuple(_POLICIES) if kind is str else None,
+            help=f"{text} (default {getattr(defaults, name)})",
+        )
     parser.add_argument("--config", default=None, help="flat key=value file; flags override it")
 
 
@@ -82,105 +79,105 @@ def _read_config(path, allowed):
     return table
 
 
-_EXPECTED = {int: "an integer", float: "a number"}
+def _read(key, text, kind):
+    """``text`` as ``kind``: a float or int by io's number rule, naming ``key``
+    when it is malformed; any other ``kind`` is called on the text."""
+    return gio.parse_number(key, text, kind) if kind in (float, int) else kind(text)
 
 
-def _parse(key, text, kind):
-    """``kind(text)``; a malformed value raises ValueError naming ``key``."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"{key}: expected {_EXPECTED[kind]}, got {text!r}") from None
-
-
-def _merged(args, config, key, fallback, kind=str):
-    """The flag's value, else the config entry read as ``kind``, else ``fallback``."""
-    cli = getattr(args, key, None)
-    if cli is not None:
-        return cli
-    if config and key in config:
-        return _parse(key, config[key], kind)
-    return fallback
+def _merged(args, config, key, fallback=None, kind=str):
+    """The flag's text, else the spec or config entry's, read as ``kind``;
+    ``fallback`` when neither is given."""
+    text = getattr(args, key, None)
+    if text is None:
+        text = config.get(key)
+    return fallback if text is None else _read(key, text, kind)
 
 
 def _tuning_from(args, config):
     """The values set by a flag or config key; TuningConfig supplies the rest."""
-    values = {}
-    for key, (name, kind) in _TUNING_FIELDS.items():
-        value = _merged(args, config, key, None, kind)
-        if value is not None:
-            values[name] = value
-    return TuningConfig(**values)
+    values = {name: _merged(args, config, key, kind=kind) for key, (name, kind, _) in _TUNING_FIELDS.items()}
+    return TuningConfig(**{name: value for name, value in values.items() if value is not None})
 
 
 def _jobs_from(args, config):
     source = "jobs"
-    jobs = _merged(args, config, source, None, int)
+    jobs = _merged(args, config, source, kind=int)
     if jobs is None:
         source = "GEB_SHRINK_THREADS"
-        jobs = _parse(source, os.environ.get(source, "1"), int)
+        jobs = gio.parse_number(source, os.environ.get(source, "1"), int)
     if jobs < 1:
         raise ValueError(f"{source} must be at least 1, got {jobs}")
     return jobs
 
 
+def _parse_atoms(text):
+    atoms = []
+    for piece in text.split(","):
+        u, equals, w = piece.partition("=")
+        if not equals:
+            raise ValueError(f"atom {piece!r} must look like location=weight")
+        atoms.append((gio.parse_number("atom location", u), gio.parse_number("atom weight", w)))
+    return from_atoms(*zip(*atoms))
+
+
+# --truth kind -> (TruthSource constructor, its fields as (name, kind or parser))
+_TRUTHS = {
+    "zero": ("zero", (("J", int),)),
+    "besov": ("besov_extremal", (("alpha", float), ("J", int))),
+    "signal": ("signal", (("name", str), ("N", int), ("snr", float))),
+    "gaussian": ("gaussian_prior", (("tau", float), ("n", int))),
+    "atoms": ("atom_prior", (("u=w,...", _parse_atoms), ("n", int))),
+}
+_TRUTH_FORMS = " | ".join(
+    [":".join([kind, *(name for name, _ in fields)]) for kind, (_, fields) in _TRUTHS.items()] + ["csv:path"]
+)
+
+
 def _parse_truth(text):
     from .risklab import TruthSource
 
-    parts = str(text).split(":")
-    kind = parts[0]
+    kind, *values = text.split(":")
     try:
-        if kind == "zero":
-            (j_max,) = parts[1:]
-            return TruthSource.zero(int(j_max))
-        if kind == "besov":
-            alpha, j_max = parts[1:]
-            return TruthSource.besov_extremal(float(alpha), int(j_max))
-        if kind == "signal":
-            name, n, snr = parts[1:]
-            return TruthSource.signal(name, int(n), float(snr))
-        if kind == "gaussian":
-            tau, size = parts[1:]
-            return TruthSource.gaussian_prior(float(tau), int(size))
-        if kind == "atoms":
-            spec, size = parts[1:]
-            prior = _parse_atoms(spec)
-            return TruthSource.atom_prior(prior, int(size))
         if kind == "csv":
-            path = ":".join(parts[1:])
-            levels, _ = gio.read_coefficients_csv(path)
+            levels, _ = gio.read_coefficients_csv(":".join(values))
             return TruthSource.explicit(sorted(levels.items()))
+        if kind in _TRUTHS and len(values) == len(_TRUTHS[kind][1]):
+            build, fields = _TRUTHS[kind]
+            parsed = [_read(name, value, parse) for (name, parse), value in zip(fields, values)]
+            return getattr(TruthSource, build)(*parsed)
     except ValueError as err:
         raise ValueError(f"bad --truth {text!r}: {err}") from err
-    raise ValueError(
-        f"bad --truth {text!r}: expected zero:J | besov:alpha:J | signal:name:N:snr | "
-        "gaussian:tau:n | atoms:u=w,...:n | csv:path"
-    )
-
-
-def _parse_atoms(text):
-    locations = []
-    weights = []
-    for piece in str(text).split(","):
-        if "=" not in piece:
-            raise ValueError(f"atom {piece!r} must look like location=weight")
-        u, w = piece.split("=", 1)
-        locations.append(_parse("atom location", u, float))
-        weights.append(_parse("atom weight", w, float))
-    return from_atoms(locations, weights)
-
-
-def _parse_bool(key, text):
-    value = str(text).strip().lower()
-    if value not in ("true", "false"):
-        raise ValueError(f"{key} must be true or false, got {text!r}")
-    return value == "true"
+    raise ValueError(f"bad --truth {text!r}: expected {_TRUTH_FORMS}")
 
 
 def _parse_epsilons(text):
-    if text is None or str(text).strip() in ("", "auto"):
+    if text.strip() in ("", "auto"):
         return ()
-    return tuple(_parse("epsilon", x, float) for x in str(text).split(","))
+    return tuple(gio.parse_number("epsilon", x) for x in text.split(","))
+
+
+def _experiment(args, config):
+    """The ExperimentSpec of ``risk`` or ``simulate``: each setting from its
+    flag, else its spec or config entry, else its default."""
+    from .risklab import ExperimentSpec
+
+    cfg = _tuning_from(args, config)
+    for key in ("estimator", "truth"):
+        if _merged(args, config, key) is None:  # risk requires both flags; a spec may lack them
+            raise ValueError(f"{args.spec}: missing {key!r}")
+    ideal = _merged(args, config, "compute_ideal", "true")
+    if ideal.lower() not in ("true", "false"):
+        raise ValueError(f"compute_ideal must be true or false, got {ideal!r}")
+    return ExperimentSpec(
+        estimator=_merged(args, config, "estimator"),
+        truth=_merged(args, config, "truth", kind=_parse_truth),
+        epsilons=_merged(args, config, "epsilon", (), _parse_epsilons),
+        replicates=_merged(args, config, "replicates", 1, int),
+        seed=_merged(args, config, "seed", 0, int),
+        cfg=cfg,
+        compute_ideal=ideal.lower() == "true",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +187,10 @@ def _parse_epsilons(text):
 def _cmd_denoise(args):
     config = _read_config(args.config, _DENOISE_KEYS) if args.config else {}
     cfg = _tuning_from(args, config)
+    sigma = _merged(args, config, "sigma", kind=float)
     values, truth, _ = gio.read_signal_csv(args.input)
     basis = wavelet_basis(_merged(args, config, "wavelet", "s8"))
-    estimate, report = denoise_equispaced(values, basis, cfg, sigma=args.sigma)
+    estimate, report = denoise_equispaced(values, basis, cfg, sigma=sigma)
     gio.write_signal_csv(args.output, values, truth=truth, estimate=estimate)
     print(f"sigma_hat = {gio.format_float(report.sigma_hat)}")
     print(f"epsilon   = {gio.format_float(report.epsilon)}")
@@ -228,27 +226,11 @@ def _write_report(spec, args, config):
 
 
 def _cmd_simulate(args):
-    from .risklab import ExperimentSpec
-
     config = _read_config(args.spec, _SPEC_KEYS)
     if args.config:
         # spec entries win over --config entries; flags win over both
         config = {**_read_config(args.config, _CONFIG_KEYS), **config}
-    cfg = _tuning_from(args, config)
-    if "estimator" not in config:
-        raise ValueError(f"{args.spec}: missing 'estimator'")
-    if "truth" not in config:
-        raise ValueError(f"{args.spec}: missing 'truth'")
-    spec = ExperimentSpec(
-        estimator=config["estimator"],
-        truth=_parse_truth(config["truth"]),
-        epsilons=_parse_epsilons(config.get("epsilon")),
-        replicates=_merged(args, config, "replicates", 1, int),
-        seed=_merged(args, config, "seed", 0, int),
-        cfg=cfg,
-        compute_ideal=_parse_bool("compute_ideal", config.get("compute_ideal", "true")),
-    )
-    report = _write_report(spec, args, config)
+    report = _write_report(_experiment(args, config), args, config)
     # a printed payload keeps stdout machine-readable, so the summary goes to stderr
     print(
         f"total_mse = {gio.format_float(report.total_mse)}  "
@@ -270,19 +252,10 @@ def _cmd_oracle(args):
 
 
 def _cmd_risk(args):
-    from .risklab import ExperimentSpec, rate_fit
+    from .risklab import rate_fit
 
     config = _read_config(args.config, _CONFIG_KEYS) if args.config else {}
-    cfg = _tuning_from(args, config)
-    spec = ExperimentSpec(
-        estimator=args.estimator,
-        truth=_parse_truth(args.truth),
-        epsilons=_parse_epsilons(args.epsilon),
-        replicates=args.replicates,
-        seed=_merged(args, config, "seed", 0, int),
-        cfg=cfg,
-        compute_ideal=not args.no_ideal,
-    )
+    spec = _experiment(args, config)
     if args.rate:
         fit = rate_fit(spec, jobs=_jobs_from(args, config))
         print(f"slope     = {gio.format_float(fit.slope)}")
@@ -308,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--input", required=True, help="CSV with columns index,value[,truth]")
     p_den.add_argument("--output", required=True, help="writes index,value[,truth],estimate, the index 1..N; other input columns are not copied")
     p_den.add_argument("--wavelet", choices=("haar", "d4", "s8"), default=None)
-    p_den.add_argument("--sigma", type=float, default=None, help="known noise scale (default: MAD estimate)")
+    p_den.add_argument("--sigma", default=None, help="known noise scale (default: MAD estimate)")
     _add_tuning_flags(p_den)
     p_den.set_defaults(func=_cmd_denoise)
 
@@ -316,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--spec", required=True, help="flat key=value experiment description")
     p_sim.add_argument("--output", default=None, help="report destination (prints when omitted)")
     p_sim.add_argument("--format", choices=("csv", "json"), default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+    p_sim.add_argument("--seed", default=None)
+    p_sim.add_argument("--jobs", default=None, help=_JOBS_HELP)
     _add_tuning_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -327,13 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rsk = sub.add_parser("risk", help="risk run or rate fit configured by flags")
     p_rsk.add_argument("--estimator", choices=ESTIMATORS, required=True)
-    p_rsk.add_argument("--truth", required=True, help="zero:J | besov:a:J | signal:name:N:snr | gaussian:tau:n | atoms:u=w,..:n | csv:path")
+    p_rsk.add_argument("--truth", required=True, help=_TRUTH_FORMS)
     p_rsk.add_argument("--epsilon", default=None, help="comma-separated noise grid (or 'auto' for signal truths)")
-    p_rsk.add_argument("--replicates", type=int, default=100)
-    p_rsk.add_argument("--seed", type=int, default=None)
-    p_rsk.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+    p_rsk.add_argument("--replicates", default="100")
+    p_rsk.add_argument("--seed", default=None)
+    p_rsk.add_argument("--jobs", default=None, help=_JOBS_HELP)
     p_rsk.add_argument("--rate", action="store_true", help="fit log-risk slope over the epsilon grid")
-    p_rsk.add_argument("--no-ideal", action="store_true", help="skip the ideal risk, so total_ideal and regret are null")
+    p_rsk.add_argument(
+        "--no-ideal",
+        dest="compute_ideal",
+        action="store_const",
+        const="false",
+        help="skip the ideal risk, so total_ideal and regret are null (compute_ideal = false)",
+    )
     p_rsk.add_argument("--format", choices=("csv", "json"), default=None)
     p_rsk.add_argument("--output", default=None)
     _add_tuning_flags(p_rsk)

@@ -31,18 +31,23 @@ the index is one more float column (``%.17g`` of k is ``str(k)`` below 10^17):
 
 The tables are built from Python integers at the first write (2-3 ms).
 
+One number rule reads every number from outside the program: CSV cells,
+and (through ``parse_number``) the CLI's flags, config and spec values,
+``--truth`` and ``--atoms`` fields and ``GEB_SHRINK_THREADS``.  A number
+is what ``float`` accepts once surrounding whitespace is stripped,
+restricted to ASCII and without digit-group underscores: ``repr`` and
+``%g`` forms, integers, ``inf``, ``nan``; an integer is what ``int``
+accepts under the same restriction (not ``2.5``, ``1e3`` or ``0x10``).
+
 The readers take the header with ``csv``.  The signal reader then parses
 the body in one ``np.loadtxt`` call, numpy's C text reader, over just the
-value, truth and estimate columns; other columns, ``index`` included, are
-never parsed.  A number cell is what ``float`` accepts once surrounding
-whitespace is stripped, restricted to ASCII and without digit-group
-underscores: ``repr`` and ``%g`` forms, integers, ``inf``, ``nan``, all
-optionally quoted ``"..."``.  Lines end in LF or CRLF; blank lines are
-skipped and ``#`` is an ordinary character (so ``#1`` is not a number).
-The coefficient reader parses its ``value`` cells by the same rule, and
-its ``j`` and ``delta`` cells by the same rule for integers.  A short row
-or a cell that is not a number raises ValueError naming the path, the
-line and the column.
+value, truth and estimate columns, by the number rule (cells optionally
+quoted ``"..."``); other columns, ``index`` included, are never parsed.
+Lines end in LF or CRLF; blank lines are skipped and ``#`` is an ordinary
+character (so ``#1`` is not a number).  The coefficient reader parses its
+``value`` cells as numbers and its ``j`` and ``delta`` cells as integers.
+A short row or a cell that is not a number raises ValueError naming the
+path, the line and the column.
 """
 
 from __future__ import annotations
@@ -285,17 +290,26 @@ def write_signal_csv(path, values, truth=None, estimate=None):
 _KINDS = {float: "a number", int: "an integer"}
 
 
-def _number(cell, path, line, name, kind=float):
-    """The ``name`` cell on ``line`` as ``kind``, float or int, by the module's
-    number rule (numpy's text reader's: ``kind`` less non-ASCII text and
-    underscores); ValueError naming the path, the line and the column otherwise."""
-    text = cell.strip()
-    if text.isascii() and "_" not in text:
+def parse_number(key, text, kind=float):
+    """``text`` as ``kind``, float or int, by the module's number rule
+    (numpy's text reader's: ``kind`` less non-ASCII text and underscores);
+    ValueError naming ``key`` otherwise."""
+    stripped = text.strip()
+    if stripped.isascii() and "_" not in stripped:
         try:
-            return kind(text)
+            return kind(stripped)
         except ValueError:
             pass
-    raise ValueError(f"{path}:{line}: {name} cell {cell!r} is not {_KINDS[kind]}")
+    raise ValueError(f"{key}: expected {_KINDS[kind]}, got {text!r}")
+
+
+def _number(cell, path, line, name, kind=float):
+    """The ``name`` cell on ``line`` by ``parse_number``; the ValueError
+    names the path, the line and the column."""
+    try:
+        return parse_number(name, cell, kind)
+    except ValueError:
+        raise ValueError(f"{path}:{line}: {name} cell {cell!r} is not {_KINDS[kind]}") from None
 
 
 def _bad_row(path, width, used):

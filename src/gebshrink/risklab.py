@@ -53,9 +53,12 @@ _IDEAL_BATCH = 1 << 16
 
 
 def _frozen_blocks(pairs):
-    """((j, beta), ...) with each beta a read-only float copy."""
+    """((j, beta), ...) with each beta a read-only float copy; a value that is
+    not finite raises ValueError, so no replicate runs on it."""
     out = tuple((int(j), np.array(v, dtype=float).ravel()) for j, v in pairs)
-    for _, beta in out:
+    for j, beta in out:
+        if not np.isfinite(beta).all():
+            raise ValueError(f"truth level {j} holds a value that is not finite")
         beta.flags.writeable = False
     return out
 
@@ -591,7 +594,8 @@ def rate_fit(spec: ExperimentSpec, jobs=1) -> RateFit:
         raise ValueError(f"rate fits need distinct epsilons, got {repeated[0]!r} more than once")
     points = []
     for eps in spec.epsilons:
-        sub = replace(spec, epsilons=(eps,))
+        # only the totals are read, so no ideal risk is priced
+        sub = replace(spec, epsilons=(eps,), compute_ideal=False)
         report = monte_carlo_risk(sub, jobs=jobs)
         points.append((eps, report.total_mse, report.total_se))
     risks = np.array([p[1] for p in points])

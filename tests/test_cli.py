@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -573,6 +574,21 @@ def test_risk_csv_truth_with_a_bad_level_cell_is_one_error_line(tmp_path):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_risk_csv_truth_with_a_non_finite_value_is_one_error_line(tmp_path, cell):
+    # the cell is a number, but no replicate can run on it
+    src = tmp_path / "coef.csv"
+    src.write_text(f"j,k,value,delta\n-1,1,0.5,1\n0,1,{cell},1\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["risk", "--estimator", "mle", "--truth", f"csv:{src}", "--epsilon", "1", "--no-ideal"])
+    assert code == 2
+    assert err.getvalue().splitlines() == [
+        f"error: bad --truth 'csv:{src}': truth level 0 holds a value that is not finite"
+    ]
+    assert out.getvalue() == ""
+
+
 @pytest.mark.parametrize("estimator", ["soft-universal", "hard-universal"])
 def test_risk_universal_thresholds_ignore_the_density_floor(estimator):
     # rho0 = 5 puts the floor past 1/sqrt(2 pi); only geb-hybrid uses it
@@ -805,6 +821,105 @@ def test_malformed_spec_is_one_error_line(case):
     assert key in lines[0], (spec, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert out.getvalue() == ""
+
+
+# ------------------------------------------------------- the number rule
+
+# numeric setting -> (kind, the sources that may hold it)
+_NUMERIC_SETTINGS = {
+    "rho0": (float, ("flag", "config", "spec")),
+    "b0": (float, ("flag", "config", "spec")),
+    "a0": (float, ("flag", "config", "spec")),
+    "nstar": (int, ("flag", "config", "spec")),
+    "seed": (int, ("flag", "config", "spec")),
+    "jobs": (int, ("flag", "config", "spec", "GEB_SHRINK_THREADS")),
+    "replicates": (int, ("flag", "spec")),
+    "epsilon": (float, ("flag", "spec")),
+    "sigma": (float, ("flag",)),
+}
+_RISK_FLAGS = {"estimator": "mle", "truth": "zero:3", "epsilon": "1", "replicates": "2"}
+_NON_ASCII_DIGIT = st.characters(categories=["Nd"]).filter(lambda c: not c.isascii())
+# text that int() or float() reads but the number rule does not, or that no rule reads
+_MALFORMED_NUMBER = st.one_of(
+    st.sampled_from(["1_0", "\u0661", "x", ""]),
+    st.builds("{}_{}".format, st.integers(1, 999), st.integers(0, 999)),
+    st.builds("1{}".format, _NON_ASCII_DIGIT),
+)
+_MALFORMED_INTEGER = st.one_of(_MALFORMED_NUMBER, st.sampled_from(["2.5", "1e3", "0x10"]))
+
+
+def _main(argv, threads=None):
+    """``cli.main(argv)`` in-process, with GEB_SHRINK_THREADS set to ``threads``
+    (unset for None): (exit code, stdout, stderr); a SystemExit is its code."""
+    out, err = io.StringIO(), io.StringIO()
+    env = {} if threads is None else {"GEB_SHRINK_THREADS": threads}
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if threads is None:
+            os.environ.pop("GEB_SHRINK_THREADS", None)
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_with_setting(source, key, text, tmp):
+    """Run the command that reads ``key`` from ``source``, set to ``text``."""
+    if source == "flag" and key == "sigma":
+        write_signal_csv(os.path.join(tmp, "in.csv"), np.sin(np.arange(64.0)))
+        argv = ["denoise", "--input", os.path.join(tmp, "in.csv"), "--output", os.path.join(tmp, "out.csv")]
+        return _main([*argv, f"--sigma={text}"])
+    flags = {**_RISK_FLAGS, key: text} if source == "flag" else _RISK_FLAGS
+    risk = ["risk", *(f"--{k}={v}" for k, v in flags.items())]
+    if source in ("flag", "GEB_SHRINK_THREADS"):
+        return _main(risk, threads=text if source == "GEB_SHRINK_THREADS" else None)
+    path = os.path.join(tmp, f"{source}.cfg")
+    if source == "config":
+        write_spec(path, **{key: text})
+        return _main([*risk, "--config", path])
+    write_spec(path, **{**_VALID_SPEC, key: text})
+    return _main(["simulate", "--spec", path])
+
+
+@st.composite
+def _malformed_settings(draw):
+    key = draw(st.sampled_from(sorted(_NUMERIC_SETTINGS)))
+    kind, _ = _NUMERIC_SETTINGS[key]
+    # an empty epsilon is the empty grid, which is valid
+    text = draw((_MALFORMED_INTEGER if kind is int else _MALFORMED_NUMBER).filter(lambda t: key != "epsilon" or t))
+    return key, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_malformed_settings())
+@example(case=("b0", "1_0"))
+@example(case=("epsilon", "\u0661"))
+@example(case=("replicates", "2.5"))
+@example(case=("sigma", "x"))
+@example(case=("jobs", "1_0"))
+def test_a_malformed_number_is_one_error_line_from_every_source(case):
+    # flags, spec and config entries and GEB_SHRINK_THREADS share one number
+    # rule and one error line, which names the setting that holds the text
+    key, text = case
+    kind, sources = _NUMERIC_SETTINGS[key]
+    expected = "an integer" if kind is int else "a number"
+    with tempfile.TemporaryDirectory() as tmp:
+        for source in sources:
+            code, out, err = _run_with_setting(source, key, text, tmp)
+            name = key if source in ("flag", "config", "spec") else source
+            assert (code, out) == (2, ""), (source, err)
+            assert err.splitlines() == [f"error: {name}: expected {expected}, got {text!r}"], (source, err)
+
+
+def test_a_setting_given_as_a_flag_or_in_a_config_file_gives_the_same_report(tmp_path):
+    values = {"rho0": "0.5", "b0": "0.25", "a0": "0.5", "nstar": "16", "seed": "4", "jobs": "2"}
+    argv = ["risk", "--estimator", "geb-hybrid", "--truth", "gaussian:1:256", "--epsilon", "1", "--replicates", "3"]
+    write_spec(tmp_path / "tuning.cfg", **values)
+    from_flags = _main([*argv, *(f"--{key}={value}" for key, value in values.items())])
+    from_config = _main([*argv, "--config", str(tmp_path / "tuning.cfg")])
+    assert from_flags[0] == 0, from_flags[2]
+    assert from_flags == from_config
+    assert json.loads(from_flags[1])["seed"] == 4
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])

@@ -243,6 +243,13 @@ def test_signal_truth_is_built_once(monkeypatch):
     assert calls == {"test_signal": 1, "dwt": 1}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_deterministic_truth_is_rejected_when_built(value):
+    # every replicate would otherwise fail as an observation overflow
+    with pytest.raises(ValueError, match="truth level 0 holds a value that is not finite"):
+        TruthSource.explicit([(-1, [1.0]), (0, [0.5, value])])
+
+
 def test_deterministic_truth_blocks_are_read_only():
     source = np.array([0.3, -1.0, 2.0, 0.0])
     truths = (
@@ -640,6 +647,19 @@ def test_besov_extremal_rate_meets_floor():
     )
     fit = rate_fit(spec, jobs=2)
     assert fit.slope >= 2.0 / 1.5 - 0.15
+
+
+@pytest.mark.parametrize("truth", [TruthSource.gaussian_prior(1.0, 64), TruthSource.besov_extremal(1.0, 5)])
+def test_rate_fit_prices_no_ideal_risk(monkeypatch, truth):
+    # a rate fit reads only the totals, so it runs no ideal-risk quadrature
+    spec = ExperimentSpec(estimator="mle", truth=truth, epsilons=(1.0, 0.5, 0.25, 0.125), replicates=3, seed=2)
+    want = rate_fit(spec)
+
+    def no_pricing(*args, **kwargs):
+        raise AssertionError("an ideal risk was priced")
+
+    monkeypatch.setattr(risklab, "block_ideal_risks", no_pricing)
+    assert rate_fit(spec) == want
 
 
 def test_rate_fit_guards():
