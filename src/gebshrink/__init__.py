@@ -66,7 +66,7 @@ _MODULES = {
         "report_to_json",
         "replicate_rng",
     ),
-    "sequence": ("BlockedSequence", "dyadic_sequence", "estimate_sequence"),
+    "sequence": ("estimate_sequence",),
     "signals": ("SIGNAL_NAMES", "test_signal"),
     "thresholds": ("soft_threshold_risk", "threshold"),
     "wavelets": (

@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import io as gio
-from .blocks import _POLICIES, ESTIMATORS, TuningConfig, branch_frontier
+from .blocks import ESTIMATORS, TuningConfig, branch_frontier
 from .errors import InvalidConfigError, NumericFailure, WorkerDied
 from .mixture import bayes_risk, from_atoms, mixture_summaries
 from .wavelets import denoise_equispaced, wavelet_basis
@@ -53,12 +53,8 @@ _SPEC_KEYS = _CONFIG_KEYS | {
 
 def _add_tuning_flags(parser):
     defaults = TuningConfig()
-    for key, (name, kind, text) in _TUNING_FIELDS.items():
-        parser.add_argument(
-            f"--{key.replace('_', '-')}",
-            choices=tuple(_POLICIES) if kind is str else None,
-            help=f"{text} (default {getattr(defaults, name)})",
-        )
+    for key, (name, _, text) in _TUNING_FIELDS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", help=f"{text} (default {getattr(defaults, name)})")
     parser.add_argument("--config", default=None, help="flat key=value file; flags override it")
 
 
@@ -140,8 +136,7 @@ def _parse_truth(text):
     kind, *values = text.split(":")
     try:
         if kind == "csv":
-            levels, _ = gio.read_coefficients_csv(":".join(values))
-            return TruthSource.explicit(sorted(levels.items()))
+            return TruthSource.explicit(gio.read_coefficients_csv(":".join(values)))
         if kind in _TRUTHS and len(values) == len(_TRUTHS[kind][1]):
             build, fields = _TRUTHS[kind]
             parsed = [_read(name, value, parse) for (name, parse), value in zip(fields, values)]
@@ -188,16 +183,16 @@ def _cmd_denoise(args):
     config = _read_config(args.config, _DENOISE_KEYS) if args.config else {}
     cfg = _tuning_from(args, config)
     sigma = _merged(args, config, "sigma", kind=float)
-    values, truth, _ = gio.read_signal_csv(args.input)
     basis = wavelet_basis(_merged(args, config, "wavelet", "s8"))
+    values, truth, _ = gio.read_signal_csv(args.input)
     estimate, report = denoise_equispaced(values, basis, cfg, sigma=sigma)
     gio.write_signal_csv(args.output, values, truth=truth, estimate=estimate)
     print(f"sigma_hat = {gio.format_float(report.sigma_hat)}")
     print(f"epsilon   = {gio.format_float(report.epsilon)}")
     if report.fits:
-        size = max(4, len(str(max(fit.n for fit in report.fits))))
+        size = max(4, len(str(max(fit.n for fit in report.fits.values()))))
         print(f"level  {'size':>{size}s}  {'branch':<10s}  {'kappa_hat':<13s}  {'b':<13s}  lambda")
-        for j, fit in zip(report.levels, report.fits):
+        for j, fit in report.fits.items():
             print(
                 f"{j:5d}  {fit.n:{size}d}  {fit.branch:<10s}  "
                 f"{fit.kappa_hat:<13.6g}  {fit.b:<13.6g}  {fit.lam:<13.6g}"
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("denoise", help="shrink a noisy equispaced signal from CSV")
     p_den.add_argument("--input", required=True, help="CSV with columns index,value[,truth]")
     p_den.add_argument("--output", required=True, help="writes index,value[,truth],estimate, the index 1..N; other input columns are not copied")
-    p_den.add_argument("--wavelet", choices=("haar", "d4", "s8"), default=None)
+    p_den.add_argument("--wavelet", default=None, help="wavelet basis (default s8)")
     p_den.add_argument("--sigma", default=None, help="known noise scale (default: MAD estimate)")
     _add_tuning_flags(p_den)
     p_den.set_defaults(func=_cmd_denoise)
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment from a spec file")
     p_sim.add_argument("--spec", required=True, help="flat key=value experiment description")
     p_sim.add_argument("--output", default=None, help="report destination (prints when omitted)")
-    p_sim.add_argument("--format", choices=("csv", "json"), default=None)
+    p_sim.add_argument("--format", default=None, help="csv or json (default json)")
     p_sim.add_argument("--seed", default=None)
     p_sim.add_argument("--jobs", default=None, help=_JOBS_HELP)
     _add_tuning_flags(p_sim)
@@ -299,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.set_defaults(func=_cmd_oracle)
 
     p_rsk = sub.add_parser("risk", help="risk run or rate fit configured by flags")
-    p_rsk.add_argument("--estimator", choices=ESTIMATORS, required=True)
+    p_rsk.add_argument("--estimator", required=True, help=" | ".join(ESTIMATORS))
     p_rsk.add_argument("--truth", required=True, help=_TRUTH_FORMS)
     p_rsk.add_argument("--epsilon", default=None, help="comma-separated noise grid (or 'auto' for signal truths)")
     p_rsk.add_argument("--replicates", default="100")
@@ -313,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         const="false",
         help="skip the ideal risk, so total_ideal and regret are null (compute_ideal = false)",
     )
-    p_rsk.add_argument("--format", choices=("csv", "json"), default=None)
+    p_rsk.add_argument("--format", default=None, help="csv or json (default json)")
     p_rsk.add_argument("--output", default=None)
     _add_tuning_flags(p_rsk)
     p_rsk.set_defaults(func=_cmd_risk)

@@ -359,13 +359,13 @@ def read_signal_csv(path):
 
 
 def read_coefficients_csv(path):
-    """Read a coefficient CSV; returns (levels, deltas) as {j: array} dicts.
+    """Read a coefficient CSV; returns its values as a {j: array} dict,
+    levels ascending.
 
     A row with fewer than the four cells, a ``j`` or ``delta`` cell that is
     not an integer, or a ``value`` cell that is not a number, raises
     ValueError naming the line."""
     levels: dict[int, list] = {}
-    deltas: dict[int, list] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -381,8 +381,5 @@ def read_coefficients_csv(path):
             line = reader.line_num
             j = _number(row[0], path, line, "j", int)
             levels.setdefault(j, []).append(_number(row[2], path, line, "value"))
-            deltas.setdefault(j, []).append(_number(row[3], path, line, "delta", int))
-    return (
-        {j: np.array(v) for j, v in sorted(levels.items())},
-        {j: np.array(v, dtype=int) for j, v in sorted(deltas.items())},
-    )
+            _number(row[3], path, line, "delta", int)  # checked, not returned
+    return {j: np.array(v) for j, v in sorted(levels.items())}

@@ -26,14 +26,14 @@ import json
 import math
 import os
 import signal
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .blocks import ESTIMATORS, TuningConfig
 from .errors import NumericFailure, WorkerDied
 from .mixture import MixingDistribution
-from .sequence import BlockedSequence, block_ideal_risks, estimate_sequence
+from .sequence import block_ideal_risks, estimate_sequence
 from .signals import test_signal
 from .wavelets import dwt, wavelet_basis
 
@@ -52,19 +52,24 @@ _IDEAL_BATCH = 1 << 16
 # truth sources
 
 
-def _frozen_blocks(pairs):
-    """((j, beta), ...) with each beta a read-only float copy; a value that is
-    not finite raises ValueError, so no replicate runs on it."""
-    out = tuple((int(j), np.array(v, dtype=float).ravel()) for j, v in pairs)
-    for j, beta in out:
+def _frozen_blocks(levels):
+    """{j: beta} from a {j: values} mapping or (j, values) pairs, in their
+    order, each beta a read-only float copy; a repeated level, or a value
+    that is not finite, raises ValueError, so no replicate runs on it."""
+    out = {}
+    for j, values in levels.items() if isinstance(levels, dict) else levels:
+        beta = np.array(values, dtype=float).ravel()
+        if int(j) in out:
+            raise ValueError("block levels must be distinct")
         if not np.isfinite(beta).all():
             raise ValueError(f"truth level {j} holds a value that is not finite")
         beta.flags.writeable = False
+        out[int(j)] = beta
     return out
 
 
 def _zero_blocks(j_max):
-    return [(j, np.zeros(2 ** max(j, 0))) for j in range(-1, j_max + 1)]
+    return {j: np.zeros(2 ** max(j, 0)) for j in range(-1, j_max + 1)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +77,16 @@ class TruthSource:
     """Where the true means come from.
 
     Deterministic kinds (explicit, zero, besov, signal) build beta once,
-    as read-only ``((j, beta), ...)`` pairs in ``blocks``; a signal truth
-    also carries its own noise scale sigma / sqrt(N) in ``epsilon``.
+    as a ``{j: beta}`` mapping of read-only arrays in ``blocks``, in the
+    order given; a signal truth also carries its own noise scale
+    sigma / sqrt(N) in ``epsilon``.
     Prior kinds (gaussian-prior, atom-prior) redraw theta i.i.d. from the
     prior on every replicate and set beta = epsilon * theta, which is the
     compound-estimation regime.
     """
 
     kind: str
-    blocks: tuple = ()
+    blocks: dict = field(default_factory=dict)
     epsilon: float | None = None
     tau: float = math.nan
     size: int = 0
@@ -96,8 +102,8 @@ class TruthSource:
 
     @staticmethod
     def explicit(blocks) -> "TruthSource":
-        pairs = blocks.items() if isinstance(blocks, dict) else blocks
-        return TruthSource(kind="explicit", blocks=_frozen_blocks(pairs))
+        """A fixed truth from {j: values} or (j, values) pairs, in that order."""
+        return TruthSource(kind="explicit", blocks=_frozen_blocks(blocks))
 
     @staticmethod
     def zero(j_max) -> "TruthSource":
@@ -115,10 +121,10 @@ class TruthSource:
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
         if j_max < 0:
             raise ValueError("j_max must be nonnegative")
-        pairs = _zero_blocks(j_max)
-        for j, beta in pairs[1:]:
-            beta[0] = 2.0 ** (-j * (alpha + 0.5))
-        return TruthSource(kind="besov", blocks=_frozen_blocks(pairs))
+        levels = _zero_blocks(j_max)
+        for j in range(j_max + 1):
+            levels[j][0] = 2.0 ** (-j * (alpha + 0.5))
+        return TruthSource(kind="besov", blocks=_frozen_blocks(levels))
 
     @staticmethod
     def signal(name, n, snr) -> "TruthSource":
@@ -127,7 +133,7 @@ class TruthSource:
         if n < 2 or n & (n - 1):
             raise ValueError(f"signal length must be a power of two, got {n}")
         samples, sigma = test_signal(name, n, float(snr))
-        blocks = _frozen_blocks(dwt(samples, wavelet_basis("s8")).items())
+        blocks = _frozen_blocks(dwt(samples, wavelet_basis("s8")))
         return TruthSource(kind="signal", blocks=blocks, epsilon=sigma / math.sqrt(n))
 
     @staticmethod
@@ -152,19 +158,21 @@ class TruthSource:
     def is_random(self) -> bool:
         return self.kind in ("gaussian-prior", "atom-prior")
 
-    def block_ids_and_sizes(self):
-        return tuple((j, beta.size) for j, beta in self.blocks) or ((0, self.size),)
+    def block_sizes(self) -> dict:
+        """{j: size} of the blocks each replicate draws."""
+        return {j: beta.size for j, beta in self.blocks.items()} or {0: self.size}
 
-    def draw_blocks(self, epsilon, rng):
-        """Per-replicate beta arrays (prior kinds sample theta here)."""
+    def draw_blocks(self, epsilon, rng) -> dict:
+        """Per-replicate {j: beta}: ``blocks`` itself for a deterministic
+        kind, {0: epsilon * theta} for a prior kind, which samples theta here."""
         if self.kind == "gaussian-prior":
             theta = self.tau * rng.standard_normal(self.size)
         elif self.kind == "atom-prior":
             atoms = self.prior.locations
             theta = atoms[rng.choice(atoms.size, size=self.size, p=self.prior.weights)]
         else:
-            return tuple(beta for _, beta in self.blocks)
-        return (epsilon * theta,)
+            return self.blocks
+        return {0: epsilon * theta}
 
 
 # ---------------------------------------------------------------------------
@@ -275,32 +283,28 @@ class RiskReport:
 
 
 def _apply_estimator(spec: ExperimentSpec, epsilon, y_blocks, beta_blocks):
-    """Run the chosen estimator; returns (estimate arrays, branch labels)."""
+    """Run the chosen estimator; returns ({j: estimate}, branch labels)."""
     if spec.estimator == "oracle-truth":
-        return [beta.copy() for beta in beta_blocks], ["oracle"] * len(beta_blocks)
-    seq = BlockedSequence(
-        epsilon=epsilon,
-        blocks=tuple((j, y) for (j, _), y in zip(spec.truth.block_ids_and_sizes(), y_blocks)),
-    )
-    estimates, fits = estimate_sequence(seq, spec.cfg, spec.estimator)
-    return estimates, [fit.branch for fit in fits]
+        return beta_blocks, ["oracle"] * len(beta_blocks)
+    estimates, fits = estimate_sequence(epsilon, y_blocks, spec.cfg, spec.estimator)
+    return estimates, [fit.branch for fit in fits.values()]
 
 
 def _run_replicate(spec: ExperimentSpec, epsilon, r):
     """One replicate up to its ideal risk: returns (per-block sq errors,
-    branches, beta blocks)."""
+    branches, {j: beta})."""
     rng = replicate_rng(spec.seed, r)
     # overflow, of epsilon * theta or of the observations, is reported once,
     # as NumericFailure, not as numpy warnings
     with np.errstate(over="ignore"):
         beta_blocks = spec.truth.draw_blocks(epsilon, rng)
-        y_blocks = [beta + epsilon * rng.standard_normal(beta.size) for beta in beta_blocks]
-    if not all(np.all(np.isfinite(y)) for y in y_blocks):
+        y_blocks = {j: beta + epsilon * rng.standard_normal(beta.size) for j, beta in beta_blocks.items()}
+    if not all(np.all(np.isfinite(y)) for y in y_blocks.values()):
         raise NumericFailure(f"observations overflow at epsilon {epsilon:g}")
     estimates, branches = _apply_estimator(spec, epsilon, y_blocks, beta_blocks)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.array(
-            [float(np.sum((est - beta) ** 2)) for est, beta in zip(estimates, beta_blocks)]
+            [float(np.sum((estimates[j] - beta) ** 2)) for j, beta in beta_blocks.items()]
         )
     return sq, branches, beta_blocks
 
@@ -359,8 +363,8 @@ def _run_share(spec, epsilon, share):
                 raise
             runs.append((sq, branches))
             if pricing:
-                waiting.extend(beta_blocks)
-                waiting_size += sum(beta.size for beta in beta_blocks)
+                waiting.extend(beta_blocks.values())
+                waiting_size += sum(beta.size for beta in beta_blocks.values())
                 if waiting_size >= _IDEAL_BATCH:
                     price()
                     waiting_size = 0
@@ -507,7 +511,7 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
     unavailable every replicate runs in this process.
     """
     epsilon = _resolve_epsilon(spec)
-    ids_sizes = spec.truth.block_ids_and_sizes()
+    sizes = spec.truth.block_sizes()
     reps = spec.replicates
     jobs = max(1, int(jobs))
     if jobs > 1 and reps > 1:
@@ -515,7 +519,7 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
     crew = _worker_crew(jobs - 1) if jobs > 1 and reps > 1 else []
     results = _replicates(crew, spec, epsilon, reps)
 
-    n_blocks = len(ids_sizes)
+    n_blocks = len(sizes)
     sq_matrix = np.zeros((reps, n_blocks))
     ideal_matrix = np.zeros((reps, n_blocks))
     have_random_ideal = spec.truth.is_random() and spec.compute_ideal
@@ -538,10 +542,10 @@ def monte_carlo_risk(spec: ExperimentSpec, jobs=1) -> RiskReport:
     elif have_random_ideal:
         block_ideal = list(ideal_matrix.mean(axis=0))
     else:
-        block_ideal = block_ideal_risks([beta for _, beta in spec.truth.blocks], epsilon)
+        block_ideal = block_ideal_risks(list(spec.truth.blocks.values()), epsilon)
 
     rows = []
-    for b, (block_id, size) in enumerate(ids_sizes):
+    for b, (block_id, size) in enumerate(sizes.items()):
         modal = min(
             branch_counts[b].items(), key=lambda kv: (-kv[1], kv[0])
         )[0]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .blocks import TuningConfig
 from .errors import NumericFailure
-from .sequence import BlockedSequence, dyadic_sequence, estimate_sequence
+from .sequence import estimate_sequence
 
 #: upper quartile of the standard normal, for MAD noise calibration; the
 #: double statistics.NormalDist().inv_cdf(0.75) returns, written out so that
@@ -176,15 +176,17 @@ def dwt(signal, basis: WaveletBasis):
 
 
 def idwt(levels, basis: WaveletBasis):
-    """Inverse of :func:`dwt`; accepts the same {j: array} layout."""
+    """Inverse of :func:`dwt`; accepts the same {j: array} layout, levels
+    j = -1, 0, 1, ... without gaps, level j of size 2^max(j, 0)."""
     levels = {int(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
-    js = sorted(levels)
-    if js[0] != -1 or levels[-1].size != 1:
+    if -1 not in levels or levels[-1].size != 1:
         raise ValueError("levels must start at j = -1 with a single coefficient")
     n_total = sum(v.size for v in levels.values())
     _check_dyadic_length(n_total)
-    approx = levels[-1].copy()
-    for j in js[1:]:
+    approx = levels[-1]
+    for j in range(len(levels) - 1):
+        if j not in levels:
+            raise ValueError(f"levels must run -1, 0, 1, ... without gaps; level {j} is missing")
         detail = levels[j]
         if detail.size != approx.size:
             raise ValueError(f"level {j} has size {detail.size}, expected {approx.size}")
@@ -230,8 +232,7 @@ class EquispacedReport:
 
     sigma_hat: float
     epsilon: float
-    levels: tuple
-    fits: tuple
+    fits: dict  # level -> FittedBlockRule, coarsest first
 
 
 def denoise_equispaced(observations, basis: WaveletBasis, cfg: TuningConfig = TuningConfig(), sigma=None):
@@ -251,18 +252,10 @@ def denoise_equispaced(observations, basis: WaveletBasis, cfg: TuningConfig = Tu
     if sigma_hat < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma_hat}")
     if sigma_hat == 0.0:
-        return y.copy(), EquispacedReport(sigma_hat=0.0, epsilon=0.0, levels=(), fits=())
+        return y.copy(), EquispacedReport(sigma_hat=0.0, epsilon=0.0, fits={})
     epsilon = sigma_hat / math.sqrt(n)
-    seq = dyadic_sequence(epsilon, levels)
-    estimates, fits = estimate_sequence(seq, cfg)
-    shrunk = {j: est for (j, _), est in zip(seq.blocks, estimates)}
-    f_hat = idwt(shrunk, basis)
-    return f_hat, EquispacedReport(
-        sigma_hat=sigma_hat,
-        epsilon=epsilon,
-        levels=tuple(j for j, _ in seq.blocks),
-        fits=tuple(fits),
-    )
+    estimates, fits = estimate_sequence(epsilon, levels, cfg)
+    return idwt(estimates, basis), EquispacedReport(sigma_hat=sigma_hat, epsilon=epsilon, fits=fits)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +388,7 @@ class RandomDesignReport:
     """Per-level diagnostics of a random-design fit."""
 
     epsilon: float
-    levels: tuple
-    fits: tuple
-    effective: tuple
+    fits: dict  # level -> FittedBlockRule, for the levels with a usable coefficient
 
 
 def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningConfig(), *, sigma):
@@ -408,32 +399,26 @@ def random_design_estimate(data: RandomDesignData, cfg: TuningConfig = TuningCon
     integrated squared error 1.3-5.6 times on the test signals, whose noise
     levels are 0.04-0.42.  Where the usability indicator is zero the
     coefficient estimate is zero.  Each level's usable coefficients form
-    one block of a :class:`sequence.BlockedSequence`, estimated by
-    :func:`sequence.estimate_sequence` with the hybrid estimator; levels
-    with none are skipped and report no fit.  ``sigma = 0`` short-circuits
-    to the identity on the raw contrasts.  A block that overflows when
-    standardized raises NumericFailure.  Returns
+    one block of the {j: array} mapping that
+    :func:`sequence.estimate_sequence` estimates with the hybrid estimator;
+    levels with none are skipped and report no fit.  ``sigma = 0``
+    short-circuits to the identity on the raw contrasts.  A block that
+    overflows when standardized raises NumericFailure.  Returns
     ``(cell_values, report)`` where ``cell_values`` is the estimated
     function on the 2^(J+1) finest dyadic cells.
     """
     sigma = float(sigma)
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    levels = sorted(data.coefficients)
-    effective = tuple(data.effective[j] for j in levels)
     if sigma == 0.0:
-        cells = _unbalanced_inverse(data, data.coefficients)
-        return cells, RandomDesignReport(epsilon=0.0, levels=tuple(levels), fits=(), effective=effective)
+        return _unbalanced_inverse(data, data.coefficients), RandomDesignReport(epsilon=0.0, fits={})
     epsilon = sigma / math.sqrt(data.n_points)
-    masks = {j: data.deltas[j] == 1 for j in levels}
-    used = [j for j in levels if masks[j].any()]
-    # BlockedSequence also rejects a subnormal sigma that rounds sigma / sqrt(n) to 0
-    seq = BlockedSequence(epsilon, tuple((j, data.coefficients[j][masks[j]]) for j in used))
-    shrunk, block_fits = estimate_sequence(seq, cfg)
-    estimates = {j: np.zeros(data.coefficients[j].size) for j in levels}
-    for j, beta_hat in zip(used, shrunk):
-        estimates[j][masks[j]] = beta_hat
-    fits = dict(zip(used, block_fits))
-    return _unbalanced_inverse(data, estimates), RandomDesignReport(
-        epsilon=epsilon, levels=tuple(levels), fits=tuple(fits.get(j) for j in levels), effective=effective
+    masks = {j: data.deltas[j] == 1 for j in data.coefficients}
+    # estimate_sequence also rejects a subnormal sigma that rounds sigma / sqrt(n) to 0
+    shrunk, fits = estimate_sequence(
+        epsilon, {j: data.coefficients[j][mask] for j, mask in masks.items() if mask.any()}, cfg
     )
+    estimates = {j: np.zeros(mask.size) for j, mask in masks.items()}
+    for j, beta_hat in shrunk.items():
+        estimates[j][masks[j]] = beta_hat
+    return _unbalanced_inverse(data, estimates), RandomDesignReport(epsilon=epsilon, fits=fits)

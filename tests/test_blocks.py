@@ -38,7 +38,7 @@ from gebshrink.mixture import (
 )
 from gebshrink.quadrature import integrate
 from gebshrink.risklab import replicate_rng
-from gebshrink.sequence import BlockedSequence, estimate_sequence
+from gebshrink.sequence import estimate_sequence
 from gebshrink.thresholds import soft_threshold_risk, threshold
 from gebshrink.wavelets import RandomDesignData, random_design_estimate
 
@@ -351,13 +351,13 @@ def test_fit_block_policy_table(estimator, policy, below):
         assert np.allclose(fit.rule(x), james_stein(x, 1.0), rtol=1e-15, atol=0.0)
 
     grid = np.linspace(-8.0, 8.0, 41)
-    _, (seq_fit,) = estimate_sequence(BlockedSequence(1.0, ((0, x),)), cfg, estimator)
+    seq_fit = estimate_sequence(1.0, {0: x}, cfg, estimator)[1][0]
     assert seq_fit.branch == fit.branch and seq_fit.kappa_hat == fit.kappa_hat
     assert np.array_equal(seq_fit.rule(grid), fit.rule(grid))
     if estimator == "geb-hybrid":
         level, data = _masked_design(x, 64)
         _, report = random_design_estimate(data, cfg, sigma=1.0)
-        design_fit = report.fits[report.levels.index(level)]
+        design_fit = report.fits[level]
         assert design_fit.branch == fit.branch and design_fit.kappa_hat == fit.kappa_hat
         assert np.array_equal(design_fit.rule(grid), fit.rule(grid))
 

@@ -864,13 +864,18 @@ def _main(argv, threads=None):
 
 
 def _run_with_setting(source, key, text, tmp):
-    """Run the command that reads ``key`` from ``source``, set to ``text``."""
-    if source == "flag" and key == "sigma":
+    """Run the command that reads ``key`` from ``source``, set to ``text``:
+    ``denoise`` for sigma and wavelet, else ``risk``, or ``simulate`` for a
+    spec entry."""
+    if key in ("sigma", "wavelet"):
         write_signal_csv(os.path.join(tmp, "in.csv"), np.sin(np.arange(64.0)))
         argv = ["denoise", "--input", os.path.join(tmp, "in.csv"), "--output", os.path.join(tmp, "out.csv")]
-        return _main([*argv, f"--sigma={text}"])
+        if source == "flag":
+            return _main([*argv, f"--{key}={text}"])
+        write_spec(os.path.join(tmp, "denoise.cfg"), **{key: text})
+        return _main([*argv, "--config", os.path.join(tmp, "denoise.cfg")])
     flags = {**_RISK_FLAGS, key: text} if source == "flag" else _RISK_FLAGS
-    risk = ["risk", *(f"--{k}={v}" for k, v in flags.items())]
+    risk = ["risk", *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items())]
     if source in ("flag", "GEB_SHRINK_THREADS"):
         return _main(risk, threads=text if source == "GEB_SHRINK_THREADS" else None)
     path = os.path.join(tmp, f"{source}.cfg")
@@ -920,6 +925,28 @@ def test_a_setting_given_as_a_flag_or_in_a_config_file_gives_the_same_report(tmp
     assert from_flags[0] == 0, from_flags[2]
     assert from_flags == from_config
     assert json.loads(from_flags[1])["seed"] == 4
+
+
+# choice setting -> the sources that may hold it
+_CHOICE_SETTINGS = {
+    "estimator": ("flag", "spec"),
+    "format": ("flag", "config", "spec"),
+    "small_block": ("flag", "config", "spec"),
+    "wavelet": ("flag", "config"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CHOICE_SETTINGS))
+def test_a_bad_choice_is_one_error_line_from_every_source(key, tmp_path):
+    # the library checks each choice and argparse none, so a flag fails
+    # with the line a config or spec entry gives, not with a usage block
+    errors = set()
+    for source in _CHOICE_SETTINGS[key]:
+        code, out, err = _run_with_setting(source, key, "db97", str(tmp_path))
+        assert (code, out) == (2, ""), (source, err)
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'db97'" in err, (source, err)
+        errors.add(err)
+    assert len(errors) == 1, errors
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])

@@ -250,6 +250,12 @@ def test_a_non_finite_deterministic_truth_is_rejected_when_built(value):
         TruthSource.explicit([(-1, [1.0]), (0, [0.5, value])])
 
 
+def test_an_explicit_truth_with_a_repeated_level_is_rejected_when_built():
+    # as pairs, a level given twice would otherwise keep only its last values
+    with pytest.raises(ValueError, match="block levels must be distinct"):
+        TruthSource.explicit([(0, [1.0]), (1, [0.5, 2.0]), (0, [3.0])])
+
+
 def test_deterministic_truth_blocks_are_read_only():
     source = np.array([0.3, -1.0, 2.0, 0.0])
     truths = (
@@ -259,17 +265,16 @@ def test_deterministic_truth_blocks_are_read_only():
         TruthSource.explicit({2: source}),
     )
     for truth in truths:
-        assert [j for j, _ in truth.blocks] == [j for j, _ in truth.block_ids_and_sizes()]
-        drawn = truth.draw_blocks(0.5, replicate_rng(0, 0))
-        for (_, beta), same in zip(truth.blocks, drawn):
-            assert same is beta
+        assert truth.block_sizes() == {j: beta.size for j, beta in truth.blocks.items()}
+        assert truth.draw_blocks(0.5, replicate_rng(0, 0)) is truth.blocks
+        for beta in truth.blocks.values():
             assert not beta.flags.writeable
             with pytest.raises(ValueError):
                 beta[0] = 1.0
     # explicit truths copy: the caller's array stays writeable and unlinked
     source[0] = 9.0
-    assert truths[-1].blocks[0][1][0] == 0.3
-    assert truths[1].blocks[3][1][0] == 2.0 ** (-2 * 1.5)
+    assert truths[-1].blocks[2][0] == 0.3
+    assert truths[1].blocks[2][0] == 2.0 ** (-2 * 1.5)
 
 
 # ----------------------------------------------------------- the worker crew
@@ -412,6 +417,19 @@ def test_a_failing_replicate_raises_as_in_a_serial_run(started_crews, monkeypatc
     assert len(started_crews) == 1 and not _closed(started_crews[0])
 
 
+def test_an_explicit_truth_keeps_its_order_as_a_dict_or_as_pairs(started_crews):
+    # levels out of order draw their noise and list their rows in the given order
+    values = np.random.default_rng(5).choice([-3.0, 0.0, 3.0], size=80)
+    pairs = [(5, values), (-1, [1.5]), (2, [0.5, -2.0, 1.0, 0.0])]
+    reports = set()
+    for blocks in (dict(pairs), pairs):
+        spec = _small_spec(truth=TruthSource.explicit(blocks), cfg=TuningConfig(b0=0.25, n_star=8))
+        for jobs in (1, 2):
+            reports.add(report_to_json(monte_carlo_risk(spec, jobs=jobs)))
+    assert len(reports) == 1
+    assert [row["block_id"] for row in json.loads(reports.pop())["per_block"]] == [5, -1, 2]
+
+
 def _far_ideal_replicate(spec, epsilon, r):
     """Stands in for _run_replicate: replicate ``spec.seed`` hands on a block
     whose ideal risk fails in quadrature, and replicate ``spec.seed + 1``
@@ -420,7 +438,7 @@ def _far_ideal_replicate(spec, epsilon, r):
         raise NumericFailure(f"replicate {r} failed")
     sq, branches, beta_blocks = _REAL_REPLICATE(spec, epsilon, r)
     if r == spec.seed:
-        beta_blocks = (np.array([0.0, 1e200]),)  # atoms 1e200 apart: non-finite integrand
+        beta_blocks = {0: np.array([0.0, 1e200])}  # atoms 1e200 apart: non-finite integrand
     return sq, branches, beta_blocks
 
 

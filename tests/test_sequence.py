@@ -4,24 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gebshrink.blocks import TuningConfig, james_stein
+from gebshrink.blocks import BLOCK_ESTIMATORS, TuningConfig, fit_block, james_stein
 from gebshrink.errors import NumericFailure
-from gebshrink.mixture import bayes_risk, from_atoms
-from gebshrink.sequence import (
-    BlockedSequence,
-    block_ideal_risks,
-    dyadic_sequence,
-    estimate_sequence,
-)
+from gebshrink.mixture import IdentityRule, bayes_risk, from_atoms
+from gebshrink.sequence import block_ideal_risks, estimate_sequence
 
 
 def make_dyadic(rng, j_max, epsilon, scale=1.0):
+    """{j: values} for levels -1 .. j_max, level j of size 2^max(j, 0)."""
     blocks = {}
     for j in range(-1, j_max + 1):
         n = 2 ** max(j, 0)
         blocks[j] = rng.standard_normal(n) * scale + rng.standard_normal(n) * epsilon
-    return dyadic_sequence(epsilon, blocks)
+    return blocks
 
 
 def ideal_risk(epsilon, truth):
@@ -32,111 +30,136 @@ def ideal_risk(epsilon, truth):
 # ---------------------------------------------------------------- structure
 
 
-def test_dyadic_sequence_sizes():
-    seq = dyadic_sequence(0.1, {j: np.zeros(2 ** max(j, 0)) for j in range(-1, 5)})
-    assert [(j, len(v)) for j, v in seq.blocks] == [
-        (-1, 1), (0, 1), (1, 2), (2, 4), (3, 8), (4, 16)
-    ]
-
-
-def test_dyadic_sequence_validates_shape():
-    with pytest.raises(ValueError):
-        dyadic_sequence(0.1, {-1: np.zeros(1), 0: np.zeros(2)})  # wrong size
-    with pytest.raises(ValueError):
-        dyadic_sequence(0.1, {0: np.zeros(1)})  # must start at -1
-    with pytest.raises(ValueError):
-        dyadic_sequence(0.1, {-1: np.zeros(1), 1: np.zeros(2)})  # gap
-    with pytest.raises(ValueError):
-        dyadic_sequence(0.0, {-1: np.zeros(1)})
-
-
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_epsilon_must_be_positive_and_finite(epsilon):
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-        BlockedSequence(epsilon=epsilon, blocks=((0, np.ones(4)),))
+        estimate_sequence(epsilon, {0: np.ones(4)})
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ({}, "need at least one block"),
+        ({2: np.ones(4), 7: np.empty(0)}, "block 7 is empty"),
+        ({2: np.ones(4), -1: np.array([np.nan])}, "block -1 contains non-finite values"),
+        # every block is checked before any is fitted, so block 3's overflow is never met
+        ({3: np.full(4, 1e-3), 5: np.array([np.inf])}, "block 5 contains non-finite values"),
+    ],
+    ids=["no-blocks", "empty", "nan", "checked-first"],
+)
+def test_malformed_blocks_are_rejected(levels, message):
+    with pytest.raises(ValueError, match=message):
+        estimate_sequence(1e-320, levels)
 
 
 def test_overflowing_standardization_is_numeric_failure():
     # 1e-320 is a valid epsilon, but the second block divided by it overflows
-    seq = BlockedSequence(epsilon=1e-320, blocks=((3, np.zeros(4)), (5, np.full(4, 1e-3))))
     with pytest.raises(NumericFailure, match="block 5 overflows"):
-        estimate_sequence(seq)
+        estimate_sequence(1e-320, {3: np.zeros(4), 5: np.full(4, 1e-3)})
+
+
+_SEQUENCE_CFGS = (TuningConfig(), TuningConfig(b0=0.25, n_star=8, small_block_policy="james_stein"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=5, unique=True),
+    sizes=st.lists(st.integers(1, 300), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.floats(1e-3, 1e3),
+    estimator=st.sampled_from(BLOCK_ESTIMATORS),
+    cfg=st.sampled_from(_SEQUENCE_CFGS),
+)
+def test_each_block_is_estimated_alone_under_its_own_key(keys, sizes, seed, epsilon, estimator, cfg):
+    rng = np.random.default_rng(seed)
+    levels = {
+        key: epsilon * (rng.choice([-4.0, 0.0, 4.0], size=n) + rng.standard_normal(n))
+        for key, n in zip(keys, sizes)
+    }
+    estimates, fits = estimate_sequence(epsilon, levels, cfg, estimator)
+    assert list(estimates) == list(fits) == keys
+    grid = np.linspace(-8.0, 8.0, 33)
+    for key, values in levels.items():
+        alone = fit_block(values / epsilon, cfg, estimator)
+        fit = fits[key]
+        assert (fit.branch, fit.n) == (alone.branch, alone.n)
+        for name in ("kappa_hat", "rho", "b", "lam"):
+            assert np.array_equal(getattr(fit, name), getattr(alone, name), equal_nan=True)
+        assert np.array_equal(fit.rule(grid), alone.rule(grid))
+        want = values if isinstance(alone.rule, IdentityRule) else epsilon * alone.rule(values / epsilon)
+        assert estimates[key].tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 # ---------------------------------------------------------------- estimation
 
 
 def test_zero_sequence_estimates_to_zero():
-    seq = dyadic_sequence(0.5, {j: np.zeros(2 ** max(j, 0)) for j in range(-1, 8)})
-    estimates, fits = estimate_sequence(seq, TuningConfig())
-    for est in estimates:
+    levels = {j: np.zeros(2 ** max(j, 0)) for j in range(-1, 8)}
+    estimates, fits = estimate_sequence(0.5, levels, TuningConfig())
+    for est in estimates.values():
         assert np.array_equal(est, np.zeros_like(est))
-    for fit in fits:
+    for fit in fits.values():
         if fit.n >= 64:
             assert fit.branch == "threshold"
 
 
 def test_small_levels_pass_through_under_mle_policy():
     rng = np.random.default_rng(3)
-    seq = make_dyadic(rng, 5, 0.2)  # largest block is 32 < 64
-    estimates, fits = estimate_sequence(seq, TuningConfig())
-    for (j, values), est, fit in zip(seq.blocks, estimates, fits):
-        assert np.array_equal(est, values)
-        assert fit.branch == "mle"
+    levels = make_dyadic(rng, 5, 0.2)  # largest block is 32 < 64
+    estimates, fits = estimate_sequence(0.2, levels, TuningConfig())
+    for j, values in levels.items():
+        assert np.array_equal(estimates[j], values)
+        assert fits[j].branch == "mle"
 
 
 def test_james_stein_policy_on_small_levels():
     rng = np.random.default_rng(4)
-    seq = make_dyadic(rng, 4, 0.3)
+    levels = make_dyadic(rng, 4, 0.3)
     cfg = TuningConfig(small_block_policy="james_stein")
-    estimates, fits = estimate_sequence(seq, cfg)
-    for (j, values), est, fit in zip(seq.blocks, estimates, fits):
-        assert fit.branch == "james_stein"
-        assert np.allclose(est, james_stein(values, 0.3), rtol=1e-12, atol=0.0)
+    estimates, fits = estimate_sequence(0.3, levels, cfg)
+    for j, values in levels.items():
+        assert fits[j].branch == "james_stein"
+        assert np.allclose(estimates[j], james_stein(values, 0.3), rtol=1e-12, atol=0.0)
 
 
 def test_scale_equivariance_power_of_two_is_bitwise():
     rng = np.random.default_rng(5)
-    seq = make_dyadic(rng, 8, 0.25, scale=1.5)
-    base, _ = estimate_sequence(seq, TuningConfig())
-    doubled = dyadic_sequence(0.5, {j: 2.0 * v for j, v in seq.blocks})
-    scaled, _ = estimate_sequence(doubled, TuningConfig())
-    for a, b in zip(base, scaled):
-        assert np.array_equal(2.0 * a, b)
+    levels = make_dyadic(rng, 8, 0.25, scale=1.5)
+    base, _ = estimate_sequence(0.25, levels, TuningConfig())
+    scaled, _ = estimate_sequence(0.5, {j: 2.0 * v for j, v in levels.items()}, TuningConfig())
+    for j in levels:
+        assert np.array_equal(2.0 * base[j], scaled[j])
 
 
 def test_scale_equivariance_generic_factor():
     rng = np.random.default_rng(6)
-    seq = make_dyadic(rng, 8, 0.25, scale=1.5)
-    base, _ = estimate_sequence(seq, TuningConfig())
+    levels = make_dyadic(rng, 8, 0.25, scale=1.5)
+    base, _ = estimate_sequence(0.25, levels, TuningConfig())
     c = 3.7
-    scaled_seq = dyadic_sequence(c * 0.25, {j: c * v for j, v in seq.blocks})
-    scaled, _ = estimate_sequence(scaled_seq, TuningConfig())
-    for a, b in zip(base, scaled):
-        denom = np.maximum(np.abs(c * a), 1e-300)
-        assert float(np.max(np.abs(c * a - b) / denom)) < 1e-12
+    scaled, _ = estimate_sequence(c * 0.25, {j: c * v for j, v in levels.items()}, TuningConfig())
+    for j in levels:
+        denom = np.maximum(np.abs(c * base[j]), 1e-300)
+        assert float(np.max(np.abs(c * base[j] - scaled[j]) / denom)) < 1e-12
 
 
 def test_shape_preserved():
     rng = np.random.default_rng(7)
-    seq = make_dyadic(rng, 7, 0.4)
-    estimates, fits = estimate_sequence(seq, TuningConfig())
-    assert len(estimates) == len(seq.blocks) == len(fits)
-    for (j, values), est in zip(seq.blocks, estimates):
-        assert est.shape == values.shape
+    levels = make_dyadic(rng, 7, 0.4)
+    estimates, fits = estimate_sequence(0.4, levels, TuningConfig())
+    assert list(estimates) == list(levels) == list(fits)
+    for j, values in levels.items():
+        assert estimates[j].shape == values.shape
 
 
 def test_within_block_permutation_acts_coordinatewise():
     rng = np.random.default_rng(8)
-    seq = make_dyadic(rng, 7, 0.4, scale=2.0)
-    estimates, _ = estimate_sequence(seq, TuningConfig())
-    blocks = dict(seq.blocks)
+    levels = make_dyadic(rng, 7, 0.4, scale=2.0)
+    estimates, _ = estimate_sequence(0.4, levels, TuningConfig())
     perm = rng.permutation(128)
-    blocks[7] = blocks[7][perm]
-    permuted, _ = estimate_sequence(dyadic_sequence(0.4, blocks), TuningConfig())
-    assert np.array_equal(permuted[-1], estimates[-1][perm])
-    for a, b in zip(estimates[:-1], permuted[:-1]):
-        assert np.array_equal(a, b)
+    permuted, _ = estimate_sequence(0.4, {**levels, 7: levels[7][perm]}, TuningConfig())
+    assert np.array_equal(permuted[7], estimates[7][perm])
+    for j in range(-1, 7):
+        assert np.array_equal(estimates[j], permuted[j])
 
 
 @pytest.mark.parametrize("n", [256, 2**13, 2**13 + 197], ids=["fused", "fused-at-cap", "two-walks"])
@@ -147,24 +170,24 @@ def test_permuted_geb_block_gives_the_permuted_estimate(n, ties):
     if ties:  # many equal values: equal inputs must give equal outputs
         values = np.round(values, 1)
     cfg = TuningConfig(b0=0.25)
-    estimates, fits = estimate_sequence(BlockedSequence(0.5, ((3, values),)), cfg)
-    assert fits[0].branch == "geb" and fits[0].rule.density.mode == "fourier"
+    estimates, fits = estimate_sequence(0.5, {3: values}, cfg)
+    assert fits[3].branch == "geb" and fits[3].rule.density.mode == "fourier"
     perm = rng.permutation(n)
-    permuted, _ = estimate_sequence(BlockedSequence(0.5, ((3, values[perm]),)), cfg)
-    assert np.array_equal(permuted[0], estimates[0][perm])
+    permuted, _ = estimate_sequence(0.5, {3: values[perm]}, cfg)
+    assert np.array_equal(permuted[3], estimates[3][perm])
     if ties:
         first = {}
-        for v, e in zip(values, estimates[0]):
+        for v, e in zip(values, estimates[3]):
             assert first.setdefault(v, e) == e
 
 
 def test_fit_determinism_repeated_runs():
     rng = np.random.default_rng(9)
-    seq = make_dyadic(rng, 8, 0.3)
-    a, _ = estimate_sequence(seq, TuningConfig())
-    b, _ = estimate_sequence(seq, TuningConfig())
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    levels = make_dyadic(rng, 8, 0.3)
+    a, _ = estimate_sequence(0.3, levels, TuningConfig())
+    b, _ = estimate_sequence(0.3, levels, TuningConfig())
+    for j in levels:
+        assert np.array_equal(a[j], b[j])
 
 
 # ---------------------------------------------------------------- ideal risk

@@ -102,6 +102,18 @@ def test_non_dyadic_length_rejected_with_explanation():
         dwt(np.zeros(1), wavelet_basis("haar"))
 
 
+def test_idwt_rejects_a_malformed_layout():
+    for sizes, message in [
+        ({-1: 1, 0: 2}, "power of two"),  # wrong size
+        ({-1: 1, 0: 1, 1: 1, 2: 5}, "level 1 has size 1, expected 2"),
+        ({0: 1}, "start at j = -1"),  # no coarsest coefficient
+        ({-1: 1, 1: 2}, "power of two"),  # a gap
+        ({-1: 1, 0: 1, 1: 2, 3: 4}, "without gaps; level 2 is missing"),  # a gap, dyadic total
+    ]:
+        with pytest.raises(ValueError, match=message):
+            idwt({j: np.zeros(n) for j, n in sizes.items()}, wavelet_basis("haar"))
+
+
 def test_white_noise_coefficients_have_scaled_variance():
     rng = np.random.default_rng(42)
     n = 8192
@@ -391,14 +403,14 @@ def test_denoise_is_scale_equivariant(name, basis_name, n, seed, cfg, power, fac
     y = samples + sigma * np.random.default_rng(seed).standard_normal(n)
     basis = wavelet_basis(basis_name)
     base, report = denoise_equispaced(y, basis, cfg)
-    branches = [fit.branch for fit in report.fits]
+    branches = [fit.branch for fit in report.fits.values()]
 
     # scaling by a power of two is exact in every step, so bit for bit
     c = 2.0**power
     scaled, scaled_report = denoise_equispaced(c * y, basis, cfg)
     assert np.array_equal(scaled, c * base)
     assert scaled_report.sigma_hat == c * report.sigma_hat
-    assert [fit.branch for fit in scaled_report.fits] == branches
+    assert [fit.branch for fit in scaled_report.fits.values()] == branches
 
     # any other factor: to rounding, relative to the estimate's scale
     scaled, scaled_report = denoise_equispaced(factor * y, basis, cfg)
@@ -406,7 +418,7 @@ def test_denoise_is_scale_equivariant(name, basis_name, n, seed, cfg, power, fac
     assert float(np.max(np.abs(scaled - factor * base))) <= 1e-12 * factor * float(
         np.max(np.abs(base))
     )
-    assert [fit.branch for fit in scaled_report.fits] == branches
+    assert [fit.branch for fit in scaled_report.fits.values()] == branches
 
 
 @settings(max_examples=24, deadline=None)
@@ -426,18 +438,20 @@ def test_denoise_is_odd(name, basis_name, n, seed, given_sigma):
     # at the default schedule every block is odd to the bit: the transforms
     # negate exactly and so does soft thresholding
     base, report = denoise_equispaced(y, basis, sigma=known)
+    branches = [fit.branch for fit in report.fits.values()]
     flipped, flipped_report = denoise_equispaced(-y, basis, sigma=known)
     assert np.array_equal(flipped, -base)
     assert flipped_report.sigma_hat == report.sigma_hat
-    assert [fit.branch for fit in flipped_report.fits] == [fit.branch for fit in report.fits]
+    assert [fit.branch for fit in flipped_report.fits.values()] == branches
 
     # where blocks take the geb branch, kappa_hat and the density estimate
     # add their sorted values in reverse order: equal to rounding
     cfg = TuningConfig(b0=0.25)
     base, report = denoise_equispaced(y, basis, cfg, sigma=known)
+    branches = [fit.branch for fit in report.fits.values()]
     flipped, flipped_report = denoise_equispaced(-y, basis, cfg, sigma=known)
     assert float(np.max(np.abs(flipped + base))) <= 1e-12
-    assert [fit.branch for fit in flipped_report.fits] == [fit.branch for fit in report.fits]
+    assert [fit.branch for fit in flipped_report.fits.values()] == branches
 
 
 def test_denoise_smooth_run_reports_levels():
@@ -448,8 +462,7 @@ def test_denoise_smooth_run_reports_levels():
     f_hat, report = denoise_equispaced(y, wavelet_basis("s8"))
     assert f_hat.shape == y.shape
     assert np.all(np.isfinite(f_hat))
-    assert report.levels == tuple(range(-1, 10))
-    assert len(report.fits) == 11
+    assert list(report.fits) == list(range(-1, 10))
     assert 0.3 < report.sigma_hat < 0.8
     # shrinkage should beat the raw observations on this smooth target
     truth = 4.0 * np.sin(4.0 * np.pi * t)
