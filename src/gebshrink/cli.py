@@ -1,19 +1,22 @@
 """Command-line interface.
 
-Four commands:
+Three commands:
 
   denoise    shrink a noisy equispaced signal read from CSV
-  simulate   run a Monte Carlo risk experiment described by a spec file
   oracle     print posterior-mean risk, signal-mass summaries and the
              branch frontier of a prior
-  risk       quick risk run / rate fit configured entirely by flags
+  risk       run a Monte Carlo risk experiment, or fit its rate
 
 Exit codes: 0 success, 1 numeric failure, a worker process that died or
 a run out of memory (one ``error:`` line), 2 invalid arguments or config.
-Flags override spec/config files; GEB_SHRINK_THREADS supplies --jobs (the
-processes that run replicates, this one included) when the flag is absent.
---seed pins every stochastic output bit for bit.  The ``risklab`` commands
-import it when they run, so a ``denoise`` never loads it.
+A setting comes from its flag, else its key in the ``--config`` file, else
+its default: ``denoise`` and ``risk`` take every flag's setting as a key,
+but the files (--input, --output, --config) and --rate.  A ``risk`` run
+needs an estimator and a truth and runs 100 replicates by default.
+GEB_SHRINK_THREADS supplies --jobs (the processes that run replicates, this
+one included) when neither gives it.  --seed pins every stochastic output
+bit for bit.  ``risk`` imports ``risklab`` when it runs, so a ``denoise``
+never loads it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 
 from . import io as gio
 from .blocks import ESTIMATORS, TuningConfig, branch_frontier
-from .errors import InvalidConfigError, NumericFailure, WorkerDied
+from .errors import NumericFailure, WorkerDied
 from .mixture import bayes_risk, from_atoms, mixture_summaries
 from .wavelets import denoise_equispaced, wavelet_basis
 
@@ -36,26 +39,26 @@ _TUNING_FIELDS = {
     "a0": ("threshold_inflation", float, "threshold inflation"),
     "small_block": ("small_block_policy", str, "policy below nstar"),
 }
-_CONFIG_KEYS = frozenset(_TUNING_FIELDS) | {"seed", "jobs", "format"}
-_JOBS_HELP = (
-    "processes that run replicates, this one included, capped at the usable CPUs; "
-    "reports do not depend on it"
-)
-_DENOISE_KEYS = frozenset(_TUNING_FIELDS) | {"wavelet"}
-_SPEC_KEYS = _CONFIG_KEYS | {
-    "estimator",
-    "truth",
-    "epsilon",
-    "replicates",
-    "compute_ideal",
+# the settings with a default of their own; the tuning settings take
+# TuningConfig's, jobs GEB_SHRINK_THREADS's and sigma the MAD estimate
+_DEFAULTS = {
+    "wavelet": "s8",
+    "epsilon": "auto",
+    "replicates": "100",
+    "seed": "0",
+    "compute_ideal": "true",
+    "format": "json",
 }
+# parsed arguments that no config file may set: the files, the rate-fit switch
+# and argparse's own entries
+_NOT_CONFIG = frozenset({"input", "output", "config", "rate", "command", "func"})
 
 
 def _add_tuning_flags(parser):
     defaults = TuningConfig()
     for key, (name, _, text) in _TUNING_FIELDS.items():
         parser.add_argument(f"--{key.replace('_', '-')}", help=f"{text} (default {getattr(defaults, name)})")
-    parser.add_argument("--config", default=None, help="flat key=value file; flags override it")
+    parser.add_argument("--config", help="flat key = value file of any other flag's setting; flags override it")
 
 
 def _read_config(path, allowed):
@@ -75,30 +78,44 @@ def _read_config(path, allowed):
     return table
 
 
+def _config_keys(args):
+    """The keys a command's --config file may set: its flags' settings."""
+    return frozenset(vars(args)) - _NOT_CONFIG
+
+
+def _apply_config(args):
+    """Give each setting that no flag set its --config entry, if any."""
+    if getattr(args, "config", None) is None:
+        return
+    for key, text in _read_config(args.config, _config_keys(args)).items():
+        if getattr(args, key) is None:
+            setattr(args, key, text)
+
+
 def _read(key, text, kind):
     """``text`` as ``kind``: a float or int by io's number rule, naming ``key``
     when it is malformed; any other ``kind`` is called on the text."""
     return gio.parse_number(key, text, kind) if kind in (float, int) else kind(text)
 
 
-def _merged(args, config, key, fallback=None, kind=str):
-    """The flag's text, else the spec or config entry's, read as ``kind``;
-    ``fallback`` when neither is given."""
-    text = getattr(args, key, None)
+def _setting(args, key, kind=str):
+    """The setting's flag or config text, else its default, read as ``kind``;
+    None when it has neither."""
+    text = getattr(args, key)
     if text is None:
-        text = config.get(key)
-    return fallback if text is None else _read(key, text, kind)
+        text = _DEFAULTS.get(key)
+    return None if text is None else _read(key, text, kind)
 
 
-def _tuning_from(args, config):
+def _tuning_from(args):
     """The values set by a flag or config key; TuningConfig supplies the rest."""
-    values = {name: _merged(args, config, key, kind=kind) for key, (name, kind, _) in _TUNING_FIELDS.items()}
+    values = {name: _setting(args, key, kind) for key, (name, kind, _) in _TUNING_FIELDS.items()}
     return TuningConfig(**{name: value for name, value in values.items() if value is not None})
 
 
-def _jobs_from(args, config):
+def _jobs_from(args):
     source = "jobs"
-    jobs = _merged(args, config, source, kind=int)
+    jobs = _setting(args, source, int)
     if jobs is None:
         source = "GEB_SHRINK_THREADS"
         jobs = gio.parse_number(source, os.environ.get(source, "1"), int)
@@ -152,24 +169,23 @@ def _parse_epsilons(text):
     return tuple(gio.parse_number("epsilon", x) for x in text.split(","))
 
 
-def _experiment(args, config):
-    """The ExperimentSpec of ``risk`` or ``simulate``: each setting from its
-    flag, else its spec or config entry, else its default."""
+def _experiment(args):
+    """The ExperimentSpec of ``risk``."""
     from .risklab import ExperimentSpec
 
-    cfg = _tuning_from(args, config)
+    cfg = _tuning_from(args)
     for key in ("estimator", "truth"):
-        if _merged(args, config, key) is None:  # risk requires both flags; a spec may lack them
-            raise ValueError(f"{args.spec}: missing {key!r}")
-    ideal = _merged(args, config, "compute_ideal", "true")
+        if getattr(args, key) is None:
+            raise ValueError(f"missing {key!r}: give --{key} or set {key} in --config")
+    ideal = _setting(args, "compute_ideal")
     if ideal.lower() not in ("true", "false"):
         raise ValueError(f"compute_ideal must be true or false, got {ideal!r}")
     return ExperimentSpec(
-        estimator=_merged(args, config, "estimator"),
-        truth=_merged(args, config, "truth", kind=_parse_truth),
-        epsilons=_merged(args, config, "epsilon", (), _parse_epsilons),
-        replicates=_merged(args, config, "replicates", 1, int),
-        seed=_merged(args, config, "seed", 0, int),
+        estimator=_setting(args, "estimator"),
+        truth=_setting(args, "truth", _parse_truth),
+        epsilons=_setting(args, "epsilon", _parse_epsilons),
+        replicates=_setting(args, "replicates", int),
+        seed=_setting(args, "seed", int),
         cfg=cfg,
         compute_ideal=ideal.lower() == "true",
     )
@@ -180,10 +196,9 @@ def _experiment(args, config):
 
 
 def _cmd_denoise(args):
-    config = _read_config(args.config, _DENOISE_KEYS) if args.config else {}
-    cfg = _tuning_from(args, config)
-    sigma = _merged(args, config, "sigma", kind=float)
-    basis = wavelet_basis(_merged(args, config, "wavelet", "s8"))
+    cfg = _tuning_from(args)
+    sigma = _setting(args, "sigma", float)
+    basis = wavelet_basis(_setting(args, "wavelet"))
     values, truth, _ = gio.read_signal_csv(args.input)
     estimate, report = denoise_equispaced(values, basis, cfg, sigma=sigma)
     gio.write_signal_csv(args.output, values, truth=truth, estimate=estimate)
@@ -202,39 +217,6 @@ def _cmd_denoise(args):
     return 0
 
 
-def _write_report(spec, args, config):
-    """Run spec, then write the report in --format to --output or print it."""
-    from .risklab import monte_carlo_risk, report_to_csv, report_to_json
-
-    fmt = _merged(args, config, "format", "json")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    report = monte_carlo_risk(spec, jobs=_jobs_from(args, config))
-    payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-        print(f"wrote {args.output}")
-    else:
-        print(payload, end="" if payload.endswith("\n") else "\n")
-    return report
-
-
-def _cmd_simulate(args):
-    config = _read_config(args.spec, _SPEC_KEYS)
-    if args.config:
-        # spec entries win over --config entries; flags win over both
-        config = {**_read_config(args.config, _CONFIG_KEYS), **config}
-    report = _write_report(_experiment(args, config), args, config)
-    # a printed payload keeps stdout machine-readable, so the summary goes to stderr
-    print(
-        f"total_mse = {gio.format_float(report.total_mse)}  "
-        f"(se {gio.format_float(report.total_se)}, replicates {report.replicates})",
-        file=sys.stdout if args.output else sys.stderr,
-    )
-    return 0
-
-
 def _cmd_oracle(args):
     prior = _parse_atoms(args.atoms)
     summary = mixture_summaries(prior)
@@ -247,12 +229,13 @@ def _cmd_oracle(args):
 
 
 def _cmd_risk(args):
-    from .risklab import rate_fit
+    from .risklab import monte_carlo_risk, rate_fit, report_to_csv, report_to_json
 
-    config = _read_config(args.config, _CONFIG_KEYS) if args.config else {}
-    spec = _experiment(args, config)
+    if args.rate and (args.output is not None or args.format is not None):
+        raise ValueError("--rate prints its fit and writes no report: drop --output and format")
+    spec = _experiment(args)
     if args.rate:
-        fit = rate_fit(spec, jobs=_jobs_from(args, config))
+        fit = rate_fit(spec, jobs=_jobs_from(args))
         print(f"slope     = {gio.format_float(fit.slope)}")
         print(f"intercept = {gio.format_float(fit.intercept)}")
         for eps, risk, se in fit.points:
@@ -261,7 +244,17 @@ def _cmd_risk(args):
                 f"(se {gio.format_float(se)})"
             )
         return 0
-    _write_report(spec, args, config)
+    fmt = _setting(args, "format")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    report = monte_carlo_risk(spec, jobs=_jobs_from(args))
+    payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(payload)
+        print(f"wrote {args.output}")
+    else:
+        print(payload, end="" if payload.endswith("\n") else "\n")
     return 0
 
 
@@ -275,32 +268,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("denoise", help="shrink a noisy equispaced signal from CSV")
     p_den.add_argument("--input", required=True, help="CSV with columns index,value[,truth]")
     p_den.add_argument("--output", required=True, help="writes index,value[,truth],estimate, the index 1..N; other input columns are not copied")
-    p_den.add_argument("--wavelet", default=None, help="wavelet basis (default s8)")
-    p_den.add_argument("--sigma", default=None, help="known noise scale (default: MAD estimate)")
+    p_den.add_argument("--wavelet", help=f"wavelet basis (default {_DEFAULTS['wavelet']})")
+    p_den.add_argument("--sigma", help="known noise scale (default: MAD estimate)")
     _add_tuning_flags(p_den)
     p_den.set_defaults(func=_cmd_denoise)
-
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment from a spec file")
-    p_sim.add_argument("--spec", required=True, help="flat key=value experiment description")
-    p_sim.add_argument("--output", default=None, help="report destination (prints when omitted)")
-    p_sim.add_argument("--format", default=None, help="csv or json (default json)")
-    p_sim.add_argument("--seed", default=None)
-    p_sim.add_argument("--jobs", default=None, help=_JOBS_HELP)
-    _add_tuning_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_orc = sub.add_parser("oracle", help="posterior-mean risk, signal mass and branch frontier of an atomic prior")
     p_orc.add_argument("--atoms", required=True, help="comma-separated location=weight atoms")
     p_orc.set_defaults(func=_cmd_oracle)
 
-    p_rsk = sub.add_parser("risk", help="risk run or rate fit configured by flags")
-    p_rsk.add_argument("--estimator", required=True, help=" | ".join(ESTIMATORS))
-    p_rsk.add_argument("--truth", required=True, help=_TRUTH_FORMS)
-    p_rsk.add_argument("--epsilon", default=None, help="comma-separated noise grid (or 'auto' for signal truths)")
-    p_rsk.add_argument("--replicates", default="100")
-    p_rsk.add_argument("--seed", default=None)
-    p_rsk.add_argument("--jobs", default=None, help=_JOBS_HELP)
-    p_rsk.add_argument("--rate", action="store_true", help="fit log-risk slope over the epsilon grid")
+    p_rsk = sub.add_parser("risk", help="Monte Carlo risk run or rate fit")
+    p_rsk.add_argument("--estimator", help=f"{' | '.join(ESTIMATORS)} (required, as a flag or config key)")
+    p_rsk.add_argument("--truth", help=f"{_TRUTH_FORMS} (required, as a flag or config key)")
+    p_rsk.add_argument("--epsilon", help="comma-separated noise grid (or 'auto' for signal truths)")
+    p_rsk.add_argument("--replicates", help=f"replicates per epsilon (default {_DEFAULTS['replicates']})")
+    p_rsk.add_argument("--seed", help=f"seed of every draw (default {_DEFAULTS['seed']})")
+    p_rsk.add_argument(
+        "--jobs",
+        help="processes that run replicates, this one included, capped at the usable CPUs; "
+        "reports do not depend on it (default GEB_SHRINK_THREADS, else 1)",
+    )
+    p_rsk.add_argument(
+        "--rate", action="store_true", help="print the log-risk slope over the epsilon grid, not a report"
+    )
     p_rsk.add_argument(
         "--no-ideal",
         dest="compute_ideal",
@@ -308,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         const="false",
         help="skip the ideal risk, so total_ideal and regret are null (compute_ideal = false)",
     )
-    p_rsk.add_argument("--format", default=None, help="csv or json (default json)")
-    p_rsk.add_argument("--output", default=None)
+    p_rsk.add_argument("--format", help=f"csv or json (default {_DEFAULTS['format']})")
+    p_rsk.add_argument("--output", help="report destination (prints when omitted)")
     _add_tuning_flags(p_rsk)
     p_rsk.set_defaults(func=_cmd_risk)
 
@@ -320,8 +310,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_config(args)
         return args.func(args)
-    except (ValueError, InvalidConfigError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericFailure as err:

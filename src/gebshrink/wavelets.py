@@ -24,7 +24,7 @@ including levels shorter than the filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,17 +69,17 @@ _FILTERS = {
 
 @dataclass(frozen=True, eq=False)
 class WaveletBasis:
-    """Orthonormal two-channel filter bank with periodic boundary."""
+    """Orthonormal two-channel filter bank with periodic boundary.  The
+    highpass is the lowpass's quadrature mirror, g[k] = (-1)^k h[N-1-k]."""
 
     name: str
     lowpass: np.ndarray
-    highpass: np.ndarray
+    highpass: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        h = np.array(self.lowpass, dtype=float)  # a copy: the caller's arrays stay writable
-        g = np.array(self.highpass, dtype=float)
-        if h.size % 2 or h.size < 2 or g.size != h.size:
-            raise ValueError("filters must share an even length >= 2")
+        h = np.array(self.lowpass, dtype=float)  # a copy: the caller's array stays writable
+        if h.size % 2 or h.size < 2:
+            raise ValueError("lowpass filter must have an even length >= 2")
         if abs(float(h @ h) - 1.0) > 1e-12:
             raise ValueError(f"lowpass filter of {self.name!r} is not unit-norm")
         for shift in range(2, h.size, 2):
@@ -87,6 +87,7 @@ class WaveletBasis:
                 raise ValueError(
                     f"lowpass filter of {self.name!r} fails double-shift orthogonality"
                 )
+        g = (-1.0) ** np.arange(h.size) * h[::-1]
         h.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "lowpass", h)
@@ -99,8 +100,7 @@ def wavelet_basis(name) -> WaveletBasis:
         h = _FILTERS[name]
     except KeyError:
         raise ValueError(f"unknown wavelet basis {name!r}; choose from {sorted(_FILTERS)}")
-    g = ((-1.0) ** np.arange(h.size)) * h[::-1]
-    return WaveletBasis(name=name, lowpass=h, highpass=g)
+    return WaveletBasis(name=name, lowpass=h)
 
 
 def _periodic(x, length):
@@ -272,14 +272,12 @@ class RandomDesignData:
                      (always 1 at j = -1), else 0
     coefficients[j]  the standardized contrast where delta is 1, else 0;
                      each has conditional noise variance sigma^2 / N
-    effective[j]     number of usable coefficients at level j
     n_points         number of design points N
     """
 
     counts: dict
     deltas: dict
     coefficients: dict
-    effective: dict
     n_points: int
 
 
@@ -320,7 +318,6 @@ def random_design_transform(t, y, j_max) -> RandomDesignData:
 
     deltas = {-1: np.array([1], dtype=int)}
     coefficients = {-1: np.array([means[0][0]])}
-    effective = {-1: 1}
     root_n = math.sqrt(n)
     for j in range(0, j_max + 1):
         left_n = counts[j + 1][0::2]
@@ -337,7 +334,6 @@ def random_design_transform(t, y, j_max) -> RandomDesignData:
             coef[usable] = diff / (root_n * spread)
         deltas[j] = delta
         coefficients[j] = coef
-        effective[j] = int(delta.sum())
     for j, coef in coefficients.items():
         if not np.all(np.isfinite(coef)):
             raise NumericFailure(
@@ -348,7 +344,6 @@ def random_design_transform(t, y, j_max) -> RandomDesignData:
         counts=counts,
         deltas=deltas,
         coefficients=coefficients,
-        effective=effective,
         n_points=n,
     )
 

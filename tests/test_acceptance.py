@@ -348,7 +348,7 @@ def test_criterion_9_random_design_sanity():
         data = random_design_transform(t, y, 11)
         cells, report = random_design_estimate(data, sigma=1.0)
         integrals.append(float(np.mean(cells * cells)))
-        effectives.append(sum(data.effective.values()))
+        effectives.append(sum(int(delta.sum()) for delta in data.deltas.values()))
     mean_integral = sum(integrals) / len(integrals)
     mean_effective = sum(effectives) / len(effectives)
     cap = 3.0 * (66.0 / 2048.0) * mean_effective * eps2

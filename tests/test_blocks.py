@@ -311,10 +311,9 @@ def _masked_design(x, size):
     deltas[-1][0] = 1
     deltas[level][: x.size] = 1
     coefficients[level][: x.size] = x
-    effective = {j: int(d.sum()) for j, d in deltas.items()}
     return level, RandomDesignData(
         counts={j: np.ones(2**j, dtype=int) for j in range(level + 2)},
-        deltas=deltas, coefficients=coefficients, effective=effective, n_points=1,
+        deltas=deltas, coefficients=coefficients, n_points=1,
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, via subprocess and in-process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -280,7 +281,9 @@ def test_oracle_far_apart_atoms_fail_in_one_line(capsys, recwarn):
     assert [str(w.message) for w in recwarn] == []
 
 
-# ----------------------------------------------------------------- simulate
+# ------------------------------------------------- simulation from a config
+# a Monte Carlo experiment given as a --config file of risk's settings; the
+# tests keep the names they had when the file went to a `simulate` command
 
 
 def write_spec(path, **kv):
@@ -292,7 +295,7 @@ def write_spec(path, **kv):
 def test_simulate_zero_replicates_rejected(tmp_path):
     spec = tmp_path / "exp.cfg"
     write_spec(spec, estimator="mle", truth="zero:3", epsilon="0.5", replicates=0)
-    proc = run_cli("simulate", "--spec", spec)
+    proc = run_cli("risk", "--config", spec)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
 
@@ -309,7 +312,7 @@ def test_simulate_seed_fixes_output_bitwise(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     for out in (out1, out2):
-        proc = run_cli("simulate", "--spec", spec, "--seed", 42, "--output", out)
+        proc = run_cli("risk", "--config", spec, "--seed", 42, "--output", out)
         assert proc.returncode == 0, proc.stderr
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
@@ -321,7 +324,7 @@ def test_simulate_csv_format(tmp_path):
     spec = tmp_path / "exp.cfg"
     write_spec(spec, estimator="mle", truth="zero:2", epsilon="0.5", replicates=4, seed=3)
     out = tmp_path / "r.csv"
-    proc = run_cli("simulate", "--spec", spec, "--format", "csv", "--output", out)
+    proc = run_cli("risk", "--config", spec, "--format", "csv", "--output", out)
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("block_id,")
@@ -331,7 +334,7 @@ def test_simulate_csv_format(tmp_path):
 def test_simulate_rejects_unknown_spec_key(tmp_path):
     spec = tmp_path / "exp.cfg"
     write_spec(spec, estimator="mle", truth="zero:3", epsilon="0.5", replicats=9)
-    proc = run_cli("simulate", "--spec", spec)
+    proc = run_cli("risk", "--config", spec)
     assert proc.returncode == 2
     assert "unknown keys: replicats" in proc.stderr
 
@@ -344,37 +347,34 @@ def test_simulate_config_file_supplies_tuning_and_flags_win(tmp_path):
         truth="gaussian:1.0:512",
         epsilon="1.0",
         replicates=4,
+        b0=0.25,
     )
-    tuning = tmp_path / "tuning.cfg"
-    write_spec(tuning, b0=0.25)
     out_cfg = tmp_path / "cfg.json"
     out_flag = tmp_path / "flag.json"
-    proc = run_cli(
-        "simulate", "--spec", spec, "--config", tuning, "--seed", 4, "--output", out_cfg
-    )
+    proc = run_cli("risk", "--config", spec, "--seed", 4, "--output", out_cfg)
     assert proc.returncode == 0, proc.stderr
     # the lowered branch coefficient moves the big block onto the kernel rule
     assert json.loads(out_cfg.read_text())["per_block"][0]["branch"] == "geb"
-    proc = run_cli(
-        "simulate", "--spec", spec, "--config", tuning, "--b0", 2, "--seed", 4,
-        "--output", out_flag,
-    )
+    proc = run_cli("risk", "--config", spec, "--b0", 2, "--seed", 4, "--output", out_flag)
     assert proc.returncode == 0, proc.stderr
     # an explicit flag wins over the config file
     assert json.loads(out_flag.read_text())["per_block"][0]["branch"] == "threshold"
 
 
-def test_unset_tuning_flags_leave_the_tuning_defaults():
+def test_unset_tuning_flags_leave_the_tuning_defaults(tmp_path):
     parser = cli.build_parser()
     for argv in (
         ["denoise", "--input", "in.csv", "--output", "out.csv"],
-        ["simulate", "--spec", "exp.cfg"],
         ["risk", "--estimator", "mle", "--truth", "zero:3"],
     ):
-        assert cli._tuning_from(parser.parse_args(argv), {}) == TuningConfig()
-    set_all = parser.parse_args(["risk", "--estimator", "mle", "--truth", "zero:3", "--b0", "0.25", "--nstar", "8"])
-    config = {"rho0": "0.5", "a0": "1", "small_block": "james_stein", "b0": "3"}
-    assert cli._tuning_from(set_all, config) == TuningConfig(
+        assert cli._tuning_from(parser.parse_args(argv)) == TuningConfig()
+    write_spec(tmp_path / "tuning.cfg", rho0=0.5, a0=1, small_block="james_stein", b0=3)
+    set_all = parser.parse_args(
+        ["risk", "--estimator", "mle", "--truth", "zero:3", "--b0", "0.25", "--nstar", "8",
+         "--config", str(tmp_path / "tuning.cfg")]
+    )
+    cli._apply_config(set_all)
+    assert cli._tuning_from(set_all) == TuningConfig(
         rho0=0.5, b0=0.25, n_star=8, threshold_inflation=1.0, small_block_policy="james_stein"
     )
 
@@ -382,11 +382,33 @@ def test_unset_tuning_flags_leave_the_tuning_defaults():
 def test_simulate_bare_stdout_is_pure_json(tmp_path):
     spec = tmp_path / "exp.cfg"
     write_spec(spec, estimator="mle", truth="zero:3", epsilon="0.5", replicates=3, seed=9)
-    proc = run_cli("simulate", "--spec", spec)
+    proc = run_cli("risk", "--config", spec)
     assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)  # the summary line must not share stdout
+    payload = json.loads(proc.stdout)
     assert payload["replicates"] == 3
-    assert proc.stderr.startswith("total_mse = ")
+    assert proc.stderr == ""
+
+
+def test_a_config_file_without_replicates_runs_the_default_100(tmp_path):
+    spec = tmp_path / "exp.cfg"
+    write_spec(spec, estimator="mle", truth="zero:1", epsilon="0.5", compute_ideal="false")
+    code, out, err = _main(["risk", "--config", str(spec)])
+    assert code == 0, err
+    assert json.loads(out)["replicates"] == 100
+
+
+@pytest.mark.parametrize("missing", ["estimator", "truth"])
+def test_a_risk_run_without_an_estimator_or_a_truth_is_one_error_line(missing, tmp_path):
+    given = {"estimator": "mle", "truth": "zero:3"}
+    del given[missing]
+    write_spec(tmp_path / "exp.cfg", epsilon="0.5", **given)
+    for argv in (
+        ["risk", "--config", str(tmp_path / "exp.cfg")],
+        ["risk", "--epsilon", "0.5", *(f"--{key}={value}" for key, value in given.items())],
+    ):
+        code, out, err = _main(argv)
+        assert (code, out) == (2, ""), err
+        assert err.splitlines() == [f"error: missing {missing!r}: give --{missing} or set {missing} in --config"]
 
 
 def test_denoise_config_rejects_unknown_key(tmp_path):
@@ -399,6 +421,31 @@ def test_denoise_config_rejects_unknown_key(tmp_path):
     )
     assert proc.returncode == 2
     assert "unknown keys: bananas" in proc.stderr
+
+
+def _flag_dests(command):
+    """The settings of ``command``'s flags, less the files and --rate."""
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    skip = {"-h", "--input", "--output", "--config", "--rate"}
+    return {action.dest for action in sub.choices[command]._actions if not skip & set(action.option_strings)}
+
+
+@pytest.mark.parametrize(
+    "argv", [["denoise", "--input", "in.csv", "--output", "out.csv"], ["risk"]], ids=["denoise", "risk"]
+)
+def test_a_commands_config_keys_are_its_flags_settings(argv, tmp_path):
+    keys = _flag_dests(argv[0])
+    assert cli._config_keys(cli.build_parser().parse_args(argv)) == keys
+    # each key reads from a config file, and a file or --rate is no key
+    write_spec(tmp_path / "all.cfg", **{key: "1" for key in keys})
+    args = cli.build_parser().parse_args([*argv, "--config", str(tmp_path / "all.cfg")])
+    cli._apply_config(args)
+    assert {key: getattr(args, key) for key in keys} == {key: "1" for key in keys}
+    for key in ("input", "output", "config", "rate"):
+        write_spec(tmp_path / "one.cfg", **{key: "1"})
+        with pytest.raises(ValueError, match=f"unknown keys: {key}$"):
+            cli._apply_config(cli.build_parser().parse_args([*argv, "--config", str(tmp_path / "one.cfg")]))
 
 
 def test_simulate_jobs_do_not_change_results(tmp_path):
@@ -414,7 +461,7 @@ def test_simulate_jobs_do_not_change_results(tmp_path):
     outs = []
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}.json"
-        proc = run_cli("simulate", "--spec", spec, "--jobs", jobs, "--output", out)
+        proc = run_cli("risk", "--config", spec, "--jobs", jobs, "--output", out)
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -431,11 +478,11 @@ def test_threads_env_var_is_jobs_fallback(tmp_path):
         seed=21,
     )
     out_flag = tmp_path / "flag.json"
-    proc = run_cli("simulate", "--spec", spec, "--jobs", 2, "--output", out_flag)
+    proc = run_cli("risk", "--config", spec, "--jobs", 2, "--output", out_flag)
     assert proc.returncode == 0, proc.stderr
     out_env = tmp_path / "env.json"
     proc = run_cli(
-        "simulate", "--spec", spec, "--output", out_env,
+        "risk", "--config", spec, "--output", out_env,
         env_extra={"GEB_SHRINK_THREADS": "2"},
     )
     assert proc.returncode == 0, proc.stderr
@@ -447,7 +494,7 @@ def test_bad_env_thread_count(tmp_path):
     write_spec(spec, estimator="mle", truth="zero:2", epsilon="0.5", replicates=2)
     for value in ("0", "abc"):
         proc = run_cli(
-            "simulate", "--spec", spec, env_extra={"GEB_SHRINK_THREADS": value}
+            "risk", "--config", spec, env_extra={"GEB_SHRINK_THREADS": value}
         )
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
@@ -503,6 +550,23 @@ def test_risk_rate_with_repeated_epsilons_is_one_error_line():
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: rate fits need distinct epsilons, got 1.0 more than once"]
     assert proc.stdout == ""
+
+@pytest.mark.parametrize("given", ["--output", "--format", "config format"])
+def test_risk_rate_with_an_output_or_a_format_is_one_error_line(given, tmp_path):
+    # a rate fit prints its slope table and writes no report, so a report
+    # destination or format would be dropped in silence
+    argv = ["risk", "--estimator", "mle", "--truth", "zero:3", "--epsilon", "1,0.5,0.25,0.125", "--rate"]
+    extra = {
+        "--output": ["--output", str(tmp_path / "rate.json")],
+        "--format": ["--format", "csv"],
+        "config format": ["--config", str(tmp_path / "json.cfg")],
+    }[given]
+    write_spec(tmp_path / "json.cfg", format="json")
+    code, out, err = _main([*argv, *extra])
+    assert (code, out) == (2, ""), err
+    assert err.splitlines() == ["error: --rate prints its fit and writes no report: drop --output and format"]
+    assert not (tmp_path / "rate.json").exists()
+
 
 @pytest.mark.parametrize("epsilon", [None, "0.1,0.05,0.025,0.0125"])
 def test_risk_rate_on_a_signal_truth_is_one_error_line(epsilon):
@@ -628,7 +692,7 @@ def test_risk_report_to_stdout():
 def test_simulate_spec_rejects_unknown_kde_mode(tmp_path):
     spec = tmp_path / "exp.cfg"
     write_spec(spec, estimator="geb-hybrid", truth="gaussian:1.0:256", epsilon="1.0", kde_mode="fft")
-    proc = run_cli("simulate", "--spec", spec)
+    proc = run_cli("risk", "--config", spec)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "unknown keys: kde_mode" in proc.stderr
@@ -787,9 +851,10 @@ _BAD_TRUTHS = st.one_of(
     st.builds("atoms:0=1:{}".format, _BAD_INT),
 )
 
+_RISK_KEYS = cli._config_keys(cli.build_parser().parse_args(["risk"]))
 _MALFORMED_SPECS = st.one_of(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
-    .filter(lambda key: key not in cli._SPEC_KEYS)
+    .filter(lambda key: key not in _RISK_KEYS)
     .map(lambda key: (key, {**_VALID_SPEC, key: "1"})),
     _spec_with(("epsilon", "rho0", "b0", "a0"), _BAD_NUMBER),
     _spec_with(("replicates", "seed", "nstar", "jobs"), _BAD_INT),
@@ -814,7 +879,7 @@ def test_malformed_spec_is_one_error_line(case):
         write_spec(path, **spec)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["simulate", "--spec", path])
+            code = cli.main(["risk", "--config", path])
     lines = err.getvalue().splitlines()
     assert code == 2, (spec, err.getvalue())
     assert len(lines) == 1 and lines[0].startswith("error:"), (spec, err.getvalue())
@@ -825,17 +890,18 @@ def test_malformed_spec_is_one_error_line(case):
 
 # ------------------------------------------------------- the number rule
 
-# numeric setting -> (kind, the sources that may hold it)
+# numeric setting -> kind; each is read from its flag or its config key, and
+# jobs from GEB_SHRINK_THREADS as well
 _NUMERIC_SETTINGS = {
-    "rho0": (float, ("flag", "config", "spec")),
-    "b0": (float, ("flag", "config", "spec")),
-    "a0": (float, ("flag", "config", "spec")),
-    "nstar": (int, ("flag", "config", "spec")),
-    "seed": (int, ("flag", "config", "spec")),
-    "jobs": (int, ("flag", "config", "spec", "GEB_SHRINK_THREADS")),
-    "replicates": (int, ("flag", "spec")),
-    "epsilon": (float, ("flag", "spec")),
-    "sigma": (float, ("flag",)),
+    "rho0": float,
+    "b0": float,
+    "a0": float,
+    "nstar": int,
+    "seed": int,
+    "jobs": int,
+    "replicates": int,
+    "epsilon": float,
+    "sigma": float,
 }
 _RISK_FLAGS = {"estimator": "mle", "truth": "zero:3", "epsilon": "1", "replicates": "2"}
 _NON_ASCII_DIGIT = st.characters(categories=["Nd"]).filter(lambda c: not c.isascii())
@@ -846,6 +912,10 @@ _MALFORMED_NUMBER = st.one_of(
     st.builds("1{}".format, _NON_ASCII_DIGIT),
 )
 _MALFORMED_INTEGER = st.one_of(_MALFORMED_NUMBER, st.sampled_from(["2.5", "1e3", "0x10"]))
+
+
+def _sources(key):
+    return ("flag", "config", "GEB_SHRINK_THREADS") if key == "jobs" else ("flag", "config")
 
 
 def _main(argv, threads=None):
@@ -863,33 +933,29 @@ def _main(argv, threads=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_with_setting(source, key, text, tmp):
+def _run_with_setting(source, key, text, tmp, base=_RISK_FLAGS):
     """Run the command that reads ``key`` from ``source``, set to ``text``:
-    ``denoise`` for sigma and wavelet, else ``risk``, or ``simulate`` for a
-    spec entry."""
+    ``denoise`` for sigma and wavelet, else ``risk`` with the ``base`` flags.
+    A config file holds the key alone, and its flag is then left out."""
     if key in ("sigma", "wavelet"):
         write_signal_csv(os.path.join(tmp, "in.csv"), np.sin(np.arange(64.0)))
-        argv = ["denoise", "--input", os.path.join(tmp, "in.csv"), "--output", os.path.join(tmp, "out.csv")]
-        if source == "flag":
-            return _main([*argv, f"--{key}={text}"])
-        write_spec(os.path.join(tmp, "denoise.cfg"), **{key: text})
-        return _main([*argv, "--config", os.path.join(tmp, "denoise.cfg")])
-    flags = {**_RISK_FLAGS, key: text} if source == "flag" else _RISK_FLAGS
-    risk = ["risk", *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items())]
-    if source in ("flag", "GEB_SHRINK_THREADS"):
-        return _main(risk, threads=text if source == "GEB_SHRINK_THREADS" else None)
-    path = os.path.join(tmp, f"{source}.cfg")
+        command = ["denoise", "--input", os.path.join(tmp, "in.csv"), "--output", os.path.join(tmp, "out.csv")]
+        flags = {}
+    else:
+        command, flags = ["risk"], {k: v for k, v in base.items() if k != key}
+    if source == "flag":
+        flags[key] = text
+    argv = [*command, *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items())]
     if source == "config":
-        write_spec(path, **{key: text})
-        return _main([*risk, "--config", path])
-    write_spec(path, **{**_VALID_SPEC, key: text})
-    return _main(["simulate", "--spec", path])
+        write_spec(os.path.join(tmp, "setting.cfg"), **{key: text})
+        argv += ["--config", os.path.join(tmp, "setting.cfg")]
+    return _main(argv, threads=text if source == "GEB_SHRINK_THREADS" else None)
 
 
 @st.composite
 def _malformed_settings(draw):
     key = draw(st.sampled_from(sorted(_NUMERIC_SETTINGS)))
-    kind, _ = _NUMERIC_SETTINGS[key]
+    kind = _NUMERIC_SETTINGS[key]
     # an empty epsilon is the empty grid, which is valid
     text = draw((_MALFORMED_INTEGER if kind is int else _MALFORMED_NUMBER).filter(lambda t: key != "epsilon" or t))
     return key, text
@@ -903,45 +969,79 @@ def _malformed_settings(draw):
 @example(case=("sigma", "x"))
 @example(case=("jobs", "1_0"))
 def test_a_malformed_number_is_one_error_line_from_every_source(case):
-    # flags, spec and config entries and GEB_SHRINK_THREADS share one number
-    # rule and one error line, which names the setting that holds the text
+    # flags, config entries and GEB_SHRINK_THREADS share one number rule and
+    # one error line, which names the setting that holds the text
     key, text = case
-    kind, sources = _NUMERIC_SETTINGS[key]
-    expected = "an integer" if kind is int else "a number"
+    expected = "an integer" if _NUMERIC_SETTINGS[key] is int else "a number"
     with tempfile.TemporaryDirectory() as tmp:
-        for source in sources:
+        for source in _sources(key):
             code, out, err = _run_with_setting(source, key, text, tmp)
-            name = key if source in ("flag", "config", "spec") else source
+            name = key if source in ("flag", "config") else source
             assert (code, out) == (2, ""), (source, err)
             assert err.splitlines() == [f"error: {name}: expected {expected}, got {text!r}"], (source, err)
 
 
-def test_a_setting_given_as_a_flag_or_in_a_config_file_gives_the_same_report(tmp_path):
-    values = {"rho0": "0.5", "b0": "0.25", "a0": "0.5", "nstar": "16", "seed": "4", "jobs": "2"}
-    argv = ["risk", "--estimator", "geb-hybrid", "--truth", "gaussian:1:256", "--epsilon", "1", "--replicates", "3"]
-    write_spec(tmp_path / "tuning.cfg", **values)
-    from_flags = _main([*argv, *(f"--{key}={value}" for key, value in values.items())])
-    from_config = _main([*argv, "--config", str(tmp_path / "tuning.cfg")])
-    assert from_flags[0] == 0, from_flags[2]
-    assert from_flags == from_config
-    assert json.loads(from_flags[1])["seed"] == 4
-
-
-# choice setting -> the sources that may hold it
-_CHOICE_SETTINGS = {
-    "estimator": ("flag", "spec"),
-    "format": ("flag", "config", "spec"),
-    "small_block": ("flag", "config", "spec"),
-    "wavelet": ("flag", "config"),
+# each setting of risk and denoise -> a value other than the base run's
+_CHANGED = {
+    "estimator": "james-stein",
+    "truth": "zero:3",
+    "epsilon": "0.05",
+    "replicates": "3",
+    "seed": "4",
+    "jobs": "2",
+    "compute_ideal": "false",
+    "format": "csv",
+    "rho0": "0.05",
+    "b0": "2",
+    "a0": "0.5",
+    "nstar": "16",
+    "small_block": "james_stein",
+    "sigma": "0.5",
+    "wavelet": "haar",
 }
 
 
-@pytest.mark.parametrize("key", sorted(_CHOICE_SETTINGS))
+def test_a_setting_given_as_a_flag_or_in_a_config_file_gives_the_same_report(tmp_path):
+    # risk's base run has three blocks: 16 coefficients below n_star, 128 zeros
+    # that take the threshold branch and 512 that take the geb branch at b0 = 0.25,
+    # so every setting reaches the report
+    truth = tmp_path / "truth.csv"
+    blocks = {0: 2.0 * np.cos(np.arange(16.0)), 1: np.zeros(128), 2: 1.5 * np.sin(np.arange(512.0))}
+    truth.write_text("j,k,value,delta\n" + "".join(
+        f"{j},{k},{float(x)!r},1\n" for j, values in blocks.items() for k, x in enumerate(values, 1)
+    ))
+    base = {"estimator": "geb-hybrid", "truth": f"csv:{truth}", "epsilon": "1", "replicates": "2", "b0": "0.25"}
+    tmp = str(tmp_path)
+    risk_default = _run_with_setting("flag", "seed", "0", tmp, base=base)
+    assert risk_default[0] == 0, risk_default[2]
+    assert [block["branch"] for block in json.loads(risk_default[1])["per_block"]] == ["mle", "threshold", "geb"]
+    for key, value in _CHANGED.items():
+        if key == "compute_ideal":  # its flag is --no-ideal
+            write_spec(tmp_path / "ideal.cfg", compute_ideal=value)
+            argv = ["risk", *(f"--{k}={v}" for k, v in base.items())]
+            from_flag, from_config = _main([*argv, "--no-ideal"]), _main([*argv, "--config", str(tmp_path / "ideal.cfg")])
+        else:
+            from_flag = _run_with_setting("flag", key, value, tmp, base=base)
+            from_config = _run_with_setting("config", key, value, tmp, base=base)
+        assert from_flag[0] == 0, (key, from_flag[2])
+        assert from_flag == from_config, key
+        default = risk_default
+        if key in ("sigma", "wavelet"):
+            default = _main(["denoise", "--input", str(tmp_path / "in.csv"), "--output", str(tmp_path / "out.csv")])
+        # the setting took effect, save jobs, which no report depends on
+        assert (from_flag == default) == (key == "jobs"), key
+
+
+# choice setting; each is read from its flag or its config key
+_CHOICE_SETTINGS = ("estimator", "format", "small_block", "wavelet")
+
+
+@pytest.mark.parametrize("key", _CHOICE_SETTINGS)
 def test_a_bad_choice_is_one_error_line_from_every_source(key, tmp_path):
     # the library checks each choice and argparse none, so a flag fails
-    # with the line a config or spec entry gives, not with a usage block
+    # with the line a config entry gives, not with a usage block
     errors = set()
-    for source in _CHOICE_SETTINGS[key]:
+    for source in _sources(key):
         code, out, err = _run_with_setting(source, key, "db97", str(tmp_path))
         assert (code, out) == (2, ""), (source, err)
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'db97'" in err, (source, err)
