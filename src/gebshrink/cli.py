@@ -70,8 +70,10 @@ def _read_config(path, allowed):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            table[key.strip()] = value.strip()
+            key, value = map(str.strip, line.split("=", 1))
+            if key in table:
+                raise ValueError(f"{path}:{lineno}: {key} is set twice")
+            table[key] = value
     unknown = sorted(set(table) - allowed)
     if unknown:
         raise ValueError(f"{path}: unknown keys: {', '.join(unknown)}")

@@ -39,15 +39,16 @@ restricted to ASCII and without digit-group underscores: ``repr`` and
 ``%g`` forms, integers, ``inf``, ``nan``; an integer is what ``int``
 accepts under the same restriction (not ``2.5``, ``1e3`` or ``0x10``).
 
-The readers take the header with ``csv``.  The signal reader then parses
-the body in one ``np.loadtxt`` call, numpy's C text reader, over just the
-value, truth and estimate columns, by the number rule (cells optionally
-quoted ``"..."``); other columns, ``index`` included, are never parsed.
-Lines end in LF or CRLF; blank lines are skipped and ``#`` is an ordinary
-character (so ``#1`` is not a number).  The coefficient reader parses its
-``value`` cells as numbers and its ``j`` and ``delta`` cells as integers.
-A short row or a cell that is not a number raises ValueError naming the
-path, the line and the column.
+The readers take the header with ``csv``, then parse the body in one
+``np.loadtxt`` call, numpy's C text reader, over just the columns they use,
+by the number rule (cells optionally quoted ``"..."``); other columns,
+``index`` included, are never parsed.  Lines end in LF or CRLF; blank lines
+are skipped and ``#`` is an ordinary character (so ``#1`` is not a number).
+The signal reader's value, truth and estimate cells are numbers; the
+coefficient reader's ``value`` cells are numbers and its ``j`` and ``delta``
+cells integers that fit int64, and a stable sort on ``j`` groups the values:
+levels ascending, file order within a level.  A short row or a bad cell
+raises ValueError naming the path, the line and the column.
 """
 
 from __future__ import annotations
@@ -288,6 +289,7 @@ def write_signal_csv(path, values, truth=None, estimate=None):
 
 
 _KINDS = {float: "a number", int: "an integer"}
+_DTYPES = {float: np.float64, int: np.int64}
 
 
 def parse_number(key, text, kind=float):
@@ -303,19 +305,10 @@ def parse_number(key, text, kind=float):
     raise ValueError(f"{key}: expected {_KINDS[kind]}, got {text!r}")
 
 
-def _number(cell, path, line, name, kind=float):
-    """The ``name`` cell on ``line`` by ``parse_number``; the ValueError
-    names the path, the line and the column."""
-    try:
-        return parse_number(name, cell, kind)
-    except ValueError:
-        raise ValueError(f"{path}:{line}: {name} cell {cell!r} is not {_KINDS[kind]}") from None
-
-
-def _bad_row(path, width, used):
+def _bad_row(path, width, used, kinds):
     """ValueError naming the first data line of ``path`` that lacks a
-    ``used`` column (``{name: index}``) or holds one that is not a number;
-    read again only once the body has failed to parse."""
+    ``used`` column (``{name: index}``) or holds one that is not its kind in
+    ``kinds`` (an int must fit int64); read again once the body fails."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -325,61 +318,68 @@ def _bad_row(path, width, used):
             if len(row) <= max(used.values()):
                 return ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's {width} cells")
             for name, i in used.items():
+                kind = kinds[name]
                 try:
-                    _number(row[i], path, reader.line_num, name)
-                except ValueError as err:
-                    return err
+                    _DTYPES[kind](parse_number(name, row[i], kind))
+                except (ValueError, OverflowError):
+                    return ValueError(f"{path}:{reader.line_num}: {name} cell {row[i]!r} is not {_KINDS[kind]}")
     return None
 
 
-def read_signal_csv(path):
-    """Read a signal CSV; returns (values, truth or None, estimate or None).
-
-    A row with fewer cells than a column it needs, or a needed cell that is
-    not a number, raises ValueError naming the line."""
+def _read_table(path, columns, kinds):
+    """The columns that ``columns(path, header)`` picks (``{name: index}``)
+    as ``{name: array}``, each parsed as its kind in ``kinds`` in one
+    ``np.loadtxt`` call with a structured dtype."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a header")
-        cols = {name: i for i, name in enumerate(header)}
-        if "value" not in cols:
-            raise ValueError(f"{path}: missing 'value' column")
-        used = {name: cols[name] for name in ("value", "truth", "estimate") if name in cols}
+        used = columns(path, header)
+        dtype = [(name, _DTYPES[kinds[name]]) for name in used]
         try:
             with warnings.catch_warnings():
-                # a header-only file is zero rows; the length check downstream reports it
+                # a header-only file is zero rows; the callers' checks report it
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # older numpy parses an int cell such as 1.0 through a float, with
+                # this warning; as an error it fails the parse, as newer numpy does
+                warnings.filterwarnings("error", "loadtxt\\(\\): Parsing an integer via a float", DeprecationWarning)
                 table = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2, usecols=list(used.values())
+                    fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1, usecols=list(used.values())
                 )
         except ValueError as err:
-            raise _bad_row(path, len(header), used) or ValueError(f"{path}: {err}") from None
-    columns = dict(zip(used, np.ascontiguousarray(table.T)))
+            raise _bad_row(path, len(header), used, kinds) or ValueError(f"{path}: {err}") from None
+    return {name: np.ascontiguousarray(table[name]) for name in used}
+
+
+_SIGNAL_KINDS = dict.fromkeys(("value", "truth", "estimate"), float)
+
+
+def _signal_columns(path, header):
+    cols = {name: i for i, name in enumerate(header)}
+    if "value" not in cols:
+        raise ValueError(f"{path}: missing 'value' column")
+    return {name: cols[name] for name in _SIGNAL_KINDS if name in cols}
+
+
+def _coefficient_columns(path, header):
+    if header[:4] != ["j", "k", "value", "delta"]:
+        raise ValueError(f"{path}: expected header j,k,value,delta")
+    return {"j": 0, "value": 2, "delta": 3}
+
+
+def read_signal_csv(path):
+    """Read a signal CSV; returns (values, truth or None, estimate or None).
+    A short row, or a value, truth or estimate cell that is not a number,
+    raises ValueError naming the line."""
+    columns = _read_table(path, _signal_columns, _SIGNAL_KINDS)
     return columns["value"], columns.get("truth"), columns.get("estimate")
 
 
 def read_coefficients_csv(path):
     """Read a coefficient CSV; returns its values as a {j: array} dict,
-    levels ascending.
-
-    A row with fewer than the four cells, a ``j`` or ``delta`` cell that is
-    not an integer, or a ``value`` cell that is not a number, raises
-    ValueError naming the line."""
-    levels: dict[int, list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header")
-        if header[:4] != ["j", "k", "value", "delta"]:
-            raise ValueError(f"{path}: expected header j,k,value,delta")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 4:
-                raise ValueError(f"{path}:{reader.line_num}: row has {len(row)} of the header's 4 cells")
-            line = reader.line_num
-            j = _number(row[0], path, line, "j", int)
-            levels.setdefault(j, []).append(_number(row[2], path, line, "value"))
-            _number(row[3], path, line, "delta", int)  # checked, not returned
-    return {j: np.array(v) for j, v in sorted(levels.items())}
+    levels ascending, file order within a level.  A short row, or a bad
+    ``j``, ``value`` or ``delta`` cell, raises ValueError naming the line."""
+    table = _read_table(path, _coefficient_columns, {"j": int, "value": float, "delta": int})
+    order = np.argsort(table["j"], kind="stable")
+    levels, starts = np.unique(table["j"][order], return_index=True)
+    return dict(zip(levels.tolist(), np.split(table["value"][order], starts[1:])))

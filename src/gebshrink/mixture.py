@@ -101,6 +101,17 @@ class MixingDistribution:
         """Window [min atom - _TAIL_PAD, max atom + _TAIL_PAD] carrying the marginal mass."""
         return float(self.locations[0]) - _TAIL_PAD, float(self.locations[-1]) + _TAIL_PAD
 
+    def gap_edges(self) -> tuple:
+        """Edges u_k + _TAIL_PAD and u_{k+1} - _TAIL_PAD of each gap between
+        neighbouring atoms' windows, where u_{k+1} - _TAIL_PAD > u_k + _TAIL_PAD
+        (no subtraction: far atoms' gaps overflow).  The marginal mass lies
+        outside the gaps, so as panel edges they keep a quadrature panel from
+        spanning a gap and missing the mass on both sides of it."""
+        left = self.locations[:-1] + _TAIL_PAD
+        right = self.locations[1:] - _TAIL_PAD
+        gap = right > left
+        return tuple(np.column_stack([left[gap], right[gap]]).ravel().tolist())
+
 
 def from_atoms(locations, weights) -> MixingDistribution:
     """Build a mixing distribution, sorting atoms and merging duplicates."""
@@ -398,11 +409,12 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution) -> float:
     Soft-threshold rules use the exact per-atom risk formula, over all atoms
     in one array pass, added in atom order.  Every other rule is integrated
     over the mass window [min atom - 8, max atom + 8], with panel edges at
-    the rule's breakpoints, on the oracle's exponentials: one per (point,
-    atom), in one loss sweep (:func:`_rule_loss`).  The oracle rule of
-    ``prior`` itself takes its offset, the shift, from those exponentials;
-    any other rule is evaluated once per point and enters as the offset
-    rule(x) - x, and neither phi_G nor the shift is formed for it.
+    the rule's breakpoints and the prior's gap edges
+    (:meth:`MixingDistribution.gap_edges`), on the oracle's exponentials:
+    one per (point, atom), in one loss sweep (:func:`_rule_loss`).  The
+    oracle rule of ``prior`` itself takes its offset, the shift, from those
+    exponentials; any other rule is evaluated once per point and enters as
+    the offset rule(x) - x, and neither phi_G nor the shift is formed for it.
     """
     if isinstance(rule, SoftThresholdRule):
         # added in atom order, one at a time, as a loop would: np.sum adds pairwise
@@ -414,7 +426,8 @@ def rule_risk(rule: ScalarRule, prior: MixingDistribution) -> float:
         return _rule_loss(prior, x, None if own else np.asarray(rule(x), dtype=float) - x)
 
     lo, hi = prior.support_window()
-    return integrate(integrand, lo, hi, tol=_RISK_TOL, breakpoints=rule.breakpoints())
+    breakpoints = (*rule.breakpoints(), *prior.gap_edges())
+    return integrate(integrand, lo, hi, tol=_RISK_TOL, breakpoints=breakpoints)
 
 
 def bayes_risk(prior: MixingDistribution) -> float:
@@ -429,7 +442,8 @@ def bayes_risk(prior: MixingDistribution) -> float:
 
 def bayes_risks(priors) -> list:
     """:func:`bayes_risk` of each prior, bit for bit, priced in one lockstep
-    quadrature: one integrand call per round for the whole batch.
+    quadrature over each prior's mass window, split at its gap edges: one
+    integrand call per round for the whole batch.
 
     Priors with equal atom counts are stacked into one table and share one
     (point, atom) sweep per round, in blocks of at most ``_BLOCK_PAIRS``
@@ -472,7 +486,12 @@ def bayes_risks(priors) -> list:
             out[points] = shift * shift * value
         return out
 
-    fishers = integrate_batch(integrand, [priors[k].support_window() for k in pending], tol=_RISK_TOL)
+    fishers = integrate_batch(
+        integrand,
+        [priors[k].support_window() for k in pending],
+        tol=_RISK_TOL,
+        breakpoints=[priors[k].gap_edges() for k in pending],
+    )
     for k, fisher in zip(pending, fishers):
         risks[k] = min(max(1.0 - fisher, 0.0), 1.0)
     return risks
@@ -517,10 +536,10 @@ def density_floor_loss(rho, prior: MixingDistribution) -> float:
     integral of (phi_G'/phi_G)^2 (1 - phi_G/(phi_G v rho))^2 phi_G over
     the mass window.  The integrand has kinks where phi_G crosses rho;
     those crossings are located by scan-and-bisect and passed to the
-    quadrature as panel edges.  The scan skips every coarse cell that the
-    slope bound |phi_G'| < 0.25 certifies free of crossings, and finds the
-    same crossings as a scan of every grid point (see
-    :func:`_floor_crossings`).
+    quadrature as panel edges, with the prior's gap edges.  The scan skips
+    every coarse cell that the slope bound |phi_G'| < 0.25 certifies free
+    of crossings, and finds the same crossings as a scan of every grid point
+    (see :func:`_floor_crossings`).
     """
     rho = float(rho)
     if not 0.0 < rho < DENSITY_FLOOR_LIMIT:
@@ -534,9 +553,8 @@ def density_floor_loss(rho, prior: MixingDistribution) -> float:
         damp = 1.0 - value / np.maximum(value, rho)
         return shift * shift * damp * damp * value
 
-    return integrate(
-        factor, lo, hi, tol=_RISK_TOL, breakpoints=_floor_crossings(prior, rho, lo, hi)
-    )
+    breakpoints = (*_floor_crossings(prior, rho, lo, hi), *prior.gap_edges())
+    return integrate(factor, lo, hi, tol=_RISK_TOL, breakpoints=breakpoints)
 
 
 def _floor_crossings(prior, rho, lo, hi):

@@ -53,14 +53,12 @@ _IDEAL_BATCH = 1 << 16
 
 
 def _frozen_blocks(levels):
-    """{j: beta} from a {j: values} mapping or (j, values) pairs, in their
-    order, each beta a read-only float copy; a repeated level, or a value
-    that is not finite, raises ValueError, so no replicate runs on it."""
+    """{j: beta} from a {j: values} mapping, in its order, each beta a
+    read-only float copy; a value that is not finite raises ValueError, so
+    no replicate runs on it."""
     out = {}
-    for j, values in levels.items() if isinstance(levels, dict) else levels:
+    for j, values in levels.items():
         beta = np.array(values, dtype=float).ravel()
-        if int(j) in out:
-            raise ValueError("block levels must be distinct")
         if not np.isfinite(beta).all():
             raise ValueError(f"truth level {j} holds a value that is not finite")
         beta.flags.writeable = False
@@ -102,7 +100,7 @@ class TruthSource:
 
     @staticmethod
     def explicit(blocks) -> "TruthSource":
-        """A fixed truth from {j: values} or (j, values) pairs, in that order."""
+        """A fixed truth from a {j: values} mapping, in its order."""
         return TruthSource(kind="explicit", blocks=_frozen_blocks(blocks))
 
     @staticmethod

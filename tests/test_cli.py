@@ -411,6 +411,15 @@ def test_a_risk_run_without_an_estimator_or_a_truth_is_one_error_line(missing, t
         assert err.splitlines() == [f"error: missing {missing!r}: give --{missing} or set {missing} in --config"]
 
 
+def test_a_config_key_set_twice_is_one_error_line(tmp_path):
+    # the last value would otherwise win silently
+    spec = tmp_path / "exp.cfg"
+    spec.write_text("estimator = mle\ntruth = zero:3\nreplicates = 2\n# a comment\nreplicates = 3\n")
+    code, out, err = _main(["risk", "--config", str(spec), "--epsilon", "0.5"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {spec}:5: replicates is set twice"]
+
+
 def test_denoise_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "tuning.cfg"
     write_spec(cfg, wavelet="haar", bananas=1)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -365,3 +366,97 @@ def test_both_readers_share_one_number_grammar(tmp_path, cell, want):
                 read(path)
     else:
         assert _bits(read_signal_csv(signal)[0]) == _bits(read_coefficients_csv(coefficients)[-1]) == _bits([want])
+
+
+# ------------------------------------------------ the coefficient table
+
+
+@pytest.mark.parametrize("name", ["j", "delta"])
+@pytest.mark.parametrize("cell", [str(2**63), str(-(2**63) - 1), f'" {2**70}"'])
+def test_an_integer_cell_beyond_int64_names_the_cell(tmp_path, name, cell):
+    # int() takes it, but the table holds int64 levels and deltas
+    path = tmp_path / "big.csv"
+    row = {"j": "0", "k": "1", "value": "0.5", "delta": "1", name: cell}
+    path.write_text(f"j,k,value,delta\n0,1,0.25,0\n{','.join(row.values())}\n")
+    shown = repr(cell.strip('"'))
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:3: {name} cell {shown} is not an integer')}$"):
+        read_coefficients_csv(path)
+
+
+def test_integer_cells_at_the_int64_limits_are_read(tmp_path):
+    path = tmp_path / "limits.csv"
+    path.write_text(f"j,k,value,delta\n{2**63 - 1},1,0.5,{-(2**63)}\n{-(2**63)},1,0.25,{2**63 - 1}\n")
+    assert {j: v.tolist() for j, v in read_coefficients_csv(path).items()} == {-(2**63): [0.25], 2**63 - 1: [0.5]}
+
+
+def _per_row_coefficients(path):
+    """The coefficient reader as a loop over ``csv`` rows, each cell read by
+    ``parse_number``: levels ascending, file order within a level."""
+    levels = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row:
+                j = gio.parse_number("j", row[0], int)
+                levels.setdefault(j, []).append(gio.parse_number("value", row[2]))
+                gio.parse_number("delta", row[3], int)
+    return {j: np.array(values) for j, values in sorted(levels.items())}
+
+
+def _quoted(draw, text):
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    text = pad + text + draw(st.sampled_from(["", " "]))
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+_INT64 = st.one_of(st.integers(-1, 6), st.integers(-(2**63), 2**63 - 1))
+# cells outside the number rule, or outside int64 where an integer is due
+_BAD_CELLS = {
+    "j": ["x", "0.0", "1e3", "1_0", "", "0x10", str(2**63), str(-(2**63) - 1)],
+    "value": ["x", "1_0", "#1", "", "in f", "١"],
+    "delta": ["1.0", "y", str(2**64), " ", "+-1"],
+}
+_COLUMN = {"j": 0, "value": 2, "delta": 3}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    levels=st.lists(_INT64, min_size=1, max_size=20),
+    extra=st.integers(0, 2),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    blanks=st.sets(st.integers(0, 20)),
+    bad=st.one_of(st.none(), st.tuples(st.integers(0, 19), st.sampled_from(sorted(_BAD_CELLS)))),
+    data=st.data(),
+)
+def test_coefficient_reader_matches_a_per_row_reader(tmp_path, levels, extra, newline, blanks, bad, data):
+    lines = [",".join(["j", "k", "value", "delta"] + [f"x{c}" for c in range(extra)])]
+    bad_line = None
+    for r, j in enumerate(levels):
+        if r in blanks:
+            lines.append("")
+        cells = [
+            _quoted(data.draw, str(j)),
+            data.draw(st.sampled_from(["1", "", '"a,b"', '"say ""hi"""'])),
+            data.draw(_cells())[0],
+            _quoted(data.draw, str(data.draw(_INT64))),
+            *(data.draw(st.sampled_from(["7", '"p,q"', ""])) for _ in range(extra)),
+        ]
+        if bad is not None and bad[0] == r:
+            name = bad[1]
+            bad_cell = data.draw(st.sampled_from(_BAD_CELLS[name]))
+            cells[_COLUMN[name]] = bad_cell
+            bad_line = len(lines) + 1
+        lines.append(",".join(cells))
+    path = tmp_path / "coef.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    if bad_line is None:
+        got, want = read_coefficients_csv(path), _per_row_coefficients(path)
+        assert list(got) == list(want)
+        assert all(_bits(got[j]) == _bits(want[j]) for j in want)
+        return
+    kind = "a number" if name == "value" else "an integer"
+    message = f"{path}:{bad_line}: {name} cell {bad_cell!r} is not {kind}"
+    with pytest.raises(ValueError) as err:
+        read_coefficients_csv(path)
+    assert str(err.value) == message

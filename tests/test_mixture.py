@@ -308,6 +308,55 @@ def test_bayes_risk_is_concave_in_the_mixing_distribution():
         assert bayes_risk(blend) >= w * bayes_risk(g1) + (1 - w) * bayes_risk(g2) - 1e-6
 
 
+def test_gap_edges_bound_the_gaps_between_atom_windows():
+    g = from_atoms([-1e6, 0.0, 5.0, 21.5, 1e6], np.full(5, 0.2))
+    assert g.gap_edges() == (-1e6 + 8.0, -8.0, 13.0, 13.5, 29.5, 1e6 - 8.0)
+    # windows that touch leave no gap
+    assert from_atoms([-3.0, 3.0, 19.0], [0.4, 0.4, 0.2]).gap_edges() == ()
+    assert from_atoms([-1e308, 1e308], [0.5, 0.5]).gap_edges() == (-1e308, 1e308)
+
+
+def _quad_bayes_risk(prior):
+    """E Var(theta | X) by scipy.integrate.quad: the posterior variance form,
+    whose integrand is nonnegative and cannot cancel, with no code shared
+    with ``mixture``.  Each atom's pieces reach to the midpoints between
+    it and its neighbours, at most 8 away: beyond that the mass is below
+    1e-12 for these priors."""
+    from scipy.integrate import quad
+
+    u, w = prior.locations, prior.weights
+
+    def integrand(x):
+        e = -0.5 * (x - u) ** 2
+        top = e.max()
+        r = w * np.exp(e - top)
+        t = r @ u / r.sum()
+        return PHI0 * math.exp(top) * (r @ (u - t) ** 2)
+
+    reach = np.minimum(8.0, np.diff(u) / 2.0)
+    total = 0.0
+    for atom, left, right in zip(u, np.append(8.0, reach), np.append(reach, 8.0)):
+        for a, b in ((atom - left, atom), (atom, atom + right)):
+            total += quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+@pytest.mark.parametrize(
+    "locations, weights",
+    [
+        # one panel over the whole window missed both mass bumps: bayes_risk was 1
+        ([-1e6, 1e6], [0.5, 0.5]),
+        ([-1e4, -9997.0, 0.0, 1.0, 2.0, 1e4], [0.1, 0.2, 0.3, 0.1, 0.1, 0.2]),
+    ],
+    ids=["pair-1e6", "three-clusters"],
+)
+def test_separated_clusters_match_an_independent_quadrature(locations, weights):
+    g = from_atoms(locations, weights)
+    want = _quad_bayes_risk(g)
+    assert abs(bayes_risk(g) - want) <= 1e-10
+    assert abs(rule_risk(oracle_rule(g), g) - want) <= 1e-10
+
+
 # ---------------------------------------------------------------- summaries
 
 
@@ -520,7 +569,8 @@ def test_sweep_loss_with_a_rule_offset_matches_the_raw_sum(atoms, kind, level, s
 def _full_sweep_rule_risk(rule, prior):
     """rule_risk of a rule other than the prior's own oracle as it was priced
     on the whole oracle sweep: the re-centred exponentials, then the shift's
-    pass and sum, which the loss never reads, then the loss of the offset."""
+    pass and sum, which the loss never reads, then the loss of the offset;
+    split at the rule's breakpoints and the prior's gap edges, as rule_risk is."""
     lo, hi = prior.support_window()
 
     def integrand(x):
@@ -544,7 +594,8 @@ def _full_sweep_rule_risk(rule, prior):
             risk[block] = scale * d.sum(axis=1)
         return risk
 
-    return integrate(integrand, lo, hi, tol=1e-8, breakpoints=rule.breakpoints())
+    breakpoints = (*rule.breakpoints(), *prior.gap_edges())
+    return integrate(integrand, lo, hi, tol=1e-8, breakpoints=breakpoints)
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,7 +624,8 @@ def test_rule_loss_keeps_the_full_sweep_bits_on_many_atoms(kind):
 def _density_sweep_oracle_risk(prior):
     """rule_risk of the prior's own oracle rule as the density sweep's loss
     mode priced it: the re-centred exponentials, their sum, the shift from
-    the d e products in a third buffer, then the loss of that shift."""
+    the d e products in a third buffer, then the loss of that shift; split
+    at the prior's gap edges, as rule_risk is."""
     lo, hi = prior.support_window()
 
     def integrand(x):
@@ -596,7 +648,7 @@ def _density_sweep_oracle_risk(prior):
                 risk[block] = scale * d.sum(axis=1)
         return risk
 
-    return integrate(integrand, lo, hi, tol=1e-8)
+    return integrate(integrand, lo, hi, tol=1e-8, breakpoints=prior.gap_edges())
 
 
 def _risk_or_error(price):
@@ -866,7 +918,7 @@ def test_shift_and_density_matches_two_pass(atoms, spread, seed, points):
 
 def _alone_bayes_risk(prior):
     """bayes_risk as a single integral of shift^2 * density, as it was
-    written before batches."""
+    written before batches, split at the prior's gap edges as bayes_risk is."""
     if prior.atom_count == 1:
         return 0.0
 
@@ -874,7 +926,7 @@ def _alone_bayes_risk(prior):
         shift, value = mixture._shift_and_density(prior, x)
         return shift * shift * value
 
-    fisher = integrate(integrand, *prior.support_window(), tol=1e-8)
+    fisher = integrate(integrand, *prior.support_window(), tol=1e-8, breakpoints=prior.gap_edges())
     return min(max(1.0 - fisher, 0.0), 1.0)
 
 

@@ -42,7 +42,7 @@ def test_truth_source_validation():
     with pytest.raises(ValueError, match="needs at least one block"):
         TruthSource(kind="signal")
     with pytest.raises(ValueError):
-        TruthSource.explicit([])
+        TruthSource.explicit({})
     with pytest.raises(ValueError):
         TruthSource.zero(-2)
     with pytest.raises(ValueError):
@@ -247,13 +247,7 @@ def test_signal_truth_is_built_once(monkeypatch):
 def test_a_non_finite_deterministic_truth_is_rejected_when_built(value):
     # every replicate would otherwise fail as an observation overflow
     with pytest.raises(ValueError, match="truth level 0 holds a value that is not finite"):
-        TruthSource.explicit([(-1, [1.0]), (0, [0.5, value])])
-
-
-def test_an_explicit_truth_with_a_repeated_level_is_rejected_when_built():
-    # as pairs, a level given twice would otherwise keep only its last values
-    with pytest.raises(ValueError, match="block levels must be distinct"):
-        TruthSource.explicit([(0, [1.0]), (1, [0.5, 2.0]), (0, [3.0])])
+        TruthSource.explicit({-1: [1.0], 0: [0.5, value]})
 
 
 def test_deterministic_truth_blocks_are_read_only():
@@ -417,15 +411,12 @@ def test_a_failing_replicate_raises_as_in_a_serial_run(started_crews, monkeypatc
     assert len(started_crews) == 1 and not _closed(started_crews[0])
 
 
-def test_an_explicit_truth_keeps_its_order_as_a_dict_or_as_pairs(started_crews):
+def test_an_explicit_truth_keeps_its_dict_order(started_crews):
     # levels out of order draw their noise and list their rows in the given order
     values = np.random.default_rng(5).choice([-3.0, 0.0, 3.0], size=80)
-    pairs = [(5, values), (-1, [1.5]), (2, [0.5, -2.0, 1.0, 0.0])]
-    reports = set()
-    for blocks in (dict(pairs), pairs):
-        spec = _small_spec(truth=TruthSource.explicit(blocks), cfg=TuningConfig(b0=0.25, n_star=8))
-        for jobs in (1, 2):
-            reports.add(report_to_json(monte_carlo_risk(spec, jobs=jobs)))
+    blocks = {5: values, -1: [1.5], 2: [0.5, -2.0, 1.0, 0.0]}
+    spec = _small_spec(truth=TruthSource.explicit(blocks), cfg=TuningConfig(b0=0.25, n_star=8))
+    reports = {report_to_json(monte_carlo_risk(spec, jobs=jobs)) for jobs in (1, 2)}
     assert len(reports) == 1
     assert [row["block_id"] for row in json.loads(reports.pop())["per_block"]] == [5, -1, 2]
 
