@@ -114,11 +114,18 @@ class MixingDistribution:
 
 
 def from_atoms(locations, weights) -> MixingDistribution:
-    """Build a mixing distribution, sorting atoms and merging duplicates."""
+    """Build a mixing distribution, dropping atoms of weight exactly 0,
+    sorting the rest and merging duplicates."""
     locs = np.asarray(locations, dtype=float).ravel()
     wts = np.asarray(weights, dtype=float).ravel()
     if locs.size != wts.size:
         raise ValueError("locations and weights must have equal length")
+    # an atom of no mass changes no risk, but where every weighted term
+    # underflows its own term makes the shift 0/0; a negative or NaN weight,
+    # a location that is not finite, or all-zero weights stay to be rejected
+    empty = (wts == 0) & np.isfinite(locs)
+    if empty.any() and not empty.all():
+        locs, wts = locs[~empty], wts[~empty]
     order = np.argsort(locs, kind="stable")
     locs = locs[order]
     # an atom starts where the sorted value changes (-0.0 == 0.0, so those merge);

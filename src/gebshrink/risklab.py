@@ -15,6 +15,9 @@ then go through one lockstep quadrature (``mixture.bayes_risks``) in
 batches of up to ``_IDEAL_BATCH`` coefficients.  Each risk is bit-identical
 to its own ``bayes_risk``, so the batching changes no report bit, and a
 failing replicate raises the error a serial run would meet first.
+
+Each record is described once, by its dataclass: a truth's fields say
+whether it is fixed or drawn, and a report serialises from its own fields.
 """
 
 from __future__ import annotations
@@ -33,11 +36,10 @@ import numpy as np
 from .blocks import ESTIMATORS, TuningConfig
 from .errors import NumericFailure, WorkerDied
 from .mixture import MixingDistribution
-from .sequence import block_ideal_risks, estimate_sequence
+from .sequence import block_ideal_risks, estimate_sequence, level_key
 from .signals import test_signal
 from .wavelets import dwt, wavelet_basis
 
-_TRUTH_KINDS = ("explicit", "zero", "besov", "signal", "gaussian-prior", "atom-prior")
 # the one error for an epsilon grid or a rate fit on a truth with its own epsilon
 _FIXED_EPSILON = (
     "a signal truth fixes its own epsilon, sigma / sqrt(N), so it takes no "
@@ -54,15 +56,16 @@ _IDEAL_BATCH = 1 << 16
 
 def _frozen_blocks(levels):
     """{j: beta} from a {j: values} mapping, in its order, each beta a
-    read-only float copy; a value that is not finite raises ValueError, so
-    no replicate runs on it."""
+    read-only float copy; a level key that is not an integer or a value
+    that is not finite raises ValueError, so no replicate runs on it."""
     out = {}
     for j, values in levels.items():
+        j = level_key(j)
         beta = np.array(values, dtype=float).ravel()
         if not np.isfinite(beta).all():
             raise ValueError(f"truth level {j} holds a value that is not finite")
         beta.flags.writeable = False
-        out[int(j)] = beta
+        out[j] = beta
     return out
 
 
@@ -72,18 +75,18 @@ def _zero_blocks(j_max):
 
 @dataclass(frozen=True, eq=False)
 class TruthSource:
-    """Where the true means come from.
+    """Where the true means come from; the fields say which truth it is.
 
-    Deterministic kinds (explicit, zero, besov, signal) build beta once,
-    as a ``{j: beta}`` mapping of read-only arrays in ``blocks``, in the
-    order given; a signal truth also carries its own noise scale
-    sigma / sqrt(N) in ``epsilon``.
-    Prior kinds (gaussian-prior, atom-prior) redraw theta i.i.d. from the
-    prior on every replicate and set beta = epsilon * theta, which is the
-    compound-estimation regime.
+    A truth with ``size > 0`` is random: every replicate draws ``size``
+    values theta i.i.d. from ``prior``'s atoms, or from N(0, tau^2) when
+    ``prior`` is None, and sets beta = epsilon * theta, which is the
+    compound-estimation regime.  Any other truth is fixed: ``blocks`` is
+    frozen here, once, into a ``{j: beta}`` mapping of read-only float
+    copies in the order given, with integer levels and finite values, and
+    every replicate reuses it.  A signal truth also carries its own noise
+    scale sigma / sqrt(N) in ``epsilon``.
     """
 
-    kind: str
     blocks: dict = field(default_factory=dict)
     epsilon: float | None = None
     tau: float = math.nan
@@ -91,24 +94,27 @@ class TruthSource:
     prior: MixingDistribution | None = None
 
     def __post_init__(self):
-        if self.kind not in _TRUTH_KINDS:
-            raise ValueError(f"unknown truth kind {self.kind!r}")
-        if not (self.is_random() or self.blocks):
-            raise ValueError(f"{self.kind} truth needs at least one block")
+        if self.is_random():
+            if self.prior is None and not 0 < self.tau < math.inf:
+                raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        else:
+            object.__setattr__(self, "blocks", _frozen_blocks(self.blocks))
+            if not self.blocks:
+                raise ValueError("a fixed truth needs at least one block")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def explicit(blocks) -> "TruthSource":
         """A fixed truth from a {j: values} mapping, in its order."""
-        return TruthSource(kind="explicit", blocks=_frozen_blocks(blocks))
+        return TruthSource(blocks=blocks)
 
     @staticmethod
     def zero(j_max) -> "TruthSource":
         j_max = int(j_max)
         if j_max < -1:
             raise ValueError("j_max must be at least -1")
-        return TruthSource(kind="zero", blocks=_frozen_blocks(_zero_blocks(j_max)))
+        return TruthSource(blocks=_zero_blocks(j_max))
 
     @staticmethod
     def besov_extremal(alpha, j_max) -> "TruthSource":
@@ -122,7 +128,7 @@ class TruthSource:
         levels = _zero_blocks(j_max)
         for j in range(j_max + 1):
             levels[j][0] = 2.0 ** (-j * (alpha + 0.5))
-        return TruthSource(kind="besov", blocks=_frozen_blocks(levels))
+        return TruthSource(blocks=levels)
 
     @staticmethod
     def signal(name, n, snr) -> "TruthSource":
@@ -131,45 +137,43 @@ class TruthSource:
         if n < 2 or n & (n - 1):
             raise ValueError(f"signal length must be a power of two, got {n}")
         samples, sigma = test_signal(name, n, float(snr))
-        blocks = _frozen_blocks(dwt(samples, wavelet_basis("s8")))
-        return TruthSource(kind="signal", blocks=blocks, epsilon=sigma / math.sqrt(n))
+        return TruthSource(blocks=dwt(samples, wavelet_basis("s8")), epsilon=sigma / math.sqrt(n))
 
     @staticmethod
     def gaussian_prior(tau, size) -> "TruthSource":
-        tau = float(tau)
         size = int(size)
-        if not 0 < tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {tau}")
         if size < 1:
             raise ValueError("size must be positive")
-        return TruthSource(kind="gaussian-prior", tau=tau, size=size)
+        return TruthSource(tau=float(tau), size=size)
 
     @staticmethod
     def atom_prior(prior: MixingDistribution, size) -> "TruthSource":
         size = int(size)
         if size < 1:
             raise ValueError("size must be positive")
-        return TruthSource(kind="atom-prior", prior=prior, size=size)
+        return TruthSource(prior=prior, size=size)
 
     # -- structure ---------------------------------------------------------
 
     def is_random(self) -> bool:
-        return self.kind in ("gaussian-prior", "atom-prior")
+        return self.size > 0
 
     def block_sizes(self) -> dict:
         """{j: size} of the blocks each replicate draws."""
-        return {j: beta.size for j, beta in self.blocks.items()} or {0: self.size}
+        if self.is_random():
+            return {0: self.size}
+        return {j: beta.size for j, beta in self.blocks.items()}
 
     def draw_blocks(self, epsilon, rng) -> dict:
-        """Per-replicate {j: beta}: ``blocks`` itself for a deterministic
-        kind, {0: epsilon * theta} for a prior kind, which samples theta here."""
-        if self.kind == "gaussian-prior":
+        """Per-replicate {j: beta}: ``blocks`` itself for a fixed truth,
+        {0: epsilon * theta} for a random one, which samples theta here."""
+        if not self.is_random():
+            return self.blocks
+        if self.prior is None:
             theta = self.tau * rng.standard_normal(self.size)
-        elif self.kind == "atom-prior":
+        else:
             atoms = self.prior.locations
             theta = atoms[rng.choice(atoms.size, size=self.size, p=self.prior.weights)]
-        else:
-            return self.blocks
         return {0: epsilon * theta}
 
 
@@ -238,7 +242,8 @@ def replicate_rng(seed, r) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class BlockReport:
-    """Per-block row of a risk report; None marks unavailable columns."""
+    """Per-block row of a risk report, whose fields are the row's keys and,
+    in order, the CSV columns; None marks unavailable columns."""
 
     block_id: int
     size: int
@@ -247,13 +252,10 @@ class BlockReport:
     ideal_risk: float | None
 
 
-# report column order: block_id, size, branch, then the two float columns
-_BLOCK_COLUMNS = tuple(f.name for f in fields(BlockReport))
-
-
 @dataclass(frozen=True)
 class RiskReport:
-    """Replicate-averaged risks, their decomposition, and metadata."""
+    """Replicate-averaged risks, their decomposition, and metadata; its
+    fields are the keys of the report's JSON form."""
 
     per_block: tuple
     total_mse: float
@@ -277,20 +279,12 @@ class RiskReport:
 
 
 # ---------------------------------------------------------------------------
-# estimators
-
-
-def _apply_estimator(spec: ExperimentSpec, epsilon, y_blocks, beta_blocks):
-    """Run the chosen estimator; returns ({j: estimate}, branch labels)."""
-    if spec.estimator == "oracle-truth":
-        return beta_blocks, ["oracle"] * len(beta_blocks)
-    estimates, fits = estimate_sequence(epsilon, y_blocks, spec.cfg, spec.estimator)
-    return estimates, [fit.branch for fit in fits.values()]
+# replicates
 
 
 def _run_replicate(spec: ExperimentSpec, epsilon, r):
     """One replicate up to its ideal risk: returns (per-block sq errors,
-    branches, {j: beta})."""
+    branches, {j: beta}).  The oracle-truth estimator returns beta itself."""
     rng = replicate_rng(spec.seed, r)
     # overflow, of epsilon * theta or of the observations, is reported once,
     # as NumericFailure, not as numpy warnings
@@ -299,7 +293,11 @@ def _run_replicate(spec: ExperimentSpec, epsilon, r):
         y_blocks = {j: beta + epsilon * rng.standard_normal(beta.size) for j, beta in beta_blocks.items()}
     if not all(np.all(np.isfinite(y)) for y in y_blocks.values()):
         raise NumericFailure(f"observations overflow at epsilon {epsilon:g}")
-    estimates, branches = _apply_estimator(spec, epsilon, y_blocks, beta_blocks)
+    if spec.estimator == "oracle-truth":
+        estimates, branches = beta_blocks, ["oracle"] * len(beta_blocks)
+    else:
+        estimates, fits = estimate_sequence(epsilon, y_blocks, spec.cfg, spec.estimator)
+        branches = [fit.branch for fit in fits.values()]
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.array(
             [float(np.sum((estimates[j] - beta) ** 2)) for j, beta in beta_blocks.items()]
@@ -614,51 +612,44 @@ def rate_fit(spec: ExperimentSpec, jobs=1) -> RateFit:
 # serialization
 
 
-def _clean(value):
-    return None if value is None else float(value)
-
-
-def _row_cells(row: BlockReport, fmt):
-    """One per-block row in column order; fmt maps the float columns."""
-    values = [getattr(row, name) for name in _BLOCK_COLUMNS]
-    return values[:3] + [fmt(v) for v in values[3:]]
+def _record(obj) -> dict:
+    """{field: value} of a dataclass instance, in field order; unlike
+    ``dataclasses.asdict`` it copies no value."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def report_to_dict(report: RiskReport) -> dict:
-    return {
-        "estimator": report.estimator,
-        "epsilon": report.epsilon,
-        "replicates": report.replicates,
-        "seed": report.seed,
-        "total_mse": _clean(report.total_mse),
-        "total_ideal": _clean(report.total_ideal),
-        "regret": _clean(report.regret),
-        "total_se": _clean(report.total_se),
-        "per_block": [
-            dict(zip(_BLOCK_COLUMNS, _row_cells(row, _clean))) for row in report.per_block
-        ],
-    }
+    """The report's fields, with ``per_block`` a list of row dicts."""
+    out = _record(report)
+    out["per_block"] = [_record(row) for row in report.per_block]
+    return out
 
 
 def report_to_json(report: RiskReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False)
 
 
+def _cell(value):
+    """A CSV cell: a float at 17 significant digits, None empty, an int or
+    str as is."""
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else value
+
+
 def report_to_csv(report: RiskReport) -> str:
+    """One row per block in :class:`BlockReport`'s columns, then a ``total``
+    row: the block sizes, total_mse and total_ideal, and no branch."""
+    total = BlockReport(
+        block_id="total",
+        size=sum(row.size for row in report.per_block),
+        branch=None,
+        empirical_mse=report.total_mse,
+        ideal_risk=report.total_ideal,
+    )
     buffer = _io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(_BLOCK_COLUMNS)
-
-    def fmt(v):
-        return "" if v is None else f"{float(v):.17g}"
-
-    for row in report.per_block:
-        writer.writerow(_row_cells(row, fmt))
-    total = {
-        "block_id": "total",
-        "size": sum(r.size for r in report.per_block),
-        "empirical_mse": fmt(report.total_mse),
-        "ideal_risk": fmt(report.total_ideal),
-    }
-    writer.writerow([total.get(name, "") for name in _BLOCK_COLUMNS])
+    writer.writerow(f.name for f in fields(BlockReport))
+    for row in (*report.per_block, total):
+        writer.writerow(_cell(value) for value in _record(row).values())
     return buffer.getvalue()

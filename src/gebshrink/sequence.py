@@ -18,12 +18,23 @@ any parallel execution of callers.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .blocks import TuningConfig, fit_block
 from .errors import NumericFailure
 from .mixture import IdentityRule, bayes_risks, empirical_mixing
+
+
+def level_key(j) -> int:
+    """The level ``j`` as an int; a key that is not an integer, such as 1.5,
+    2.0 or "1", raises ValueError naming it, where ``int(j)`` would truncate
+    it onto another level."""
+    try:
+        return operator.index(j)
+    except TypeError:
+        raise ValueError(f"level {j!r} is not an integer") from None
 
 
 def estimate_sequence(epsilon, levels, cfg: TuningConfig = TuningConfig(), estimator="geb-hybrid"):

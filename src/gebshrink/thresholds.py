@@ -65,16 +65,14 @@ def soft_threshold_risk(mu, level):
     # past lam + 40 every tail and density term underflows, so the risk is
     # 1 + lam^2 to the last bit; the cap keeps mu^2 finite
     m = np.minimum(np.abs(np.atleast_1d(mus)), lam + 40.0)
-    if lam == 0.0:
-        risk = np.ones(m.shape)
-    else:
-        lam2 = lam * lam
-        densities = (lam - m) * _density(lam + m) + (lam + m) * _density(lam - m)
-        near, far = _upper_tail(np.abs(lam - m)), _upper_tail(lam + m)
-        slack = 1.0 + lam2 - m * m
-        risk = np.where(
-            m <= lam,
-            m * m + slack * (near + far) - densities,
-            1.0 + lam2 - slack * (near - far) - densities,
-        )
+    lam2 = lam * lam
+    densities = (lam - m) * _density(lam + m) + (lam + m) * _density(lam - m)
+    near, far = _upper_tail(np.abs(lam - m)), _upper_tail(lam + m)
+    slack = 1.0 + lam2 - m * m
+    # at lam = 0 the two tails and the two density terms cancel exactly: 1
+    risk = np.where(
+        m <= lam,
+        m * m + slack * (near + far) - densities,
+        1.0 + lam2 - slack * (near - far) - densities,
+    )
     return float(risk[0]) if mus.ndim == 0 else risk

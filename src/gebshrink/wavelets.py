@@ -30,7 +30,7 @@ import numpy as np
 
 from .blocks import TuningConfig
 from .errors import NumericFailure
-from .sequence import estimate_sequence
+from .sequence import estimate_sequence, level_key
 
 #: upper quartile of the standard normal, for MAD noise calibration; the
 #: double statistics.NormalDist().inv_cdf(0.75) returns, written out so that
@@ -177,8 +177,9 @@ def dwt(signal, basis: WaveletBasis):
 
 def idwt(levels, basis: WaveletBasis):
     """Inverse of :func:`dwt`; accepts the same {j: array} layout, levels
-    j = -1, 0, 1, ... without gaps, level j of size 2^max(j, 0)."""
-    levels = {int(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
+    j = -1, 0, 1, ... without gaps, level j of size 2^max(j, 0); a level
+    key that is not an integer raises ValueError."""
+    levels = {level_key(j): np.asarray(v, dtype=float).ravel() for j, v in dict(levels).items()}
     if -1 not in levels or levels[-1].size != 1:
         raise ValueError("levels must start at j = -1 with a single coefficient")
     n_total = sum(v.size for v in levels.values())

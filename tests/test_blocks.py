@@ -537,7 +537,7 @@ def test_soft_threshold_risk_envelope_bound():
         assert soft_threshold_risk(mu, lam) <= cap + 1e-12
     # lam = 0 is the unbiased estimator: risk exactly 1 for every mean
     for mu in (0.0, 1.0, -4.0):
-        assert soft_threshold_risk(mu, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert soft_threshold_risk(mu, 0.0) == 1.0
 
 
 def test_soft_threshold_risk_at_universal_level():

@@ -271,6 +271,16 @@ def test_oracle_weight_sum_error_prints_plain_number():
     assert "weights sum to 0.4" in proc.stderr
 
 
+def test_oracle_drops_a_zero_weight_atom(capsys):
+    # a point mass at 1e6: Bayes risk 0, where the kept atom at 0 made the
+    # posterior shift 0/0 (exit 1)
+    assert cli.main(["oracle", "--atoms=0=0,1e6=1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[0] == "bayes_risk  = 0"
+    assert cli.main(["oracle", "--atoms=1e6=1"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_oracle_far_apart_atoms_fail_in_one_line(capsys, recwarn):
     # (1e200)^2 overflows: the quadrature's one failure line, no numpy warnings
     assert cli.main(["oracle", "--atoms=1e200=0.5,-1e200=0.5"]) == 1

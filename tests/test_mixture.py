@@ -90,6 +90,26 @@ def test_from_atoms_validates_weights():
         from_atoms([math.inf], [1.0])
 
 
+def test_from_atoms_drops_atoms_of_weight_zero():
+    g = from_atoms([0.0, 17.0], [0.0, 1.0])
+    assert g.locations.tolist() == [17.0] and g.weights.tolist() == [1.0]
+    # a point mass: no quadrature, and its oracle is exact
+    assert bayes_risk(g) == 0.0
+    assert rule_risk(oracle_rule(g), g) == 0.0
+    assert from_atoms([3.0, 2.0, 1.0], [0.5, -0.0, 0.5]).locations.tolist() == [1.0, 3.0]
+    # the atom at 0 kept, its term alone survived far from it: a 0/0 shift
+    assert bayes_risk(from_atoms([0.0, 1e6], [0.0, 1.0])) == 0.0
+    # what MixingDistribution rejects stays for it to reject
+    with pytest.raises(ValueError, match="weights sum to 0.0"):
+        from_atoms([0.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        from_atoms([0.0, 1.0, 2.0], [0.0, -0.5, 1.5])
+    with pytest.raises(ValueError, match="finite"):
+        from_atoms([0.0, 1.0], [math.nan, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        from_atoms([math.inf, 1.0], [0.0, 1.0])
+
+
 def _from_atoms_by_unique(locations, weights):
     """The earlier from_atoms: a second sort in np.unique, then np.add.at."""
     locs = np.asarray(locations, dtype=float)

@@ -1,6 +1,7 @@
 """Monte Carlo risk laboratory: experiment specs, reports, rates."""
 
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -37,10 +38,11 @@ from gebshrink.signals import SIGNAL_NAMES
 
 
 def test_truth_source_validation():
-    with pytest.raises(ValueError):
-        TruthSource(kind="mystery")
     with pytest.raises(ValueError, match="needs at least one block"):
-        TruthSource(kind="signal")
+        TruthSource()
+    # a random truth with no prior draws from N(0, tau^2): tau is checked however it is built
+    with pytest.raises(ValueError, match="tau must be positive and finite, got nan"):
+        TruthSource(size=4)
     with pytest.raises(ValueError):
         TruthSource.explicit({})
     with pytest.raises(ValueError):
@@ -246,8 +248,9 @@ def test_signal_truth_is_built_once(monkeypatch):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_deterministic_truth_is_rejected_when_built(value):
     # every replicate would otherwise fail as an observation overflow
-    with pytest.raises(ValueError, match="truth level 0 holds a value that is not finite"):
-        TruthSource.explicit({-1: [1.0], 0: [0.5, value]})
+    for build in (TruthSource.explicit, lambda blocks: TruthSource(blocks=blocks)):
+        with pytest.raises(ValueError, match="truth level 0 holds a value that is not finite"):
+            build({-1: [1.0], 0: [0.5, value]})
 
 
 def test_deterministic_truth_blocks_are_read_only():
@@ -256,6 +259,7 @@ def test_deterministic_truth_blocks_are_read_only():
         TruthSource.zero(3),
         TruthSource.besov_extremal(1.0, 3),
         TruthSource.signal("doppler", 64, 7.0),
+        TruthSource(blocks={1: [0.5, 0.25]}),
         TruthSource.explicit({2: source}),
     )
     for truth in truths:
@@ -269,6 +273,18 @@ def test_deterministic_truth_blocks_are_read_only():
     source[0] = 9.0
     assert truths[-1].blocks[2][0] == 0.3
     assert truths[1].blocks[2][0] == 2.0 ** (-2 * 1.5)
+
+
+def test_a_level_key_that_is_not_an_integer_is_rejected():
+    # int(1.5) would make it level 1, overwriting the level 1 given before it
+    for blocks in ({1: [1.0], 1.5: [3.0]}, {1: [1.0, 2.0], 1.5: [3.0]}):
+        with pytest.raises(ValueError, match=r"^level 1\.5 is not an integer$"):
+            TruthSource.explicit(blocks)
+    with pytest.raises(ValueError, match=r"^level 0\.5 is not an integer$"):
+        TruthSource(blocks={0.5: [1.0]})
+    # numpy integers, as the coefficient reader gives them, are levels
+    (level,) = TruthSource(blocks={np.int64(2): [1.0]}).blocks
+    assert level == 2 and type(level) is int
 
 
 # ----------------------------------------------------------- the worker crew
@@ -473,7 +489,7 @@ def test_ideal_risks_priced_per_share_match_each_replicate_alone(started_crews, 
         estimator="geb-hybrid", truth=truth, epsilons=(0.5,), replicates=24, seed=5
     )
     alone, priors = _ideal_by_replicate(spec)
-    if truth.kind == "atom-prior":
+    if truth.prior is not None:
         # replicates draw 1, 2 or 3 distinct atoms: batches mix atom counts
         assert len({g.atom_count for g in priors}) == 3
     serial = monte_carlo_risk(spec, jobs=1)
@@ -732,6 +748,73 @@ def test_report_serialization_round_trips():
     # numeric columns re-read at full precision
     first = lines[1].split(",")
     assert float(first[3]) == report.per_block[0].empirical_mse
+
+
+# the serialisers written out by hand, as they were before the reports were
+# read from their dataclass fields: report keys by name, row cells by position
+_COLUMNS = ("block_id", "size", "branch", "empirical_mse", "ideal_risk")
+
+
+def _listed_cells(row, fmt):
+    values = [getattr(row, name) for name in _COLUMNS]
+    return values[:3] + [fmt(v) for v in values[3:]]
+
+
+def _listed_json(report):
+    def clean(v):
+        return None if v is None else float(v)
+
+    listed = {
+        "estimator": report.estimator,
+        "epsilon": report.epsilon,
+        "replicates": report.replicates,
+        "seed": report.seed,
+        "total_mse": clean(report.total_mse),
+        "total_ideal": clean(report.total_ideal),
+        "regret": clean(report.regret),
+        "total_se": clean(report.total_se),
+        "per_block": [dict(zip(_COLUMNS, _listed_cells(row, clean))) for row in report.per_block],
+    }
+    return json.dumps(listed, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _listed_csv(report):
+    def fmt(v):
+        return "" if v is None else f"{float(v):.17g}"
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(_COLUMNS)
+    for row in report.per_block:
+        writer.writerow(_listed_cells(row, fmt))
+    size = sum(r.size for r in report.per_block)
+    writer.writerow(["total", size, "", fmt(report.total_mse), fmt(report.total_ideal)])
+    return buffer.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_REPLICATE_TRUTHS)),
+    n=st.sampled_from((4, 16, 64)),
+    estimator=st.sampled_from(ESTIMATORS),
+    seed=st.integers(0, 2**63 - 1),
+    compute_ideal=st.booleans(),
+    jobs=st.sampled_from((1, 2)),
+    data=st.data(),
+)
+def test_reports_serialise_as_the_listed_schema_did(kind, n, estimator, seed, compute_ideal, jobs, data):
+    spec = ExperimentSpec(
+        estimator=estimator,
+        truth=_REPLICATE_TRUTHS[kind](n, data.draw),
+        epsilons=() if kind == "signal" else (0.5,),
+        replicates=3,
+        seed=seed,
+        compute_ideal=compute_ideal,
+        cfg=TuningConfig(b0=0.25),
+    )
+    report = monte_carlo_risk(spec, jobs=jobs)
+    assert report_to_json(report) == _listed_json(report)
+    assert report_to_csv(report) == _listed_csv(report)
 
 
 def test_estimator_catalog_is_stable():

@@ -1,6 +1,7 @@
 """Blocked sequence estimation and the blockwise ideal risk."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from gebshrink.blocks import BLOCK_ESTIMATORS, TuningConfig, fit_block, james_stein
 from gebshrink.errors import NumericFailure
 from gebshrink.mixture import IdentityRule, bayes_risk, from_atoms
-from gebshrink.sequence import block_ideal_risks, estimate_sequence
+from gebshrink.sequence import block_ideal_risks, estimate_sequence, level_key
 
 
 def make_dyadic(rng, j_max, epsilon, scale=1.0):
@@ -216,3 +217,11 @@ def test_ideal_risk_scales_with_epsilon_squared_and_adds():
     r2 = ideal_risk(0.5, half)
     # same standardized atoms, quarter the scale
     assert r2 == pytest.approx(0.25 * r1, rel=1e-9)
+
+
+def test_level_key_takes_integers_only():
+    assert [level_key(j) for j in (-1, 0, np.int64(7), np.int32(3))] == [-1, 0, 7, 3]
+    assert type(level_key(np.int64(7))) is int
+    for key in (1.5, 2.0, np.float64(0.9), "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"level {key!r} is not an integer")):
+            level_key(key)

@@ -109,6 +109,7 @@ def test_idwt_rejects_a_malformed_layout():
         ({0: 1}, "start at j = -1"),  # no coarsest coefficient
         ({-1: 1, 1: 2}, "power of two"),  # a gap
         ({-1: 1, 0: 1, 1: 2, 3: 4}, "without gaps; level 2 is missing"),  # a gap, dyadic total
+        ({-1: 1, 0.9: 1}, "level 0.9 is not an integer"),  # int() would read it as level 0
     ]:
         with pytest.raises(ValueError, match=message):
             idwt({j: np.zeros(n) for j, n in sizes.items()}, wavelet_basis("haar"))
